@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 
 from .exact import (
     DomainError,
@@ -22,7 +23,7 @@ from .exact import (
     multi_indices,
 )
 from .frobenius import frobenius_to_fix, frobenius_to_hom
-from .opspaces import saturation_report
+from .opspaces import grid_cells, saturation_report
 from .oracle import (
     GroupDualData,
     OracleGroup,
@@ -36,11 +37,11 @@ from .oracle import (
     parse_oracle,
 )
 from .partitions import (
-    COLORS,
     CategorySpec,
     all_pairings,
     all_partitions,
     check_word,
+    colored_words,
     conjugate_word,
     enumerate_category,
     partition_vector,
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_index_tuple(text: str, n: int, k: int, what: str) -> tuple:
+def _parse_index_tuple(text: str, k: int, what: str) -> tuple:
     tokens = [tok for tok in text.split(",") if tok.strip()]
     if len(tokens) != k:
         raise ParseError(f"{what} must have {k} entries, got {text!r}")
@@ -142,15 +143,15 @@ def cmd_integrate_x(args) -> dict:
     spec = CategorySpec.parse(args.spec)
     I = IndexSet.parse(args.I, spec.N)
     word = check_word(args.word)
-    idx = _parse_index_tuple(args.idx, spec.N, len(word), "--idx")
+    idx = _parse_index_tuple(args.idx, len(word), "--idx")
     return _scaled_payload(integrate_X(spec, I, word, idx))
 
 
 def cmd_integrate_g(args) -> dict:
     spec = CategorySpec.parse(args.spec)
     word = check_word(args.word)
-    row = _parse_index_tuple(args.row, spec.N, len(word), "--row")
-    col = _parse_index_tuple(args.col, spec.N, len(word), "--col")
+    row = _parse_index_tuple(args.row, len(word), "--row")
+    col = _parse_index_tuple(args.col, len(word), "--col")
     value = integrate_G(spec, word, row, col)
     return {"value": str(value), "approx": float(value)}
 
@@ -169,18 +170,21 @@ def cmd_relations(args) -> dict:
     return system.to_json()
 
 
-def _colored_words(max_len: int):
-    out = [""]
-    for length in range(1, max_len + 1):
-        out.extend("".join(w) for w in product(COLORS, repeat=length))
-    return out
-
-
 def _require(args, attr, flag, suite):
     value = getattr(args, attr)
     if value is None:
         raise ParseError(f"suite {suite!r} requires {flag}")
     return value
+
+
+def _symmetric_spec(args, suite: str) -> CategorySpec:
+    """The --spec of a suite whose brute-force oracle is the group S_N."""
+    spec = CategorySpec.parse(_require(args, "spec", "--spec", suite))
+    if spec.family != "S":
+        raise DomainError(
+            f"no finite classical oracle ships for family {spec.family}; use S(n)"
+        )
+    return spec
 
 
 def _check(checks, name, passed, detail=""):
@@ -261,16 +265,12 @@ def _suite_counts(args) -> dict:
 
 
 def _suite_weingarten_vs_bruteforce(args) -> dict:
-    spec = CategorySpec.parse(_require(args, "spec", "--spec", "weingarten-vs-bruteforce"))
-    if spec.family != "S":
-        raise DomainError(
-            f"no finite classical oracle ships for family {spec.family}; use S(n)"
-        )
+    spec = _symmetric_spec(args, "weingarten-vs-bruteforce")
     max_k = args.max_k if args.max_k is not None else 4
     group = OracleGroup.symmetric(spec.N)
     checks = []
     n = spec.N
-    for word in _colored_words(max_k):
+    for word in colored_words(max_k):
         k = len(word)
         table = group.moment_table(k)
         tuples = list(multi_indices(n, k))
@@ -289,16 +289,12 @@ def _suite_weingarten_vs_bruteforce(args) -> dict:
 
 
 def _suite_moments_vs_orbit(args) -> dict:
-    spec = CategorySpec.parse(_require(args, "spec", "--spec", "moments-vs-orbit"))
-    if spec.family != "S":
-        raise DomainError(
-            f"no finite classical oracle ships for family {spec.family}; use S(n)"
-        )
+    spec = _symmetric_spec(args, "moments-vs-orbit")
     I = IndexSet.parse(_require(args, "I", "--I", "moments-vs-orbit"), spec.N)
     max_k = args.max_k if args.max_k is not None else 4
     group = OracleGroup.symmetric(spec.N)
     checks = []
-    for word in _colored_words(max_k):
+    for word in colored_words(max_k):
         ok = all(
             integrate_X(spec, I, word, idx) == orbit_moment(group, I, word, idx)
             for idx in multi_indices(spec.N, len(word))
@@ -321,13 +317,13 @@ def _suite_dual_moments(args) -> dict:
         index_sets = [
             IndexSet.of(n, members)
             for size in range(1, n + 1)
-            for members in _subsets(range(n), size)
+            for members in combinations(range(n), size)
         ]
     checks = []
     for I in index_sets:
         ok = True
         vanish = True
-        for word in _colored_words(max_k):
+        for word in colored_words(max_k):
             for idx in multi_indices(n, len(word)):
                 direct = dual_X_moment(dual, I, word, idx)
                 matrix = dual_matrix_moment(dual, I, word, idx)
@@ -342,18 +338,12 @@ def _suite_dual_moments(args) -> dict:
     )
 
 
-def _subsets(items, size):
-    from itertools import combinations
-
-    return combinations(items, size)
-
-
 def _suite_projection_laws(args) -> dict:
     spec = CategorySpec.parse(_require(args, "spec", "--spec", "projection-laws"))
     max_k = args.max_k if args.max_k is not None else 3
     checks = []
     seen = {}
-    for word in _colored_words(max_k):
+    for word in colored_words(max_k):
         P = projection_P(spec, word)
         if id(P) not in seen:
             seen[id(P)] = P * P == P
@@ -375,7 +365,7 @@ def _suite_ergodicity(args) -> dict:
     I = IndexSet.parse(_require(args, "I", "--I", "ergodicity"), spec.N)
     max_k = args.max_k if args.max_k is not None else 3
     checks = []
-    for word in _colored_words(max_k):
+    for word in colored_words(max_k):
         report = ergodicity_check(spec, I, word)
         _check(checks, f"word({word or 'empty'})", report["passed"])
     return _suite_report(
@@ -384,11 +374,7 @@ def _suite_ergodicity(args) -> dict:
 
 
 def _suite_relations(args) -> dict:
-    spec = CategorySpec.parse(_require(args, "spec", "--spec", "relations"))
-    if spec.family != "S":
-        raise DomainError(
-            f"no finite classical oracle ships for family {spec.family}; use S(n)"
-        )
+    spec = _symmetric_spec(args, "relations")
     I = IndexSet.parse(_require(args, "I", "--I", "relations"), spec.N)
     max_k = args.max_k if args.max_k is not None else 3
     max_l = args.max_l if args.max_l is not None else 2
@@ -435,15 +421,10 @@ def _suite_frobenius(args) -> dict:
                 _check(checks, f"roundtrip(N={n},k={k_len},l={l_len})", ok)
     if args.oracle is not None:
         source = parse_oracle(args.oracle)
-        dims_ok = True
-        for k_len in range(bound + 1):
-            for l_len in range(bound + 1 - k_len):
-                for kw in product(COLORS, repeat=k_len):
-                    for lw in product(COLORS, repeat=l_len):
-                        kw_s, lw_s = "".join(kw), "".join(lw)
-                        homs = hom_space(source, kw_s, lw_s)
-                        fixes = fixed_space(source, lw_s + conjugate_word(kw_s))
-                        dims_ok &= len(homs) == len(fixes)
+        dims_ok = all(
+            len(hom_space(source, kw, lw)) == len(fixed_space(source, lw + conjugate_word(kw)))
+            for kw, lw in grid_cells(bound)
+        )
         _check(checks, "hom-dims-match-fix-dims", dims_ok)
     return _suite_report(
         "frobenius",
@@ -525,6 +506,10 @@ def cmd_verify(args) -> dict:
         raise ParseError(
             f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}"
         )
+    for flag in ("max_k", "max_l", "bounds", "samples"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise ParseError(f"--{flag.replace('_', '-')} must be nonnegative, got {value}")
     return runner(args)
 
 
@@ -593,6 +578,20 @@ def render(payload: dict, fmt: str) -> str:
     return _render_pretty(payload)
 
 
+def _write_atomically(path: str, text: str) -> None:
+    """Write a temporary file next to the target and rename it over the
+    target, so the target holds either its old or its new bytes."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -617,8 +616,11 @@ def main(argv=None) -> int:
         return 3
     text = render(payload, args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            _write_atomically(args.output, text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if "passed" in payload and not payload["passed"]:

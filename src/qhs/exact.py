@@ -2,17 +2,18 @@
 
 Scalars are rationals (`fractions.Fraction`), optionally carrying a factor
 m**(-s/2) so that the 1/sqrt(m)-normalised quantities stay exact.  Matrices
-and tensors are dense, immutable, and entrywise exact; elimination is
-fraction-free (Bareiss) with a fixed pivot rule, so every output is
-deterministic and reproducible.
+and tensors are dense, immutable, and entrywise exact.  All elimination goes
+through one routine, `Echelon`: fraction-free, with a fixed pivot rule, so
+every output is deterministic and reproducible.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, count, product
 
 
 class DomainError(Exception):
@@ -365,10 +366,6 @@ class ExactTensor:
         n = self.shape[0] if self.shape else 1
         return self.entries[flat_index(idx, n)]
 
-    def conj(self) -> "ExactTensor":
-        """Entrywise complex conjugation; the identity on rational entries."""
-        return self
-
     def dot(self, other: "ExactTensor"):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
@@ -401,114 +398,151 @@ def flat_index(idx, n: int) -> int:
     return f
 
 
-def _exact_div(num, den):
-    if isinstance(num, int) and isinstance(den, int):
-        q, rem = divmod(num, den)
-        if rem == 0:
-            return q
-    return Fraction(num) / Fraction(den)
+def check_index(idx, k: int, n: int, what: str = "index") -> tuple:
+    """The multi-index as a tuple, after checking its length and range."""
+    idx = tuple(idx)
+    if len(idx) != k:
+        raise DomainError(f"{what} must have length {k}, got {len(idx)}")
+    if not all(isinstance(i, int) and 0 <= i < n for i in idx):
+        raise DomainError(f"{what} out of range 0..{n - 1}: {idx}")
+    return idx
 
 
-def _echelon(row_lists):
-    """Fraction-free (Bareiss) forward elimination.
+def _integer_row(row) -> list:
+    """The row times the least common denominator of its entries."""
+    try:
+        math.gcd(*row)  # the fast test that every entry is an int
+        return list(row)
+    except TypeError:
+        den = math.lcm(*{x.denominator for x in row})
+        return [x.numerator * (den // x.denominator) for x in row]
 
-    Pivot rule: leftmost column with a nonzero entry, first such row.
-    Returns the echelon rows and the pivot column list; divisions by the
-    previous pivot are exact by the Bareiss identity.
+
+def _primitive(x: list, lead: int) -> list:
+    """x divided by the gcd of its entries, signed so that x[lead] > 0."""
+    if x[lead] == 1:
+        return x
+    g = math.gcd(*x)
+    if x[lead] < 0:
+        g = -g
+    return x if g == 1 else [v // g for v in x]
+
+
+class Echelon:
+    """Exact rows in echelon form: the one elimination routine of qhs.
+
+    Pivot rule: a row's pivot is its leftmost nonzero column, and rows are
+    taken in the order given, so the first row to reach a pivot keeps it and
+    later rows are reduced against it.  Rows are stored fraction-free, as
+    primitive integer vectors with a positive pivot, sorted by pivot, each
+    with its support (the columns where it is nonzero).
     """
-    rows = [list(r) for r in row_lists]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        top = rows[r]
-        for i in range(r + 1, nrows):
-            cur = rows[i]
-            fac = cur[c]
-            for j in range(c + 1, ncols):
-                num = piv * cur[j] - fac * top[j]
-                cur[j] = num if prev == 1 else _exact_div(num, prev)
-            cur[c] = 0
-        pivots.append(c)
-        prev = piv
-        r += 1
-    return rows, pivots
+
+    __slots__ = ("pivots", "rows", "supports")
+
+    def __init__(self, rows=()):
+        self.pivots = []
+        self.rows = []
+        self.supports = []
+        for row in rows:
+            self.add(row)
+
+    def _eliminate(self, x: list, start: int = 0) -> list:
+        """Clear x at the pivots of rows[start:], in pivot order; x is a
+        list of ints and is updated in place unless it has to be scaled."""
+        for t in range(start, len(self.rows)):
+            b = x[self.pivots[t]]
+            if b:
+                e = self.rows[t]
+                a = e[self.pivots[t]]
+                g = math.gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    x = [a * u for u in x]
+                for j in self.supports[t]:
+                    x[j] -= b * e[j]
+                if a != 1:
+                    g = math.gcd(*x)
+                    if g > 1:
+                        x = [u // g for u in x]
+        return x
+
+    def _store(self, t: int, x: list) -> None:
+        x = _primitive(x, self.pivots[t])
+        self.rows[t] = x
+        self.supports[t] = list(compress(count(), x))
+
+    def reduce(self, row) -> list:
+        """The row with every pivot column cleared, up to a nonzero factor;
+        it is zero exactly when the row lies in the span."""
+        return self._eliminate(_integer_row(row))
+
+    def add(self, row) -> bool:
+        """Keep the reduced row if it raises the rank; True when kept."""
+        x = self.reduce(row)
+        lead = next(compress(count(), x), None)
+        if lead is None:
+            return False
+        t = bisect(self.pivots, lead)
+        self.pivots.insert(t, lead)
+        self.rows.insert(t, None)
+        self.supports.insert(t, None)
+        self._store(t, x)
+        return True
+
+    def back_substitute(self) -> None:
+        """Clear each pivot column above its pivot too (reduced echelon form)."""
+        for t in range(len(self.rows) - 2, -1, -1):
+            self._store(t, self._eliminate(self.rows[t], t + 1))
+
+
+def _matrix_rows(matrix: ExactMatrix):
+    return (matrix.row(r) for r in range(matrix.rows))
 
 
 def rank(matrix: ExactMatrix) -> int:
-    return len(_echelon(matrix.to_rows())[1])
+    return len(Echelon(_matrix_rows(matrix)).pivots)
 
 
 def rank_nullspace(matrix: ExactMatrix):
     """Exact rank and a deterministic nullspace basis.
 
-    Each basis vector is an (n x 1) ExactMatrix, normalised so its first
-    nonzero coordinate is 1; matrix * v == 0 exactly.
+    One basis vector per non-pivot column, in column order, each an (n x 1)
+    ExactMatrix normalised so its first nonzero coordinate is 1;
+    matrix * v == 0 exactly.
     """
-    rows, pivots = _echelon(matrix.to_rows())
-    rk = len(pivots)
-    pivot_set = set(pivots)
+    span = Echelon(_matrix_rows(matrix))
+    span.back_substitute()
+    pivot_rows = list(zip(span.pivots, span.rows))
     basis = []
-    for free in range(matrix.cols):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(matrix.cols)).difference(span.pivots)):
         v = [Fraction(0)] * matrix.cols
         v[free] = Fraction(1)
-        for t in range(rk - 1, -1, -1):
-            pc = pivots[t]
-            if pc >= free:
-                continue
-            acc = 0
-            row = rows[t]
-            for c in range(pc + 1, free + 1):
-                if v[c]:
-                    acc += row[c] * v[c]
-            v[pc] = _exact_div(-acc, row[pc]) if acc else Fraction(0)
-        lead = next(x for x in v if x != 0)
+        for pc, row in pivot_rows:
+            if pc > free:
+                break
+            if row[free]:
+                v[pc] = Fraction(-row[free], row[pc])
+        lead = next(x for x in v if x)
         if lead != 1:
-            v = [_exact_div(x, lead) if x else Fraction(0) for x in v]
+            v = [x / lead for x in v]
         basis.append(ExactMatrix(matrix.cols, 1, v))
-    return rk, basis
+    return len(span.pivots), basis
 
 
 def invert(matrix: ExactMatrix) -> ExactMatrix:
-    """Exact inverse via Gauss-Jordan; raises gram-singular with the rank."""
+    """Exact inverse from the reduced echelon form of [matrix | identity];
+    raises gram-singular with the rank."""
     if matrix.rows != matrix.cols:
         raise DomainError("cannot invert a non-square matrix")
     n = matrix.rows
-    aug = [
-        list(matrix.row(r)) + [Fraction(int(r == c)) for c in range(n)]
-        for r in range(n)
-    ]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot_row is None:
-            raise SingularGramError(
-                f"matrix of size {n} is singular", rank(matrix)
-            )
-        if pivot_row != c:
-            aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        piv = aug[c][c]
-        if piv != 1:
-            aug[c] = [_exact_div(x, piv) if x else Fraction(0) for x in aug[c]]
-        top = aug[c]
-        for i in range(n):
-            if i == c:
-                continue
-            fac = aug[i][c]
-            if fac:
-                row = aug[i]
-                for j in range(c, 2 * n):
-                    if top[j]:
-                        row[j] = row[j] - fac * top[j]
-    return ExactMatrix(n, n, (aug[r][n + c] for r in range(n) for c in range(n)))
+    span = Echelon(
+        matrix.row(r) + tuple(int(r == c) for c in range(n)) for r in range(n)
+    )
+    rk = bisect_left(span.pivots, n)
+    if rk < n:
+        raise SingularGramError(f"matrix of size {n} is singular", rk)
+    span.back_substitute()
+    return ExactMatrix(
+        n, n, (Fraction(x, row[c]) for c, row in enumerate(span.rows) for x in row[n:])
+    )

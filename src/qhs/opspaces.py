@@ -17,16 +17,16 @@ from functools import cached_property
 from itertools import product
 
 from .exact import (
+    Echelon,
     ExactMatrix,
     ExactTensor,
     ResourceGuardError,
-    _exact_div,
     flat_index,
     rank_nullspace,
 )
 from .frobenius import frobenius_to_fix, frobenius_to_hom
 from .oracle import OracleRealization, hom_space
-from .partitions import COLORS, CategorySpec, conjugate_word, fix_basis
+from .partitions import CategorySpec, colored_words, conjugate_word, fix_basis
 
 FXI_GUARD = 4096
 
@@ -46,23 +46,15 @@ class OperatorSpace:
         return len(self.basis)
 
     @cached_property
-    def _echelon(self) -> tuple:
-        rows = []
+    def _span(self) -> Echelon:
+        span = Echelon()
         for mat in self.basis:
-            row = list(mat.entries)
-            rows.append(row)
-        reduced = []
-        for row in rows:
-            row = _reduce_against(row, reduced)
-            lead = next((i for i, x in enumerate(row) if x != 0), None)
-            if lead is None:
+            if not span.add(mat.entries):
                 raise AssertionError("operator space basis is not independent")
-            reduced.append((lead, row))
-            reduced.sort(key=lambda pair: pair[0])
-        return tuple(reduced)
+        return span
 
     def contains(self, T: ExactMatrix) -> bool:
-        """Exact membership via rank comparison against the cached echelon."""
+        """Exact membership: T reduces to zero against the cached echelon."""
         ambient_rows = self.N ** len(self.l_word)
         ambient_cols = self.N ** len(self.k_word)
         if T.rows != ambient_rows or T.cols != ambient_cols:
@@ -70,17 +62,7 @@ class OperatorSpace:
                 f"shape mismatch: space holds {ambient_rows}x{ambient_cols}, "
                 f"got {T.rows}x{T.cols}"
             )
-        row = _reduce_against(list(T.entries), self._echelon)
-        return all(x == 0 for x in row)
-
-
-def _reduce_against(row, echelon):
-    for pivot, erow in echelon:
-        x = row[pivot]
-        if x:
-            f = _exact_div(x, erow[pivot])
-            row = [a - f * b if b else a for a, b in zip(row, erow)]
-    return row
+        return not any(self._span.reduce(T.entries))
 
 
 def _indicator(n: int, length: int, members) -> list:
@@ -190,16 +172,9 @@ def hom_operator_space(source, k_word: str, l_word: str) -> OperatorSpace:
     )
 
 
-def _grid_words(bound: int) -> list:
-    out = [""]
-    for length in range(1, bound + 1):
-        out.extend("".join(w) for w in product(COLORS, repeat=length))
-    return out
-
-
 def grid_cells(bound: int) -> list:
     """All word pairs (k, l) with |k| + |l| <= bound, deterministic order."""
-    words = _grid_words(bound)
+    words = colored_words(bound)
     cells = [
         (kw, lw)
         for kw in words

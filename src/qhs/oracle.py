@@ -24,6 +24,7 @@ from .exact import (
     ExactTensor,
     ParseError,
     ScaledScalar,
+    check_index,
     flat_index,
     parse_fraction,
     rank,
@@ -59,7 +60,7 @@ class OracleGroup:
 
     kind = "classical"
 
-    def __init__(self, elements, name: str = "group"):
+    def __init__(self, elements, name: str = "group", generators=None):
         elements = tuple(elements)
         if not elements:
             raise DomainError("a group needs at least the identity")
@@ -70,6 +71,8 @@ class OracleGroup:
             raise DomainError("identity matrix missing from element list")
         self.N = n
         self.elements = elements
+        # The elements generate the group too; fixed points need only these.
+        self.generators = elements if generators is None else tuple(generators)
         self.name = name
         self._moments = {}
         self._coords = {}
@@ -116,26 +119,17 @@ class OracleGroup:
                     seen.add(nxt)
                     elements.append(nxt)
                     queue.append(nxt)
-        return cls(elements, name=name)
+        return cls(elements, name=name, generators=generators)
 
     @classmethod
     def symmetric(cls, n: int, cap: int | None = None) -> "OracleGroup":
         """All n x n permutation matrices (generated by adjacent swaps)."""
-        gens = []
-        for i in range(n - 1):
-            perm = list(range(n))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            gens.append(_permutation_matrix(perm))
-        return cls.from_generators(gens, name=f"SN({n})", cap=cap)
+        return cls.from_generators(_adjacent_swaps(n), name=f"SN({n})", cap=cap)
 
     @classmethod
     def hyperoctahedral(cls, n: int, cap: int | None = None) -> "OracleGroup":
         """All signed permutation matrices."""
-        gens = []
-        for i in range(n - 1):
-            perm = list(range(n))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            gens.append(_permutation_matrix(perm))
+        gens = _adjacent_swaps(n)
         flip = [[(-1 if r == c == 0 else int(r == c)) for c in range(n)] for r in range(n)]
         gens.append(ExactMatrix.from_rows(flip))
         return cls.from_generators(gens, name=f"HN({n})", cap=cap)
@@ -207,8 +201,7 @@ class OracleGroup:
     def coordinate_table(self, I: IndexSet) -> tuple:
         """Per element g the vector c with c_i = sum_{j in I} g_{ij};
         the space coordinate is x_i(g) = c_i / sqrt(m)."""
-        if I.N != self.N:
-            raise DomainError(f"index set over N={I.N} does not match group N={self.N}")
+        I.require_N(self.N, "group")
         key = I.sorted_members
         if key not in self._coords:
             cols = key
@@ -217,6 +210,15 @@ class OracleGroup:
                 for g in self.elements
             )
         return self._coords[key]
+
+
+def _adjacent_swaps(n: int) -> list:
+    gens = []
+    for i in range(n - 1):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        gens.append(_permutation_matrix(perm))
+    return gens
 
 
 def _permutation_matrix(perm) -> ExactMatrix:
@@ -364,14 +366,24 @@ def build_group(text: str, cap: int | None = None) -> OracleGroup:
     match = re.fullmatch(r"gens\((.+)\)", text)
     if match:
         path = match.group(1).strip()
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-        gens = [
-            ExactMatrix.from_rows(
-                [[parse_fraction(str(x)) for x in row] for row in mat]
-            )
-            for mat in data
-        ]
+        try:
+            with open(path, encoding="utf-8") as handle:
+                data = json.load(handle)
+        except OSError as exc:
+            raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        except ValueError as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        try:
+            gens = [
+                ExactMatrix.from_rows(
+                    [[parse_fraction(str(x)) for x in row] for row in mat]
+                )
+                for mat in data
+            ]
+        except (TypeError, ValueError) as exc:
+            raise ParseError(
+                f"{path} must hold a list of rectangular matrices of rationals"
+            ) from exc
         return OracleGroup.from_generators(gens, name=f"gens({path})", cap=cap)
     raise ParseError(f"bad group literal {text!r}; expected SN(n), HN(n) or gens(file)")
 
@@ -400,10 +412,8 @@ def brute_integrate_G(group: OracleGroup, word: str, row, col) -> Fraction:
         raise DomainError("wrong kind: classical averaging needs a matrix group")
     check_word(word)
     k = len(word)
-    row, col = tuple(row), tuple(col)
-    for idx in (row, col):
-        if len(idx) != k or not all(0 <= t < group.N for t in idx):
-            raise DomainError(f"index {idx} out of range for N={group.N}, k={k}")
+    row = check_index(row, k, group.N, "row index")
+    col = check_index(col, k, group.N, "column index")
     table = group.moment_table(k)
     return table.get((flat_index(row, group.N), flat_index(col, group.N)), Fraction(0))
 
@@ -412,10 +422,8 @@ def dual_integrate_G(dual: GroupDualData, word: str, row, col) -> Fraction:
     """Dual moments: off-diagonal entries vanish, diagonal ones reduce words."""
     check_word(word)
     k = len(word)
-    row, col = tuple(row), tuple(col)
-    for idx in (row, col):
-        if len(idx) != k or not all(0 <= t < dual.N for t in idx):
-            raise DomainError(f"index {idx} out of range for N={dual.N}, k={k}")
+    row = check_index(row, k, dual.N, "row index")
+    col = check_index(col, k, dual.N, "column index")
     if row != col:
         return Fraction(0)
     return Fraction(int(dual.word_value(word, row) == dual.identity))
@@ -471,9 +479,7 @@ def orbit_moment(group: OracleGroup, I: IndexSet, word: str, idx) -> ScaledScala
         raise DomainError("wrong kind: orbit moments need a classical matrix group")
     check_word(word)
     k = len(word)
-    idx = tuple(idx)
-    if len(idx) != k or not all(0 <= t < group.N for t in idx):
-        raise DomainError(f"index {idx} out of range for N={group.N}, k={k}")
+    idx = check_index(idx, k, group.N)
     coords = group.coordinate_table(I)
     total = 0
     for c in coords:
@@ -491,12 +497,9 @@ def orbit_moment(group: OracleGroup, I: IndexSet, word: str, idx) -> ScaledScala
 def dual_X_moment(dual: GroupDualData, I: IndexSet, word: str, idx) -> ScaledScalar:
     """Moments over the dual of the subgroup generated by {g_i : i in I}."""
     check_word(word)
-    if I.N != dual.N:
-        raise DomainError(f"index set over N={I.N} does not match dual N={dual.N}")
+    I.require_N(dual.N, "dual")
     k = len(word)
-    idx = tuple(idx)
-    if len(idx) != k or not all(0 <= t < dual.N for t in idx):
-        raise DomainError(f"index {idx} out of range for N={dual.N}, k={k}")
+    idx = check_index(idx, k, dual.N)
     if any(t not in I.members for t in idx):
         return ScaledScalar(Fraction(0), 0, I.m)
     hit = dual.word_value(word, idx) == dual.identity
@@ -507,12 +510,9 @@ def dual_matrix_moment(dual: GroupDualData, I: IndexSet, word: str, idx) -> Scal
     """The same moment computed the long way: multiply the regular-representation
     blocks X_i = lambda(g_i)/sqrt(m) and take the normalised trace."""
     check_word(word)
-    if I.N != dual.N:
-        raise DomainError(f"index set over N={I.N} does not match dual N={dual.N}")
+    I.require_N(dual.N, "dual")
     k = len(word)
-    idx = tuple(idx)
-    if len(idx) != k or not all(0 <= t < dual.N for t in idx):
-        raise DomainError(f"index {idx} out of range for N={dual.N}, k={k}")
+    idx = check_index(idx, k, dual.N)
     size = len(dual.elements)
     acc = ExactMatrix.identity(size)
     for ch, i in zip(word, idx):
@@ -528,8 +528,7 @@ def dual_matrix_moment(dual: GroupDualData, I: IndexSet, word: str, idx) -> Scal
 
 def normal_closure_compare(dual: GroupDualData, I: IndexSet) -> dict:
     """Orders of <g_i : i in I> and of its normal closure; proper iff distinct."""
-    if I.N != dual.N:
-        raise DomainError(f"index set over N={I.N} does not match dual N={dual.N}")
+    I.require_N(dual.N, "dual")
     gens = [dual.generators[i] for i in I.sorted_members]
     sub = dual.subgroup(gens)
     closure = dual.normal_closure(gens)
@@ -556,10 +555,7 @@ class OracleRealization:
     I: IndexSet
 
     def __post_init__(self):
-        if self.I.N != self.source.N:
-            raise DomainError(
-                f"index set over N={self.I.N} does not match oracle N={self.source.N}"
-            )
+        self.I.require_N(self.source.N, "oracle")
         if isinstance(self.source, OracleGroup):
             m = self.I.m
             for c in self.source.coordinate_table(self.I):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, product
 
-from .exact import DomainError, ExactTensor, ParseError, flat_index, _exact_div
+from .exact import DomainError, Echelon, ExactTensor, ParseError, flat_index
 
 WHITE = "o"
 BLACK = "b"
@@ -28,6 +28,13 @@ def check_word(word: str) -> str:
     if any(ch not in COLORS for ch in word):
         raise ParseError(f"word must be over '{WHITE}'/'{BLACK}', got {word!r}")
     return word
+
+
+def colored_words(max_len: int) -> list:
+    """Every word of length 0..max_len, by length, then in product order."""
+    return [
+        "".join(w) for length in range(max_len + 1) for w in product(COLORS, repeat=length)
+    ]
 
 
 def conjugate_word(word: str) -> str:
@@ -263,23 +270,10 @@ class FixBasis:
 
 
 def select_basis(members, n: int, word: str = "") -> FixBasis:
-    """Greedy scan in canonical order, keeping a vector iff it raises the rank."""
-    echelon = []  # (pivot position, reduced row), sorted by pivot
-    keep = []
-    for t, (_part, vec) in enumerate(members):
-        row = list(vec.entries)
-        for pivot, erow in echelon:
-            x = row[pivot]
-            if x:
-                f = _exact_div(x, erow[pivot])
-                row = [a - f * b if b else a for a, b in zip(row, erow)]
-        lead = next((i for i, x in enumerate(row) if x != 0), None)
-        if lead is None:
-            continue
-        keep.append(t)
-        echelon.append((lead, row))
-        echelon.sort(key=lambda pair: pair[0])
-    return FixBasis(word, n, tuple(members), tuple(keep))
+    """Scan in canonical order, keeping a vector iff it raises the rank."""
+    span = Echelon()
+    keep = tuple(t for t, (_part, vec) in enumerate(members) if span.add(vec.entries))
+    return FixBasis(word, n, tuple(members), keep)
 
 
 def fix_basis(spec: CategorySpec, word: str) -> FixBasis:

@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import product
 
 from .exact import (
-    DomainError,
     ExactMatrix,
     IncompatibleOracleError,
     ScaledScalar,
@@ -24,8 +23,8 @@ from .exact import (
     rank,
 )
 from .frobenius import frobenius_to_hom
-from .oracle import GroupDualData, OracleGroup, OracleRealization
-from .partitions import COLORS, CategorySpec, WHITE, check_word, conjugate_word
+from .oracle import GroupDualData, OracleRealization
+from .partitions import BLACK, CategorySpec, check_word, colored_words, conjugate_word
 from .weingarten import IndexSet, gram_weingarten, projection_P
 
 
@@ -86,29 +85,19 @@ class RelationSystem:
 
 
 def _generator_words(spec: CategorySpec, max_len: int) -> list:
-    """Words of length 1..max_len; one all-white representative per length
-    for the self-conjugate families, every coloring for the U families."""
-    out = []
-    for length in range(1, max_len + 1):
-        if spec.self_conjugate:
-            out.append(WHITE * length)
-        else:
-            out.extend("".join(w) for w in product(COLORS, repeat=length))
-    return out
+    """Words of length 1..max_len; only the all-white ones for the
+    self-conjugate families, whose categories cannot see colors."""
+    words = colored_words(max_len)[1:]
+    return [w for w in words if BLACK not in w] if spec.self_conjugate else words
 
 
 def _trivial_relation(I: IndexSet) -> Relation:
     return Relation("", "", ExactMatrix(1, 1, (1,)), ScaledScalar(Fraction(1), 0, I.m))
 
 
-def _check_I(spec: CategorySpec, I: IndexSet):
-    if I.N != spec.N:
-        raise DomainError(f"index set over N={I.N} does not match spec N={spec.N}")
-
-
 def relations_med(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSystem:
     """One relation per selected invariant vector per word."""
-    _check_I(spec, I)
+    I.require_N(spec.N, "spec")
     rels = []
     if max_k == 0:
         rels.append(_trivial_relation(I))
@@ -127,7 +116,7 @@ def relations_med(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSy
 
 def relations_max(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSystem:
     """One relation per row of the Haar projection per word."""
-    _check_I(spec, I)
+    I.require_N(spec.N, "spec")
     rels = []
     if max_k == 0:
         rels.append(_trivial_relation(I))
@@ -150,7 +139,7 @@ def relations_hom(
 ) -> RelationSystem:
     """Two-sided relations from the invariant vectors of l + conjugate(k),
     pushed through Frobenius duality."""
-    _check_I(spec, I)
+    I.require_N(spec.N, "spec")
     rels = []
     if max_k == 0 and max_l == 0:
         rels.append(_trivial_relation(I))
@@ -178,38 +167,41 @@ def relations_hom(
 
 
 def _decoded_nonzeros(T: ExactMatrix, n: int, l: int, k: int) -> list:
-    """(row tuple, col tuple, value) for the nonzero coefficients."""
-    rows_dec = list(multi_indices(n, l))
+    """(row tuple + col tuple, value) for the nonzero coefficients."""
     cols_dec = list(multi_indices(n, k))
     out = []
-    for r, dr in enumerate(rows_dec):
+    for r, dr in enumerate(multi_indices(n, l)):
         base = r * T.cols
         for c, dc in enumerate(cols_dec):
             val = T.entries[base + c]
             if val:
-                out.append((dr, dc, val))
+                out.append((dr + dc, val))
     return out
 
 
-def _apply_monomial(form, entries, n: int, k: int):
-    """Push a tensor through g tensor ... tensor g for a monomial g."""
-    rows, vals = form
-    out = [0] * len(entries)
-    for flat, idx in enumerate(multi_indices(n, k)):
-        val = entries[flat]
-        if val:
-            sign = 1
-            for t in idx:
-                sign *= vals[t]
-            out[flat_index((rows[t] for t in idx), n)] = sign * val
+def _apply_tensor_power(g: ExactMatrix, entries, n: int, k: int) -> list:
+    """Push a flat N^k tensor through g tensor ... tensor g, one axis at a time."""
+    columns = [[(r, g.at(r, c)) for r in range(n) if g.at(r, c)] for c in range(n)]
+    out = list(entries)
+    for axis in range(k):
+        stride = n**axis
+        moved = [0] * len(out)
+        for flat, val in enumerate(out):
+            if val:
+                c = flat // stride % n
+                base = flat - c * stride
+                for r, coeff in columns[c]:
+                    moved[base + r * stride] += coeff * val
+        out = moved
     return out
 
 
 def _check_compatible(system: RelationSystem, real: OracleRealization):
     """The oracle must fix every category basis vector used by the system.
 
-    Checked exactly at all word lengths for monomial classical oracles and
-    for duals; truncated to length <= 2 for generic rational matrix groups.
+    Checked exactly at every word length.  A vector fixed by each generator
+    is fixed by the whole group, so classical oracles are checked on their
+    generators; duals are checked through the word values.
     """
     spec = system.spec
     if real.N != spec.N:
@@ -221,51 +213,26 @@ def _check_compatible(system: RelationSystem, real: OracleRealization):
         key=lambda w: (len(w), w),
     )
     source = real.source
-    monomial = isinstance(source, OracleGroup) and source.monomial_forms() is not None
+    n = spec.N
     for word in words:
-        if isinstance(source, OracleGroup) and not monomial and len(word) > 2:
-            continue
-        data = gram_weingarten(spec, word)
-        n = spec.N
         k = len(word)
-        for _part, vec in data.basis.selected:
-            if isinstance(source, OracleGroup):
-                for form in source.monomial_forms() or []:
-                    if _apply_monomial(form, vec.entries, n, k) != list(vec.entries):
-                        raise IncompatibleOracleError(
-                            f"oracle does not fix the category vectors at word {word!r}"
-                        )
-                if not monomial:
-                    for g in source.elements:
-                        moved = _apply_dense(g, vec.entries, n, k)
-                        if moved != list(vec.entries):
-                            raise IncompatibleOracleError(
-                                f"oracle does not fix the category vectors at word {word!r}"
-                            )
+        for _part, vec in gram_weingarten(spec, word).basis.selected:
+            if real.classical:
+                fixed = all(
+                    _apply_tensor_power(g, vec.entries, n, k) == list(vec.entries)
+                    for g in source.generators
+                )
             else:
-                for flat, idx in enumerate(multi_indices(n, k)):
-                    if vec.entries[flat] and source.word_value(word, idx) != source.identity:
-                        raise IncompatibleOracleError(
-                            f"dual oracle does not fix the category vectors at word {word!r}"
-                        )
-
-
-def _apply_dense(g: ExactMatrix, entries, n: int, k: int):
-    out = [0] * len(entries)
-    for flat_i, i in enumerate(multi_indices(n, k)):
-        acc = 0
-        for flat_j, j in enumerate(multi_indices(n, k)):
-            val = entries[flat_j]
-            if val:
-                coeff = 1
-                for a, b in zip(i, j):
-                    coeff *= g.at(a, b)
-                    if coeff == 0:
-                        break
-                if coeff:
-                    acc += coeff * val
-        out[flat_i] = acc
-    return out
+                fixed = all(
+                    source.word_value(word, idx) == source.identity
+                    for flat, idx in enumerate(multi_indices(n, k))
+                    if vec.entries[flat]
+                )
+            if not fixed:
+                kind = "oracle" if real.classical else "dual oracle"
+                raise IncompatibleOracleError(
+                    f"{kind} does not fix the category vectors at word {word!r}"
+                )
 
 
 def _verify_classical(rel: Relation, real: OracleRealization):
@@ -276,25 +243,13 @@ def _verify_classical(rel: Relation, real: OracleRealization):
     coords = real.source.coordinate_table(real.I)
     for gi, c in enumerate(coords):
         acc = Fraction(0)
-        for dr, dc, val in nz:
-            term = val
-            dead = False
-            for t in dr:
-                ct = c[t]
-                if ct == 0:
-                    dead = True
+        for idx, val in nz:
+            for t in idx:
+                val *= c[t]
+                if not val:
                     break
-                term = term * ct
-            if dead:
-                continue
-            for t in dc:
-                ct = c[t]
-                if ct == 0:
-                    dead = True
-                    break
-                term = term * ct
-            if not dead:
-                acc += term
+            else:
+                acc += val
         if acc != rhs_q:
             return False, {"element": gi, "lhs_scaled": str(acc), "rhs_scaled": str(rhs_q)}
     return True, None

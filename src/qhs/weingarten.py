@@ -19,6 +19,7 @@ from .exact import (
     ExactMatrix,
     ParseError,
     ScaledScalar,
+    check_index,
     flat_index,
     invert,
 )
@@ -48,6 +49,10 @@ class IndexSet:
 
     def __str__(self):
         return ",".join(str(i + 1) for i in self.sorted_members)
+
+    def require_N(self, n: int, what: str) -> None:
+        if self.N != n:
+            raise DomainError(f"index set over N={self.N} does not match {what} N={n}")
 
     @classmethod
     def of(cls, N: int, members) -> "IndexSet":
@@ -126,15 +131,6 @@ def _weingarten_rows(family: str, n: int, word: str) -> tuple:
     return tuple(data.weingarten.row(r) for r in range(data.weingarten.rows))
 
 
-def _check_index(idx, k: int, n: int, what: str):
-    idx = tuple(idx)
-    if len(idx) != k:
-        raise DomainError(f"{what} must have length {k}, got {len(idx)}")
-    if not all(isinstance(i, int) and 0 <= i < n for i in idx):
-        raise DomainError(f"{what} out of range 0..{n - 1}: {idx}")
-    return idx
-
-
 def integrate_G(spec: CategorySpec, word: str, row, col) -> Fraction:
     """Haar moment of u_{row[0] col[0]}^{e_1} ... over the category's group.
 
@@ -144,8 +140,8 @@ def integrate_G(spec: CategorySpec, word: str, row, col) -> Fraction:
     check_word(word)
     k = len(word)
     n = spec.N
-    row = _check_index(row, k, n, "row index")
-    col = _check_index(col, k, n, "column index")
+    row = check_index(row, k, n, "row index")
+    col = check_index(col, k, n, "column index")
     norm = _norm_word(spec, word)
     hits = _hits(spec.family, n, norm)
     wrows = _weingarten_rows(spec.family, n, norm)
@@ -190,8 +186,7 @@ def K_vector(spec: CategorySpec, word: str, I: IndexSet) -> list:
     sum is a plain integer count.
     """
     check_word(word)
-    if I.N != spec.N:
-        raise DomainError(f"index set over N={I.N} does not match spec N={spec.N}")
+    I.require_N(spec.N, "spec")
     data = gram_weingarten(spec, word)
     k = len(word)
     out = []
@@ -222,11 +217,10 @@ def integrate_X(spec: CategorySpec, I: IndexSet, word: str, idx) -> ScaledScalar
     The result times m**(k/2) is always rational; the empty word gives 1.
     """
     check_word(word)
-    if I.N != spec.N:
-        raise DomainError(f"index set over N={I.N} does not match spec N={spec.N}")
+    I.require_N(spec.N, "spec")
     k = len(word)
     n = spec.N
-    idx = _check_index(idx, k, n, "index")
+    idx = check_index(idx, k, n, "index")
     norm = _norm_word(spec, word)
     kw = _k_dot_weingarten(spec.family, n, norm, I.sorted_members)
     hits = _hits(spec.family, n, norm)
@@ -253,8 +247,7 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
     first failing row, if any.
     """
     check_word(word)
-    if I.N != spec.N:
-        raise DomainError(f"index set over N={I.N} does not match spec N={spec.N}")
+    I.require_N(spec.N, "spec")
     n = spec.N
     k = len(word)
     norm = _norm_word(spec, word)

@@ -26,6 +26,7 @@ from qhs.partitions import (
     CategorySpec,
     all_pairings,
     all_partitions,
+    colored_words,
     conjugate_word,
     enumerate_category,
     partition_vector,
@@ -47,13 +48,6 @@ SIX_SPECS = (
     CategorySpec("O+", 3),
     CategorySpec("U+", 3),
 )
-
-
-def colored_words(max_len):
-    out = [""]
-    for length in range(1, max_len + 1):
-        out.extend("".join(w) for w in product("ob", repeat=length))
-    return out
 
 
 def bell_recurrence(n):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -158,16 +159,76 @@ def test_csv_and_pretty_formats(capsys):
     assert out.startswith("1/3")
 
 
-def test_output_file_written_atomically(tmp_path, capsys):
+def test_output_file_written_atomically(tmp_path, capsys, monkeypatch):
     target = tmp_path / "out.json"
-    code, out, _ = run_cli(
-        capsys,
+    argv = (
         "integrate-g", "--spec", "O(3)", "--word", "oo", "--row", "1,1", "--col", "1,1",
         "--output", str(target),
     )
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text(encoding="utf-8"))["value"] == "1/3"
+
+    # a failed rename leaves the old bytes in place and no temporary file
+    target.write_bytes(b"old bytes")
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert target.read_bytes() == b"old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_output_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run_cli(
+        capsys,
+        "integrate-g", "--spec", "S(3)", "--word", "o", "--row", "1", "--col", "1",
+        "--output", str(target),
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("missing.json", None),
+        ("invalid.json", "[[[1, 0],"),
+        ("ragged.json", "[[[1, 0], [0]]]"),
+    ],
+)
+def test_bad_gens_file_exits_2(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "verify", "--suite", "saturation", "--oracle", f"gens({path})", "--I", "1"
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "flag, suite_args",
+    [
+        ("--max-k", ("--suite", "ergodicity", "--spec", "S(3)", "--I", "1")),
+        ("--max-l", ("--suite", "relations", "--spec", "S(3)", "--I", "1")),
+        ("--bounds", ("--suite", "counts")),
+        ("--samples", ("--suite", "frobenius", "--bounds", "1")),
+    ],
+)
+def test_negative_verify_bounds_exit_2(capsys, flag, suite_args):
+    code, out, err = run_cli(capsys, "verify", *suite_args, flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_module_invocation_smoke():

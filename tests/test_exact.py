@@ -14,7 +14,7 @@ from qhs.exact import (
     rank,
     rank_nullspace,
 )
-from qhs.partitions import SetPartition, partition_vector
+from qhs.partitions import SetPartition, partition_vector, select_basis
 
 
 def test_scaled_mul_root_base_squares_to_inverse():
@@ -184,7 +184,6 @@ def test_matrix_kron_shapes_and_values():
 def test_tensor_basics():
     t = ExactTensor((2, 2), (1, 0, 0, 1))
     assert t.at((0, 0)) == 1 and t.at((0, 1)) == 0
-    assert t.conj() is t
     assert t.dot(t) == 2
     assert t.as_column().rows == 4
 
@@ -194,3 +193,126 @@ def test_matrices_hash_consistently_across_int_and_fraction():
     b = ExactMatrix(1, 2, (Fraction(1), Fraction(1, 2)))
     assert a == b
     assert hash(a) == hash(b)
+
+
+# Reference eliminations, kept as independent oracles for the one routine in
+# qhs.exact: Bareiss forward elimination with back substitution, Gauss-Jordan
+# inversion, and the greedy rank-raising scan of basis selection.
+
+
+def _ref_exact_div(num, den):
+    if isinstance(num, int) and isinstance(den, int):
+        q, rem = divmod(num, den)
+        if rem == 0:
+            return q
+    return Fraction(num) / Fraction(den)
+
+
+def _ref_bareiss(row_lists):
+    rows = [list(r) for r in row_lists]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        piv = rows[r][c]
+        top = rows[r]
+        for i in range(r + 1, nrows):
+            cur = rows[i]
+            fac = cur[c]
+            for j in range(c + 1, ncols):
+                num = piv * cur[j] - fac * top[j]
+                cur[j] = num if prev == 1 else _ref_exact_div(num, prev)
+            cur[c] = 0
+        pivots.append(c)
+        prev = piv
+        r += 1
+    return rows, pivots
+
+
+def _ref_rank_nullspace(matrix):
+    rows, pivots = _ref_bareiss(matrix.to_rows())
+    rk = len(pivots)
+    basis = []
+    for free in range(matrix.cols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * matrix.cols
+        v[free] = Fraction(1)
+        for t in range(rk - 1, -1, -1):
+            pc = pivots[t]
+            if pc >= free:
+                continue
+            acc = sum(rows[t][c] * v[c] for c in range(pc + 1, free + 1) if v[c])
+            v[pc] = _ref_exact_div(-acc, rows[t][pc]) if acc else Fraction(0)
+        lead = next(x for x in v if x != 0)
+        basis.append(tuple(_ref_exact_div(x, lead) if x else Fraction(0) for x in v))
+    return rk, basis
+
+
+def _ref_invert(matrix):
+    n = matrix.rows
+    aug = [list(matrix.row(r)) + [Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if pivot_row is None:
+            return len(_ref_bareiss(matrix.to_rows())[1])
+        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
+        aug[c] = [_ref_exact_div(x, aug[c][c]) for x in aug[c]]
+        for i in range(n):
+            fac = aug[i][c]
+            if i != c and fac:
+                aug[i] = [x - fac * y for x, y in zip(aug[i], aug[c])]
+    return tuple(aug[r][n + c] for r in range(n) for c in range(n))
+
+
+def _ref_greedy_keep(rows):
+    echelon = []
+    keep = []
+    for t, row in enumerate(rows):
+        row = list(row)
+        for pivot, erow in echelon:
+            if row[pivot]:
+                f = _ref_exact_div(row[pivot], erow[pivot])
+                row = [a - f * b for a, b in zip(row, erow)]
+        lead = next((i for i, x in enumerate(row) if x != 0), None)
+        if lead is not None:
+            keep.append(t)
+            echelon.append((lead, row))
+            echelon.sort(key=lambda pair: pair[0])
+    return tuple(keep)
+
+
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=8),
+    st.data(),
+)
+def test_one_routine_matches_reference_eliminations(rows, cols, data):
+    entries = data.draw(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=rows * cols, max_size=rows * cols)
+    )
+    m = ExactMatrix(rows, cols, entries)
+    ref_rank, ref_null = _ref_rank_nullspace(m)
+    rk, null = rank_nullspace(m)
+    assert rk == ref_rank == rank(m)
+    assert [v.entries for v in null] == ref_null
+    members = [(None, ExactTensor((cols,), m.row(r))) for r in range(rows)]
+    assert select_basis(members, cols).independent == _ref_greedy_keep(m.to_rows())
+    n = min(rows, cols)
+    square = ExactMatrix(n, n, [m.at(r, c) for r in range(n) for c in range(n)])
+    expected = _ref_invert(square)
+    if isinstance(expected, int):
+        with pytest.raises(SingularGramError) as err:
+            invert(square)
+        assert err.value.rank == expected
+    else:
+        assert invert(square).entries == expected

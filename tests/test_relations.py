@@ -230,6 +230,16 @@ def test_incompatible_oracle_rejected():
     real3 = OracleRealization(OracleGroup.symmetric(3), IndexSet.parse("1,2", 3))
     with pytest.raises(IncompatibleOracleError):
         verify_relations(relations_med(S4, I12_4, 1), real3)
+    # A rational reflection fixing (1,1,1): it fixes the S(3) vectors of
+    # lengths 1 and 2 but not the one-block vector of length 3.
+    third = Fraction(1, 3)
+    householder = OracleGroup.from_generators(
+        [[[2 * third, -third, 2 * third], [-third, 2 * third, 2 * third],
+          [2 * third, 2 * third, -third]]]
+    )
+    I12_3 = IndexSet.parse("1,2", 3)
+    with pytest.raises(IncompatibleOracleError, match="'ooo'"):
+        verify_relations(relations_med(S3, I12_3, 3), OracleRealization(householder, I12_3))
 
 
 def test_med_spans_max():
