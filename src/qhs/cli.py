@@ -1,7 +1,9 @@
 """Command-line surface: exact integration, relation systems, verify suites.
 
 Exit codes: 0 success, 1 a verify suite found a failing asserted check,
-2 malformed invocation, 3 domain error (its name goes to stderr).  Output
+2 malformed invocation, 3 domain error (its name goes to stderr), 4 internal
+error such as a failed exactness self-check (``internal-error: <message>``
+on stderr, no traceback).  Output
 is deterministic: identical invocations produce byte-identical output.
 """
 
@@ -608,13 +610,17 @@ def main(argv=None) -> int:
             payload = cmd_relations(args)
         else:
             payload = cmd_verify(args)
+        text = render(payload, args.format)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
         return 3
-    text = render(payload, args.format)
+    except Exception as exc:
+        # a failed self-check or a bug, never a verdict on the input
+        print(f"internal-error: {exc}", file=sys.stderr)
+        return 4
     if args.output:
         try:
             _write_atomically(args.output, text)

@@ -14,6 +14,7 @@ from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, product
+from operator import mul
 
 
 class DomainError(Exception):
@@ -532,7 +533,13 @@ def rank_nullspace(matrix: ExactMatrix):
 
 def invert(matrix: ExactMatrix) -> ExactMatrix:
     """Exact inverse from the reduced echelon form of [matrix | identity];
-    raises gram-singular with the rank."""
+    raises gram-singular with the rank.
+
+    Row c of the reduced form is [p_c * e_c | R_c], so the inverse is
+    W = D^-1 R with D = diag(p_c).  Before any entry of W is built, every
+    inverse is checked exactly in integers: W * matrix == I holds iff
+    R * matrix == D.
+    """
     if matrix.rows != matrix.cols:
         raise DomainError("cannot invert a non-square matrix")
     n = matrix.rows
@@ -543,6 +550,14 @@ def invert(matrix: ExactMatrix) -> ExactMatrix:
     if rk < n:
         raise SingularGramError(f"matrix of size {n} is singular", rk)
     span.back_substitute()
+    columns = [matrix.entries[j::n] for j in range(n)]
+    for c, row in enumerate(span.rows):
+        r_c = row[n:]
+        if any(
+            sum(map(mul, r_c, col)) != (row[c] if j == c else 0)
+            for j, col in enumerate(columns)
+        ):
+            raise AssertionError("weingarten inverse failed exactness check")
     return ExactMatrix(
         n, n, (Fraction(x, row[c]) for c, row in enumerate(span.rows) for x in row[n:])
     )

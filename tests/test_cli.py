@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import qhs
 from qhs.cli import main
 from qhs.exact import parse_fraction
 
@@ -232,11 +233,15 @@ def test_negative_verify_bounds_exit_2(capsys, flag, suite_args):
 
 
 def test_module_invocation_smoke():
+    # the child runs the qhs under test, installed or not
+    src = os.path.dirname(os.path.dirname(qhs.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "qhs", "integrate-g", "--spec", "S(3)",
          "--word", "o", "--row", "1", "--col", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "1/3"
@@ -253,3 +258,16 @@ def test_verify_failure_exit_code_is_one(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "counts")
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def test_internal_error_exits_4_without_traceback(capsys, corrupted_elimination):
+    import qhs.weingarten as weingarten_mod
+
+    for cached in (weingarten_mod._gram_data, weingarten_mod._hits, weingarten_mod._weingarten_rows):
+        cached.cache_clear()
+    code, out, err = run_cli(
+        capsys, "integrate-g", "--spec", "S(3)", "--word", "oo", "--row", "1,1", "--col", "1,1"
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "internal-error: weingarten inverse failed exactness check\n"

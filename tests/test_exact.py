@@ -130,8 +130,21 @@ def test_invert_identity_and_scalar():
 def test_invert_gram_of_pairings():
     gram = ExactMatrix.from_rows([[16, 4, 4], [4, 16, 4], [4, 4, 16]])
     w = invert(gram)
+    assert w == ExactMatrix.from_rows(
+        [
+            [Fraction(5, 72), Fraction(-1, 72), Fraction(-1, 72)],
+            [Fraction(-1, 72), Fraction(5, 72), Fraction(-1, 72)],
+            [Fraction(-1, 72), Fraction(-1, 72), Fraction(5, 72)],
+        ]
+    )
     assert (w * gram).is_identity()
     assert (gram * w).is_identity()
+
+
+def test_invert_catches_corrupted_elimination(corrupted_elimination):
+    gram = ExactMatrix.from_rows([[16, 4, 4], [4, 16, 4], [4, 4, 16]])
+    with pytest.raises(AssertionError, match="exactness check"):
+        invert(gram)
 
 
 def test_invert_singular_reports_rank():

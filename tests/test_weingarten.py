@@ -42,10 +42,16 @@ def test_gram_s4_k1():
 
 
 def test_gram_matches_entrywise_inner_products():
-    for family, n in (("S", 3), ("O", 4), ("U+", 3)):
-        spec = CategorySpec(family, n)
-        word = "ob" if family.startswith("U") else "oo"
-        data = gram_weingarten(spec, word * 2)
+    # both halves of the symmetric Gram matrix, on non-palindromic words too
+    for family, n, word in (
+        ("S", 3, "oooo"),
+        ("O", 4, "oooo"),
+        ("U+", 3, "obob"),
+        ("U", 3, "oobb"),
+        ("U+", 3, "oobb"),
+        ("S+", 4, "ooooo"),
+    ):
+        data = gram_weingarten(CategorySpec(family, n), word)
         sel = data.basis.selected
         for a, (_, va) in enumerate(sel):
             for b, (_, vb) in enumerate(sel):
