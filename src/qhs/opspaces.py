@@ -26,7 +26,7 @@ from .exact import (
 )
 from .frobenius import frobenius_to_fix, frobenius_to_hom
 from .oracle import OracleRealization, hom_space
-from .partitions import CategorySpec, colored_words, conjugate_word, fix_basis
+from .partitions import CategorySpec, colored_words, conjugate_word, fix_basis, partition_vector
 
 FXI_GUARD = 4096
 
@@ -65,13 +65,6 @@ class OperatorSpace:
         return not any(self._span.reduce(T.entries))
 
 
-def _indicator(n: int, length: int, members) -> list:
-    out = [0] * (n**length)
-    for idx in product(sorted(members), repeat=length):
-        out[flat_index(idx, n)] = 1
-    return out
-
-
 def _coordinate_products(c, n: int, length: int) -> list:
     """prods[flat(i)] = c[i_1] * ... * c[i_length]."""
     prods = [1]
@@ -98,25 +91,20 @@ def fxi_space(
             f"solution space over N^(k+l) = {unknowns} exceeds the guard {FXI_GUARD}"
         )
     members = real.I.sorted_members
-    ind_l = _indicator(n, l, members)
-    ind_k = _indicator(n, k, members)
     cols_k = n**k
+    # the positions of I^l x I^k, where the rhs sum of the relation reads T
+    k_flats = real.I.flat_indices(k)
+    admissible = [b * cols_k + c for b in real.I.flat_indices(l) for c in k_flats]
     rows = []
     if real.classical:
         coords = real.source.coordinate_table(real.I)
         if points is not None:
             coords = [coords[p] for p in points]
         for c in coords:
-            prods_l = _coordinate_products(c, n, l)
             prods_k = _coordinate_products(c, n, k)
-            row = [0] * unknowns
-            for r, pl in enumerate(prods_l):
-                base = r * cols_k
-                il = ind_l[r]
-                for cc, pk in enumerate(prods_k):
-                    coeff = pl * pk - il * ind_k[cc]
-                    if coeff:
-                        row[base + cc] = coeff
+            row = [pl * pk for pl in _coordinate_products(c, n, l) for pk in prods_k]
+            for pos in admissible:
+                row[pos] -= 1
             rows.append(row)
     else:
         dual = real.source
@@ -129,13 +117,6 @@ def fxi_space(
                     left, dual.invert(dual.word_value(k_word, c))
                 )
                 buckets.setdefault(gamma, []).append(base + flat_index(c, n))
-        admissible = [
-            r * cols_k + cc
-            for r in range(n**l)
-            if ind_l[r]
-            for cc in range(cols_k)
-            if ind_k[cc]
-        ]
         for gamma, positions in sorted(
             buckets.items(), key=lambda kv: dual.index[kv[0]]
         ):
@@ -163,8 +144,8 @@ def hom_operator_space(source, k_word: str, l_word: str) -> OperatorSpace:
     if isinstance(source, CategorySpec):
         fix = fix_basis(source, l_word + conjugate_word(k_word))
         basis = tuple(
-            frobenius_to_hom(vec, k_word, l_word, source.N)
-            for _part, vec in fix.selected
+            frobenius_to_hom(partition_vector(part, source.N), k_word, l_word, source.N)
+            for part in fix.selected
         )
         return OperatorSpace(k_word, l_word, source.N, basis, "hom-space")
     return OperatorSpace(

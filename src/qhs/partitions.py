@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
-from .exact import DomainError, Echelon, ExactTensor, ParseError, flat_index
+from .exact import DomainError, Echelon, ExactTensor, ParseError
 
 WHITE = "o"
 BLACK = "b"
@@ -147,11 +147,6 @@ class SetPartition:
             groups.setdefault(find(p), []).append(p)
         return SetPartition.from_blocks(self.point_count, groups.values())
 
-    def refines(self, other: "SetPartition") -> bool:
-        """True when every block of self sits inside a block of other."""
-        bi = other.block_index
-        return all(len({bi[p] for p in block}) == 1 for block in self.blocks)
-
     def __str__(self):
         return format_partition(self)
 
@@ -236,28 +231,55 @@ def enumerate_category(spec: CategorySpec, word: str) -> list:
     return list(parts)
 
 
+@cache
+def _positions(k: int) -> dict:
+    """Position in all_partitions(k), keyed by restricted growth string."""
+    return {part.block_index: pos for pos, part in enumerate(all_partitions(k))}
+
+
+@cache
+def kernel_ids(n: int, k: int) -> tuple:
+    """kernel_ids[flat index] is the position in all_partitions(k) of the
+    index's kernel (its classes of equal entries).  Each index arises once,
+    from an injective assignment of values to the blocks of its kernel."""
+    out = [0] * (n**k)
+    for pos, part in enumerate(all_partitions(k)):
+        weights = [sum(n ** (k - 1 - p) for p in block) for block in part.blocks]
+        for values in permutations(range(n), len(weights)):
+            out[sum(v * w for v, w in zip(values, weights))] = pos
+    return tuple(out)
+
+
+@cache
+def coarsenings(part: SetPartition) -> tuple:
+    """Positions in all_partitions(k) of the partitions that part refines,
+    one per partition of its blocks, in that order."""
+    positions = _positions(part.point_count)
+    bi = part.block_index
+    return tuple(
+        positions[tuple(merge.block_index[b] for b in bi)]
+        for merge in all_partitions(part.block_count)
+    )
+
+
 def partition_vector(part: SetPartition, n: int) -> ExactTensor:
-    """The 0/1 tensor supported on multi-indices constant on each block."""
+    """The 0/1 tensor supported on multi-indices constant on each block,
+    that is on the indices whose kernel part refines."""
     k = part.point_count
-    entries = [0] * (n**k)
-    block_list = part.blocks
-    for assignment in product(range(n), repeat=len(block_list)):
-        idx = [0] * k
-        for value, block in zip(assignment, block_list):
-            for p in block:
-                idx[p] = value
-        entries[flat_index(idx, n)] = 1
-    return ExactTensor((n,) * k, entries)
+    zeta = [0] * len(all_partitions(k))
+    for c in coarsenings(part):
+        zeta[c] = 1
+    return ExactTensor((n,) * k, map(zeta.__getitem__, kernel_ids(n, k)))
 
 
 @dataclass(frozen=True)
 class FixBasis:
-    """Partition vectors spanning an invariant-vector space, with a selected
-    linearly independent sublist (same span)."""
+    """Partitions spanning an invariant-vector space through their vectors,
+    with a selected linearly independent sublist (same span)."""
 
     word: str
     N: int
-    members: tuple  # ((SetPartition, ExactTensor), ...)
+    members: tuple  # (SetPartition, ...)
     independent: tuple  # indices into members
 
     @property
@@ -270,14 +292,21 @@ class FixBasis:
 
 
 def select_basis(members, n: int, word: str = "") -> FixBasis:
-    """Scan in canonical order, keeping a vector iff it raises the rank."""
+    """Scan in canonical order, keeping a partition iff its zeta row raises
+    the rank.  The row has a 1 at each kernel with at most n blocks that the
+    partition refines; kernel_ids maps onto exactly those kernels, with
+    disjoint nonempty index classes, so the partition vectors (the rows read
+    through kernel_ids) have the same ranks."""
     span = Echelon()
-    keep = tuple(t for t, (_part, vec) in enumerate(members) if span.add(vec.entries))
-    return FixBasis(word, n, tuple(members), keep)
+    keep = []
+    for t, part in enumerate(members):
+        kernels = all_partitions(part.point_count)
+        above = {c for c in coarsenings(part) if kernels[c].block_count <= n}
+        if span.add([int(c in above) for c in range(len(kernels))]):
+            keep.append(t)
+    return FixBasis(word, n, tuple(members), tuple(keep))
 
 
 def fix_basis(spec: CategorySpec, word: str) -> FixBasis:
-    """Enumerate the category, build the partition vectors, select a basis."""
-    parts = enumerate_category(spec, word)
-    members = [(p, partition_vector(p, spec.N)) for p in parts]
-    return select_basis(members, spec.N, word)
+    """Enumerate the category and select a basis of its partitions."""
+    return select_basis(enumerate_category(spec, word), spec.N, word)

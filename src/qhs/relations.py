@@ -24,8 +24,15 @@ from .exact import (
 )
 from .frobenius import frobenius_to_hom
 from .oracle import GroupDualData, OracleRealization
-from .partitions import BLACK, CategorySpec, check_word, colored_words, conjugate_word
-from .weingarten import IndexSet, gram_weingarten, projection_P
+from .partitions import (
+    BLACK,
+    CategorySpec,
+    check_word,
+    colored_words,
+    conjugate_word,
+    partition_vector,
+)
+from .weingarten import IndexSet, K_vector, gram_weingarten, projection_P
 
 
 @dataclass(frozen=True)
@@ -41,13 +48,12 @@ class Relation:
     def recompute_rhs(self, I: IndexSet) -> ScaledScalar:
         """rhs = m**(-(k+l)/2) * sum of coefficients over I^l x I^k."""
         l, k = len(self.left_word), len(self.right_word)
-        n = I.N
         cols = self.coefficients.cols
-        total = Fraction(0)
-        for b in product(I.sorted_members, repeat=l):
-            base = flat_index(b, n) * cols
-            for c in product(I.sorted_members, repeat=k):
-                total += self.coefficients.entries[base + flat_index(c, n)]
+        entries = self.coefficients.entries
+        c_flats = I.flat_indices(k)
+        total = sum(
+            (entries[b * cols + c] for b in I.flat_indices(l) for c in c_flats), Fraction(0)
+        )
         return ScaledScalar(total, k + l, I.m)
 
     def to_json(self) -> dict:
@@ -96,21 +102,16 @@ def _trivial_relation(I: IndexSet) -> Relation:
 
 
 def relations_med(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSystem:
-    """One relation per selected invariant vector per word."""
+    """One relation per selected invariant vector per word; the rhs is its K_vector entry."""
     I.require_N(spec.N, "spec")
     rels = []
     if max_k == 0:
         rels.append(_trivial_relation(I))
     for word in _generator_words(spec, max_k):
-        data = gram_weingarten(spec, word)
-        k = len(word)
-        for _part, vec in data.basis.selected:
-            T = ExactMatrix(spec.N**k, 1, vec.entries)
-            q = sum(
-                vec.entries[flat_index(b, spec.N)]
-                for b in product(I.sorted_members, repeat=k)
-            )
-            rels.append(Relation(word, "", T, ScaledScalar(Fraction(q), k, I.m)))
+        parts = gram_weingarten(spec, word).basis.selected
+        for part, rhs in zip(parts, K_vector(spec, word, I)):
+            T = partition_vector(part, spec.N).as_column()
+            rels.append(Relation(word, "", T, rhs))
     return RelationSystem(spec, I, "med-form", tuple(rels))
 
 
@@ -123,9 +124,7 @@ def relations_max(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSy
     for word in _generator_words(spec, max_k):
         P = projection_P(spec, word)
         k = len(word)
-        i_flats = [
-            flat_index(b, spec.N) for b in product(I.sorted_members, repeat=k)
-        ]
+        i_flats = I.flat_indices(k)
         for r in range(P.rows):
             row = P.row(r)
             T = ExactMatrix(P.cols, 1, row)
@@ -158,11 +157,11 @@ def relations_hom(
             for lw in l_words.get(l_len, []):
                 for kw in k_words.get(k_len, []):
                     fix_word = lw + conjugate_word(kw)
-                    data = gram_weingarten(spec, fix_word)
-                    for _part, vec in data.basis.selected:
-                        T = frobenius_to_hom(vec, kw, lw, n)
-                        rel = Relation(lw, kw, T, ScaledScalar(Fraction(1), 0, I.m))
-                        rels.append(Relation(lw, kw, T, rel.recompute_rhs(I)))
+                    parts = gram_weingarten(spec, fix_word).basis.selected
+                    # T sums over I^l x I^k to its vector's sum over I^(l+k)
+                    for part, rhs in zip(parts, K_vector(spec, fix_word, I)):
+                        T = frobenius_to_hom(partition_vector(part, n), kw, lw, n)
+                        rels.append(Relation(lw, kw, T, rhs))
     return RelationSystem(spec, I, "hom-form", tuple(rels))
 
 
@@ -216,7 +215,8 @@ def _check_compatible(system: RelationSystem, real: OracleRealization):
     n = spec.N
     for word in words:
         k = len(word)
-        for _part, vec in gram_weingarten(spec, word).basis.selected:
+        for part in gram_weingarten(spec, word).basis.selected:
+            vec = partition_vector(part, n)
             if real.classical:
                 fixed = all(
                     _apply_tensor_power(g, vec.entries, n, k) == list(vec.entries)

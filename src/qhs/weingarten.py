@@ -23,7 +23,16 @@ from .exact import (
     flat_index,
     invert,
 )
-from .partitions import CategorySpec, FixBasis, WHITE, check_word, fix_basis
+from .partitions import (
+    CategorySpec,
+    FixBasis,
+    WHITE,
+    all_partitions,
+    check_word,
+    coarsenings,
+    fix_basis,
+    kernel_ids,
+)
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,13 @@ class IndexSet:
 
     def __str__(self):
         return ",".join(str(i + 1) for i in self.sorted_members)
+
+    def flat_indices(self, k: int) -> list:
+        """Flat positions of the indices in I^k, in product order."""
+        out = [0]
+        for _ in range(k):
+            out = [f * self.N + i for f in out for i in self.sorted_members]
+        return out
 
     def require_N(self, n: int, what: str) -> None:
         if self.N != n:
@@ -90,7 +106,7 @@ def _norm_word(spec: CategorySpec, word: str) -> str:
 def _gram_data(family: str, n: int, word: str) -> GramData:
     spec = CategorySpec(family, n)
     basis = fix_basis(spec, word)
-    parts = [pi for pi, _ in basis.selected]
+    parts = basis.selected
     d = len(parts)
     # join is commutative, so the Gram matrix is symmetric
     entries = [0] * (d * d)
@@ -113,15 +129,14 @@ def gram_weingarten(spec: CategorySpec, word: str) -> GramData:
 
 @cache
 def _hits(family: str, n: int, word: str) -> tuple:
-    """hits[flat index] = positions of selected basis vectors nonzero there."""
-    data = _gram_data(family, n, word)
-    k = len(word)
-    out = [[] for _ in range(n**k)]
-    for pos, (_part, vec) in enumerate(data.basis.selected):
-        for flat, val in enumerate(vec.entries):
-            if val:
-                out[flat].append(pos)
-    return tuple(tuple(h) for h in out)
+    """hits[flat index] = positions of selected basis vectors nonzero there,
+    i.e. of the selected partitions that the index's kernel coarsens."""
+    per_kernel = [[] for _ in all_partitions(len(word))]
+    for pos, part in enumerate(_gram_data(family, n, word).basis.selected):
+        for c in coarsenings(part):
+            per_kernel[c].append(pos)
+    per_kernel = [tuple(h) for h in per_kernel]  # one shared tuple per kernel
+    return tuple(per_kernel[c] for c in kernel_ids(n, len(word)))
 
 
 @cache
@@ -155,21 +170,22 @@ def integrate_G(spec: CategorySpec, word: str, row, col) -> Fraction:
 
 @cache
 def _projection(family: str, n: int, word: str) -> ExactMatrix:
-    hits = _hits(family, n, word)
+    """P[i, j] depends on i and j only through their kernels: one sum per
+    pair of kernels, read back through kernel_ids."""
     wrows = _weingarten_rows(family, n, word)
-    size = n ** len(word)
+    kid = kernel_ids(n, len(word))
+    per_kernel = dict(zip(kid, _hits(family, n, word)))
+    expanded = {}
+    for a, hits_a in per_kernel.items():
+        colsum = [Fraction(0)] * len(wrows)
+        for t in hits_a:
+            colsum = [x + y for x, y in zip(colsum, wrows[t])]
+        by_kernel = {b: sum((colsum[u] for u in h), Fraction(0)) for b, h in per_kernel.items()}
+        expanded[a] = [by_kernel[b] for b in kid]
     out = []
-    for i in range(size):
-        hi = hits[i]
-        for j in range(size):
-            hj = hits[j]
-            acc = Fraction(0)
-            for t in hi:
-                wrow = wrows[t]
-                for u in hj:
-                    acc += wrow[u]
-            out.append(acc)
-    return ExactMatrix(size, size, out)
+    for a in kid:
+        out.extend(expanded[a])
+    return ExactMatrix(len(kid), len(kid), out)
 
 
 def projection_P(spec: CategorySpec, word: str) -> ExactMatrix:
@@ -181,32 +197,26 @@ def projection_P(spec: CategorySpec, word: str) -> ExactMatrix:
 def K_vector(spec: CategorySpec, word: str, I: IndexSet) -> list:
     """Per selected basis vector: m**(-k/2) times its entry sum over I^k.
 
-    Entrywise conjugation is the identity here (rational entries), so the
-    sum is a plain integer count.
+    Entrywise conjugation is the identity here (rational entries), and the
+    vector of pi is 1 on the m**|pi| indices of I^k constant on its blocks.
     """
     check_word(word)
     I.require_N(spec.N, "spec")
     data = gram_weingarten(spec, word)
     k = len(word)
-    out = []
-    for _part, vec in data.basis.selected:
-        q = 0
-        for b in product(I.sorted_members, repeat=k):
-            q += vec.entries[flat_index(b, spec.N)]
-        out.append(ScaledScalar(Fraction(q), k, I.m))
-    return out
+    return [
+        ScaledScalar(Fraction(I.m**part.block_count), k, I.m) for part in data.basis.selected
+    ]
 
 
 @cache
-def _k_dot_weingarten(family: str, n: int, word: str, members: tuple) -> tuple:
-    """kw[t] = sum_u K_q(u) * W[t, u], the rational part at scale m**(-k/2)."""
-    spec = CategorySpec(family, n)
-    I = IndexSet.of(n, members)
-    kq = [sc.rescale(len(word)) for sc in K_vector(spec, word, I)]
-    wrows = _weingarten_rows(family, n, word)
+def _k_dot_weingarten(family: str, n: int, word: str, m: int) -> tuple:
+    """kw[t] = sum_u K_q(u) * W[t, u], the rational part at scale m**(-k/2);
+    K_q(u) = m**|pi_u| depends on I only through m = |I|."""
+    kq = [m**part.block_count for part in _gram_data(family, n, word).basis.selected]
     return tuple(
-        sum((wrow[u] * kq[u] for u in range(len(kq)) if kq[u]), Fraction(0))
-        for wrow in wrows
+        sum((w * q for w, q in zip(wrow, kq)), Fraction(0))
+        for wrow in _weingarten_rows(family, n, word)
     )
 
 
@@ -221,7 +231,7 @@ def integrate_X(spec: CategorySpec, I: IndexSet, word: str, idx) -> ScaledScalar
     n = spec.N
     idx = check_index(idx, k, n, "index")
     norm = _norm_word(spec, word)
-    kw = _k_dot_weingarten(spec.family, n, norm, I.sorted_members)
+    kw = _k_dot_weingarten(spec.family, n, norm, I.m)
     hits = _hits(spec.family, n, norm)
     q = sum((kw[t] for t in hits[flat_index(idx, n)]), Fraction(0))
     return ScaledScalar(q, k, I.m)
@@ -252,12 +262,12 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
     norm = _norm_word(spec, word)
     P = _projection(spec.family, n, norm)
     hits = _hits(spec.family, n, norm)
-    kw = _k_dot_weingarten(spec.family, n, norm, I.sorted_members)
+    kw = _k_dot_weingarten(spec.family, n, norm, I.m)
     size = n**k
     moments = [
         sum((kw[t] for t in hits[j]), Fraction(0)) for j in range(size)
     ]
-    i_flats = [flat_index(b, n) for b in product(I.sorted_members, repeat=k)]
+    i_flats = I.flat_indices(k)
     report = {
         "spec": str(spec),
         "I": str(I),
@@ -270,20 +280,11 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
         lhs = sum((prow[j] * moments[j] for j in range(size) if moments[j]), Fraction(0))
         rhs = sum((prow[j] for j in i_flats), Fraction(0))
         if lhs != rhs:
-            row = _unflatten(i, n, k)
             report["passed"] = False
             report["counterexample"] = {
-                "row": [p + 1 for p in row],
+                "row": [i // n ** (k - 1 - p) % n + 1 for p in range(k)],
                 "lhs": ScaledScalar(lhs, k, I.m).to_json(),
                 "rhs": ScaledScalar(rhs, k, I.m).to_json(),
             }
             break
     return report
-
-
-def _unflatten(flat: int, n: int, k: int) -> tuple:
-    out = []
-    for _ in range(k):
-        flat, r = divmod(flat, n)
-        out.append(r)
-    return tuple(reversed(out))

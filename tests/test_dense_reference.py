@@ -1,0 +1,105 @@
+"""The kernel path against the dense path it replaced.
+
+The reference code here builds every partition vector as a dense N^k tensor
+with a product loop, selects the basis greedily on those vectors, finds the
+hits by scanning them, sums projection entries one pair of indices at a time
+and sums over I^k index by index.  Every comparison is exact.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+from hypothesis import example, given, settings, strategies as st
+
+from qhs.exact import Echelon, ExactTensor, ScaledScalar, flat_index
+from qhs.partitions import FAMILIES, CategorySpec, enumerate_category, fix_basis, partition_vector
+from qhs.weingarten import IndexSet, K_vector, gram_weingarten, integrate_X, projection_P
+
+# the full projection has N^(2k) entries; it is compared up to this N^k
+PROJECTION_SIZE = 256
+
+
+def _ref_partition_vector(part, n):
+    k = part.point_count
+    entries = [0] * (n**k)
+    for assignment in product(range(n), repeat=len(part.blocks)):
+        idx = [0] * k
+        for value, block in zip(assignment, part.blocks):
+            for p in block:
+                idx[p] = value
+        entries[flat_index(idx, n)] = 1
+    return ExactTensor((n,) * k, entries)
+
+
+def _ref_independent(vectors):
+    span = Echelon()
+    return tuple(t for t, vec in enumerate(vectors) if span.add(vec.entries))
+
+
+def _ref_hits(vectors, size):
+    out = [[] for _ in range(size)]
+    for pos, vec in enumerate(vectors):
+        for flat, val in enumerate(vec.entries):
+            if val:
+                out[flat].append(pos)
+    return out
+
+
+def _ref_projection_entry(hits, wrows, i, j):
+    acc = Fraction(0)
+    for t in hits[i]:
+        for u in hits[j]:
+            acc += wrows[t][u]
+    return acc
+
+
+def _ref_I_sum(vec, I, k):
+    return sum(vec.entries[flat_index(b, I.N)] for b in product(I.sorted_members, repeat=k))
+
+
+@st.composite
+def cases(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    n = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=0, max_value=6).filter(lambda k: n**k <= 1024))
+    word = draw(st.text(alphabet="ob", min_size=k, max_size=k))
+    members = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1))
+    flats = draw(st.lists(st.integers(min_value=0, max_value=n**k - 1), min_size=1, max_size=4))
+    return family, n, word, members, flats
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases())
+@example(("S", 2, "ooo", {0}, [0, 5, 7]))
+@example(("S+", 3, "oooo", {0, 2}, [0, 13, 80]))
+@example(("U", 2, "obob", {1}, [0, 6, 15]))
+def test_kernel_path_matches_dense_reference(case):
+    family, n, word, members, flats = case
+    spec = CategorySpec(family, n)
+    k = len(word)
+    size = n**k
+    parts = enumerate_category(spec, word)
+    vectors = [_ref_partition_vector(part, n) for part in parts]
+    assert [partition_vector(part, n) for part in parts] == vectors
+    keep = _ref_independent(vectors)
+    assert fix_basis(spec, word).independent == keep
+
+    selected = [vectors[t] for t in keep]
+    hits = _ref_hits(selected, size)
+    wdata = gram_weingarten(spec, word).weingarten
+    wrows = [wdata.row(r) for r in range(wdata.rows)]
+    I = IndexSet.of(n, members)
+    kq = [_ref_I_sum(vec, I, k) for vec in selected]
+    assert K_vector(spec, word, I) == [ScaledScalar(Fraction(q), k, I.m) for q in kq]
+
+    for flat in flats:
+        idx = tuple(flat // n ** (k - 1 - p) % n for p in range(k))
+        q = sum((wrows[t][u] * kq[u] for t in hits[flat] for u in range(len(kq))), Fraction(0))
+        assert integrate_X(spec, I, word, idx) == ScaledScalar(q, k, I.m)
+
+    if size <= PROJECTION_SIZE:
+        P = projection_P(spec, word)
+        assert (P.rows, P.cols) == (size, size)
+        for i in flats:
+            for j in range(size):
+                assert P.at(i, j) == _ref_projection_entry(hits, wrows, i, j)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qhs.exact import (
+    Echelon,
     ExactMatrix,
     ExactTensor,
     ScaleBaseError,
@@ -14,7 +15,7 @@ from qhs.exact import (
     rank,
     rank_nullspace,
 )
-from qhs.partitions import SetPartition, partition_vector, select_basis
+from qhs.partitions import SetPartition, partition_vector
 
 
 def test_scaled_mul_root_base_squares_to_inverse():
@@ -318,8 +319,9 @@ def test_one_routine_matches_reference_eliminations(rows, cols, data):
     rk, null = rank_nullspace(m)
     assert rk == ref_rank == rank(m)
     assert [v.entries for v in null] == ref_null
-    members = [(None, ExactTensor((cols,), m.row(r))) for r in range(rows)]
-    assert select_basis(members, cols).independent == _ref_greedy_keep(m.to_rows())
+    span = Echelon()
+    keep = tuple(t for t, row in enumerate(m.to_rows()) if span.add(row))
+    assert keep == _ref_greedy_keep(m.to_rows())
     n = min(rows, cols)
     square = ExactMatrix(n, n, [m.at(r, c) for r in range(n) for c in range(n)])
     expected = _ref_invert(square)

@@ -6,6 +6,7 @@ from qhs.partitions import (
     CategorySpec,
     SetPartition,
     all_partitions,
+    coarsenings,
     conjugate_word,
     enumerate_category,
     fix_basis,
@@ -106,7 +107,7 @@ def test_join_lattice_properties(k, data):
     assert a.join(a) == a
     assert a.join(b).join(c) == a.join(b.join(c))
     assert a.join(b).block_count <= min(a.block_count, b.block_count)
-    assert a.refines(a.join(b))
+    assert all_partitions(a.point_count).index(a.join(b)) in coarsenings(a)
 
 
 def test_select_basis_keeps_all_when_n_large():

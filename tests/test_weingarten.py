@@ -52,9 +52,9 @@ def test_gram_matches_entrywise_inner_products():
         ("S+", 4, "ooooo"),
     ):
         data = gram_weingarten(CategorySpec(family, n), word)
-        sel = data.basis.selected
-        for a, (_, va) in enumerate(sel):
-            for b, (_, vb) in enumerate(sel):
+        vecs = [partition_vector(part, n) for part in data.basis.selected]
+        for a, va in enumerate(vecs):
+            for b, vb in enumerate(vecs):
                 assert data.gram.at(a, b) == va.dot(vb)
 
 
