@@ -125,11 +125,12 @@ class SetPartition:
                 return False
         return True
 
-    def join(self, other: "SetPartition") -> "SetPartition":
-        """Finest partition coarser than both (transitive closure of the union)."""
+    def _join_roots(self, other: "SetPartition") -> list:
+        """Per point, its union-find root over the blocks of self joined by other's."""
         if other.point_count != self.point_count:
             raise DomainError("point count mismatch in join")
-        parent = list(range(self.point_count))
+        bi = self.block_index
+        parent = list(range(self.block_count))
 
         def find(x):
             while parent[x] != x:
@@ -137,14 +138,20 @@ class SetPartition:
                 x = parent[x]
             return x
 
-        for part in (self, other):
-            for block in part.blocks:
-                root = find(block[0])
-                for p in block[1:]:
-                    parent[find(p)] = root
+        for block in other.blocks:
+            root = find(bi[block[0]])
+            for p in block[1:]:
+                parent[find(bi[p])] = root
+        return [find(b) for b in bi]
+
+    def join_block_count(self, other: "SetPartition") -> int:
+        return len(set(self._join_roots(other)))
+
+    def join(self, other: "SetPartition") -> "SetPartition":
+        """Finest partition coarser than both (transitive closure of the union)."""
         groups = {}
-        for p in range(self.point_count):
-            groups.setdefault(find(p), []).append(p)
+        for p, root in enumerate(self._join_roots(other)):
+            groups.setdefault(root, []).append(p)
         return SetPartition.from_blocks(self.point_count, groups.values())
 
     def __str__(self):

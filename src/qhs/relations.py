@@ -240,8 +240,11 @@ def _verify_classical(rel: Relation, real: OracleRealization):
     l, k = len(rel.left_word), len(rel.right_word)
     nz = _decoded_nonzeros(rel.coefficients, n, l, k)
     rhs_q = rel.rhs.rescale(k + l)
-    coords = real.source.coordinate_table(real.I)
-    for gi, c in enumerate(coords):
+    # g is seen only through c: the first failing c holds the first failing g
+    first = {}
+    for gi, c in enumerate(real.source.coordinate_table(real.I)):
+        first.setdefault(c, gi)
+    for c, gi in first.items():
         acc = Fraction(0)
         for idx, val in nz:
             for t in idx:

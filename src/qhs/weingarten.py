@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import perm
 
 from .exact import (
     DomainError,
@@ -112,7 +113,7 @@ def _gram_data(family: str, n: int, word: str) -> GramData:
     entries = [0] * (d * d)
     for a, pi in enumerate(parts):
         for b in range(a, d):
-            entries[a * d + b] = entries[b * d + a] = n ** pi.join(parts[b]).block_count
+            entries[a * d + b] = entries[b * d + a] = n ** pi.join_block_count(parts[b])
     gram = ExactMatrix(d, d, entries)
     weingarten = invert(gram) if d else ExactMatrix(0, 0, ())
     return GramData(basis, gram, weingarten)
@@ -128,15 +129,14 @@ def gram_weingarten(spec: CategorySpec, word: str) -> GramData:
 
 
 @cache
-def _hits(family: str, n: int, word: str) -> tuple:
-    """hits[flat index] = positions of selected basis vectors nonzero there,
-    i.e. of the selected partitions that the index's kernel coarsens."""
+def _kernel_hits(family: str, n: int, word: str) -> tuple:
+    """hits[a] = positions of the selected partitions that kernel a (its
+    position in all_partitions(k)) coarsens."""
     per_kernel = [[] for _ in all_partitions(len(word))]
     for pos, part in enumerate(_gram_data(family, n, word).basis.selected):
         for c in coarsenings(part):
             per_kernel[c].append(pos)
-    per_kernel = [tuple(h) for h in per_kernel]  # one shared tuple per kernel
-    return tuple(per_kernel[c] for c in kernel_ids(n, len(word)))
+    return tuple(tuple(h) for h in per_kernel)
 
 
 @cache
@@ -156,32 +156,40 @@ def integrate_G(spec: CategorySpec, word: str, row, col) -> Fraction:
     n = spec.N
     row = check_index(row, k, n, "row index")
     col = check_index(col, k, n, "column index")
-    norm = _norm_word(spec, word)
-    hits = _hits(spec.family, n, norm)
-    wrows = _weingarten_rows(spec.family, n, norm)
-    col_hits = hits[flat_index(col, n)]
-    acc = Fraction(0)
-    for t in hits[flat_index(row, n)]:
-        wrow = wrows[t]
-        for u in col_hits:
-            acc += wrow[u]
-    return acc
+    kid, norm = kernel_ids(n, k), _norm_word(spec, word)
+    return _kernel_moment(spec.family, n, norm, kid[flat_index(row, n)], kid[flat_index(col, n)])
+
+
+@cache
+def _kernel_moment(family: str, n: int, word: str, a: int, b: int) -> Fraction:
+    """The moment at row indices of kernel a and column indices of kernel b."""
+    wrows = _weingarten_rows(family, n, word)
+    hits = _kernel_hits(family, n, word)
+    return sum((wrows[t][u] for t in hits[a] for u in hits[b]), Fraction(0))
+
+
+@cache
+def _kernel_projection(family: str, n: int, word: str) -> dict:
+    """P[i, j] depends on i and j only through their kernels: table[a][b] over
+    the kernels with at most n blocks (the ones that occur), one sum per pair."""
+    wrows = _weingarten_rows(family, n, word)
+    hits = _kernel_hits(family, n, word)
+    kernels = [a for a, part in enumerate(all_partitions(len(word))) if part.block_count <= n]
+    table = {}
+    for a in kernels:
+        colsum = [Fraction(0)] * len(wrows)
+        for t in hits[a]:
+            colsum = [x + y for x, y in zip(colsum, wrows[t])]
+        table[a] = {b: sum((colsum[u] for u in hits[b]), Fraction(0)) for b in kernels}
+    return table
 
 
 @cache
 def _projection(family: str, n: int, word: str) -> ExactMatrix:
-    """P[i, j] depends on i and j only through their kernels: one sum per
-    pair of kernels, read back through kernel_ids."""
-    wrows = _weingarten_rows(family, n, word)
+    """The kernel-pair table read back through kernel_ids."""
     kid = kernel_ids(n, len(word))
-    per_kernel = dict(zip(kid, _hits(family, n, word)))
-    expanded = {}
-    for a, hits_a in per_kernel.items():
-        colsum = [Fraction(0)] * len(wrows)
-        for t in hits_a:
-            colsum = [x + y for x, y in zip(colsum, wrows[t])]
-        by_kernel = {b: sum((colsum[u] for u in h), Fraction(0)) for b, h in per_kernel.items()}
-        expanded[a] = [by_kernel[b] for b in kid]
+    table = _kernel_projection(family, n, word)
+    expanded = {a: [row[b] for b in kid] for a, row in table.items()}
     out = []
     for a in kid:
         out.extend(expanded[a])
@@ -230,11 +238,15 @@ def integrate_X(spec: CategorySpec, I: IndexSet, word: str, idx) -> ScaledScalar
     k = len(word)
     n = spec.N
     idx = check_index(idx, k, n, "index")
-    norm = _norm_word(spec, word)
-    kw = _k_dot_weingarten(spec.family, n, norm, I.m)
-    hits = _hits(spec.family, n, norm)
-    q = sum((kw[t] for t in hits[flat_index(idx, n)]), Fraction(0))
-    return ScaledScalar(q, k, I.m)
+    a = kernel_ids(n, k)[flat_index(idx, n)]
+    return ScaledScalar(_space_moment(spec.family, n, _norm_word(spec, word), I.m, a), k, I.m)
+
+
+@cache
+def _space_moment(family: str, n: int, word: str, m: int, a: int) -> Fraction:
+    """The rational part of the space moment at any index of kernel a."""
+    kw = _k_dot_weingarten(family, n, word, m)
+    return sum((kw[t] for t in _kernel_hits(family, n, word)[a]), Fraction(0))
 
 
 def moment_table(spec: CategorySpec, I: IndexSet, words) -> dict:
@@ -260,14 +272,12 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
     n = spec.N
     k = len(word)
     norm = _norm_word(spec, word)
-    P = _projection(spec.family, n, norm)
-    hits = _hits(spec.family, n, norm)
-    kw = _k_dot_weingarten(spec.family, n, norm, I.m)
-    size = n**k
-    moments = [
-        sum((kw[t] for t in hits[j]), Fraction(0)) for j in range(size)
-    ]
-    i_flats = I.flat_indices(k)
+    table = _kernel_projection(spec.family, n, norm)
+    kernels = all_partitions(k)
+    # P[i, j] and M_j depend on j only through its kernel b, which
+    # perm(n, |b|) indices of [N]^k and perm(m, |b|) of I^k have
+    size = {b: kernels[b].block_count for b in table}
+    weight = {b: _space_moment(spec.family, n, norm, I.m, b) * perm(n, size[b]) for b in table}
     report = {
         "spec": str(spec),
         "I": str(I),
@@ -275,14 +285,14 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
         "passed": True,
         "counterexample": None,
     }
-    for i in range(size):
-        prow = P.row(i)
-        lhs = sum((prow[j] * moments[j] for j in range(size) if moments[j]), Fraction(0))
-        rhs = sum((prow[j] for j in i_flats), Fraction(0))
+    # in all_partitions order the first failing kernel holds the first failing row
+    for a, row in table.items():
+        lhs = sum((p * weight[b] for b, p in row.items()), Fraction(0))
+        rhs = sum((p * perm(I.m, size[b]) for b, p in row.items()), Fraction(0))
         if lhs != rhs:
             report["passed"] = False
             report["counterexample"] = {
-                "row": [i // n ** (k - 1 - p) % n + 1 for p in range(k)],
+                "row": [v + 1 for v in kernels[a].block_index],
                 "lhs": ScaledScalar(lhs, k, I.m).to_json(),
                 "rhs": ScaledScalar(rhs, k, I.m).to_json(),
             }

@@ -1,6 +1,31 @@
 import pytest
 
+from qhs import partitions, weingarten
 from qhs.exact import Echelon
+
+
+def _clear_module_caches():
+    """Clear every functools cache defined in qhs.partitions and
+    qhs.weingarten, found by introspection so a renamed or new cache is
+    included; returns how many there were."""
+    caches = [
+        value
+        for module in (partitions, weingarten)
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_clear", None))
+    ]
+    for cached in caches:
+        cached.cache_clear()
+    return len(caches)
+
+
+@pytest.fixture
+def cold_caches():
+    """The test starts with the partition and Weingarten caches empty, and
+    nothing it computed (perhaps under a monkeypatch) is left in them."""
+    assert _clear_module_caches()
+    yield
+    _clear_module_caches()
 
 
 @pytest.fixture

@@ -260,11 +260,7 @@ def test_verify_failure_exit_code_is_one(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
-def test_internal_error_exits_4_without_traceback(capsys, corrupted_elimination):
-    import qhs.weingarten as weingarten_mod
-
-    for cached in (weingarten_mod._gram_data, weingarten_mod._hits, weingarten_mod._weingarten_rows):
-        cached.cache_clear()
+def test_internal_error_exits_4_without_traceback(capsys, cold_caches, corrupted_elimination):
     code, out, err = run_cli(
         capsys, "integrate-g", "--spec", "S(3)", "--word", "oo", "--row", "1,1", "--col", "1,1"
     )

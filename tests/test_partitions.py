@@ -94,6 +94,14 @@ def test_join_examples():
     assert a.join(a) == a
 
 
+@pytest.mark.parametrize("k", range(6))
+def test_join_block_count_matches_join(k):
+    parts = all_partitions(k)
+    for a in parts:
+        for b in parts:
+            assert a.join_block_count(b) == a.join(b).block_count, (a, b)
+
+
 def partitions_of(k):
     return st.sampled_from(all_partitions(k))
 

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -206,21 +208,47 @@ def test_verify_relations_across_families_on_signed_permutations():
         assert report["passed"], str(spec)
 
 
+def _ref_first_failure(rel, real):
+    """Witness of the first element where the relation fails, evaluating
+    every coefficient at every element in turn."""
+    size = len(rel.left_word) + len(rel.right_word)
+    rhs = rel.rhs.rescale(size)
+    indices = list(product(range(real.N), repeat=size))
+    for gi, c in enumerate(real.source.coordinate_table(real.I)):
+        lhs = sum(
+            (val * prod(c[t] for t in idx) for idx, val in zip(indices, rel.coefficients.entries)),
+            Fraction(0),
+        )
+        if lhs != rhs:
+            return {"element": gi, "lhs_scaled": str(lhs), "rhs_scaled": str(rhs)}
+    return None
+
+
 def test_corrupted_relation_fails_with_witness():
-    system = relations_med(S4, I12_4, 1)
-    rel = system.relations[0]
-    bad_entries = list(rel.coefficients.entries)
-    bad_entries[0] += 1
-    bad = Relation(
-        rel.left_word,
-        rel.right_word,
-        ExactMatrix(rel.coefficients.rows, 1, bad_entries),
-        rel.rhs,
-    )
-    broken = type(system)(system.spec, system.I, system.provenance, (bad,))
-    report = verify_relations(broken, OracleRealization(OracleGroup.symmetric(4), I12_4))
-    assert not report["passed"]
-    assert "witness" in report["relations"][0]
+    # (group, spec, max_k, coefficient to corrupt, by how much): neither
+    # corruption shows at element 0, the identity
+    cases = [
+        (OracleGroup.symmetric(4), S4, 1, 3, 1),
+        (OracleGroup.hyperoctahedral(4), CategorySpec("O", 4), 2, 7, -3),
+    ]
+    for group, spec, max_k, flat, delta in cases:
+        system = relations_med(spec, I12_4, max_k)
+        rel = system.relations[-1]
+        bad_entries = list(rel.coefficients.entries)
+        bad_entries[flat] += delta
+        bad = Relation(
+            rel.left_word,
+            rel.right_word,
+            ExactMatrix(rel.coefficients.rows, 1, bad_entries),
+            rel.rhs,
+        )
+        broken = type(system)(system.spec, system.I, system.provenance, (bad,))
+        real = OracleRealization(group, I12_4)
+        report = verify_relations(broken, real)
+        assert not report["passed"]
+        witness = report["relations"][0]["witness"]
+        assert witness == _ref_first_failure(bad, real)
+        assert witness["element"] != 0
 
 
 def test_incompatible_oracle_rejected():

@@ -1,8 +1,13 @@
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import qhs
 from qhs.exact import DomainError, ScaledScalar
 from qhs.oracle import OracleGroup, brute_integrate_G
 from qhs.partitions import CategorySpec, enumerate_category, partition_vector
@@ -146,6 +151,39 @@ def test_ergodicity_classical_and_free():
     I1 = IndexSet.parse("1", 3)
     for word in ("", "o", "b", "ob", "bo", "oo", "oob"):
         assert ergodicity_check(up3, I1, word)["passed"]
+
+
+# the child may map at most this much memory, so a dense N^(2k) table fails
+# with MemoryError instead of exhausting the host
+CHILD_ADDRESS_SPACE = 1 << 30
+
+
+def test_ergodicity_is_independent_of_n():
+    # S(12), k=4: the dense projection would have 20736^2 = 4.3e8 entries
+    code = (
+        "import time\n"
+        "from qhs.partitions import CategorySpec\n"
+        "from qhs.weingarten import IndexSet, ergodicity_check\n"
+        "start = time.perf_counter()\n"
+        "report = ergodicity_check(CategorySpec('S', 12), IndexSet.of(12, {0, 1}), 'oooo')\n"
+        "print(report['passed'], time.perf_counter() - start)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qhs.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE)
+        ),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    passed, seconds = proc.stdout.split()
+    assert passed == "True"
+    assert float(seconds) < 5.0
 
 
 def test_ergodicity_report_shape():
