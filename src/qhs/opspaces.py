@@ -1,27 +1,31 @@
 """Solution spaces of the two-sided relations on an oracle realization,
-membership tests, and tensor-category axiom diagnostics.
+their defining equations, membership tests, and tensor-category axiom
+diagnostics.
 
 For a realization of a homogeneous space and words (k, l), the solution
 space collects all operators T whose relation holds over the realization;
 it always contains the intertwiner space of the underlying (quantum) group.
-The axiom report checks units, adjoints and the Frobenius bijection (which
-are theorems and asserted downstream) and *reports* composition/tensor
-closure, which together are equivalent to the space being presented by a
-tensor category and may genuinely fail.
+A solution space is exactly the common kernel of its evaluation
+functionals, one per point of the realization (the Haar state is faithful;
+Woronowicz, "Compact matrix pseudogroups", CMP 111, 1987), so every space
+carries defining equations: integer rows E with X in the space iff
+E vec(X) == 0.  Membership and the closure checks are dot products against
+them; no spanning echelon, product or Kronecker matrix is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from operator import mul
 
 from .exact import (
-    Echelon,
     ExactMatrix,
     ExactTensor,
     ResourceGuardError,
     flat_index,
+    integer_row,
     rank_nullspace,
 )
 from .frobenius import frobenius_to_fix, frobenius_to_hom
@@ -40,21 +44,33 @@ class OperatorSpace:
     N: int
     basis: tuple
     label: str  # hom-space | fxi-space
+    equation_rows: tuple = field(default=None, compare=False, repr=False)  # if known
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     @cached_property
-    def _span(self) -> Echelon:
-        span = Echelon()
-        for mat in self.basis:
-            if not span.add(mat.entries):
-                raise AssertionError("operator space basis is not independent")
-        return span
+    def integer_basis(self) -> tuple:
+        """Each basis element times the common denominator of its entries."""
+        return tuple(ExactMatrix(T.rows, T.cols, integer_row(T.entries)) for T in self.basis)
+
+    @cached_property
+    def equations(self):
+        """Integer rows E with X in the space iff E vec(X) == 0; None for
+        dimension 0, where the space is X == 0."""
+        if not self.basis:
+            return None
+        if self.equation_rows is not None:
+            return self.equation_rows
+        stacked = ExactMatrix.from_rows(T.entries for T in self.integer_basis)
+        rank, null, _ = rank_nullspace(stacked)
+        if rank < self.dimension:
+            raise AssertionError("operator space basis is not independent")
+        return tuple(integer_row(v.entries) for v in null)
 
     def contains(self, T: ExactMatrix) -> bool:
-        """Exact membership: T reduces to zero against the cached echelon."""
+        """Exact membership: T satisfies every defining equation."""
         ambient_rows = self.N ** len(self.l_word)
         ambient_cols = self.N ** len(self.k_word)
         if T.rows != ambient_rows or T.cols != ambient_cols:
@@ -62,7 +78,10 @@ class OperatorSpace:
                 f"shape mismatch: space holds {ambient_rows}x{ambient_cols}, "
                 f"got {T.rows}x{T.cols}"
             )
-        return not any(self._span.reduce(T.entries))
+        if self.equations is None:
+            return T.is_zero()
+        x = integer_row(T.entries)
+        return not any(sum(map(mul, e, x)) for e in self.equations)
 
 
 def _coordinate_products(c, n: int, length: int) -> list:
@@ -73,6 +92,13 @@ def _coordinate_products(c, n: int, length: int) -> list:
     return prods
 
 
+def _guarded(unknowns: int) -> int:
+    if unknowns > FXI_GUARD:
+        msg = f"solution space over N^(k+l) = {unknowns} exceeds the guard {FXI_GUARD}"
+        raise ResourceGuardError(msg)
+    return unknowns
+
+
 def fxi_space(
     real: OracleRealization, k_word: str, l_word: str, points=None
 ) -> OperatorSpace:
@@ -80,16 +106,13 @@ def fxi_space(
 
     One homogeneous linear equation per evaluation point: group elements for
     classical oracles, regular-representation entries (bucketed per group
-    element, which spans the same constraints) for duals.  `points` restricts
-    the classical evaluation points; used by the monotonicity diagnostics.
+    element, which spans the same constraints) for duals; their reduced rows are
+    the space's defining equations.  `points` restricts the classical
+    evaluation points; used by the monotonicity diagnostics.
     """
     n = real.N
     k, l = len(k_word), len(l_word)
-    unknowns = n ** (k + l)
-    if unknowns > FXI_GUARD:
-        raise ResourceGuardError(
-            f"solution space over N^(k+l) = {unknowns} exceeds the guard {FXI_GUARD}"
-        )
+    unknowns = _guarded(n ** (k + l))
     members = real.I.sorted_members
     cols_k = n**k
     # the positions of I^l x I^k, where the rhs sum of the relation reads T
@@ -108,7 +131,7 @@ def fxi_space(
             rows.append(row)
     else:
         dual = real.source
-        buckets = {}
+        buckets = {dual.identity: []}  # the rhs row exists even when no word hits e
         for b in product(members, repeat=l):
             left = dual.word_value(l_word, b)
             base = flat_index(b, n) * cols_k
@@ -117,9 +140,7 @@ def fxi_space(
                     left, dual.invert(dual.word_value(k_word, c))
                 )
                 buckets.setdefault(gamma, []).append(base + flat_index(c, n))
-        for gamma, positions in sorted(
-            buckets.items(), key=lambda kv: dual.index[kv[0]]
-        ):
+        for gamma, positions in buckets.items():  # any order: reduced rows and basis are canonical
             row = [0] * unknowns
             for pos in positions:
                 row[pos] += 1
@@ -127,16 +148,10 @@ def fxi_space(
                 for pos in admissible:
                     row[pos] -= 1
             rows.append(row)
-        if dual.identity not in buckets:
-            row = [0] * unknowns
-            for pos in admissible:
-                row[pos] -= 1
-            rows.append(row)
-    if not rows:
-        rows = [[0] * unknowns]
-    _, null = rank_nullspace(ExactMatrix.from_rows(rows))
+    system = ExactMatrix(len(rows), unknowns, [x for row in rows for x in row])
+    _, null, equations = rank_nullspace(system)
     basis = tuple(ExactMatrix(n**l, cols_k, vec.entries) for vec in null)
-    return OperatorSpace(k_word, l_word, n, basis, "fxi-space")
+    return OperatorSpace(k_word, l_word, n, basis, "fxi-space", tuple(equations))
 
 
 def hom_operator_space(source, k_word: str, l_word: str) -> OperatorSpace:
@@ -153,27 +168,98 @@ def hom_operator_space(source, k_word: str, l_word: str) -> OperatorSpace:
     )
 
 
+def _cell_order(cell) -> tuple:
+    return (len(cell[0]) + len(cell[1]), cell[0], cell[1])
+
+
 def grid_cells(bound: int) -> list:
     """All word pairs (k, l) with |k| + |l| <= bound, deterministic order."""
     words = colored_words(bound)
-    cells = [
-        (kw, lw)
-        for kw in words
-        for lw in words
-        if len(kw) + len(lw) <= bound
-    ]
-    cells.sort(key=lambda cell: (len(cell[0]) + len(cell[1]), cell[0], cell[1]))
-    return cells
+    cells = [(kw, lw) for kw in words for lw in words if len(kw + lw) <= bound]
+    return sorted(cells, key=_cell_order)
+
+
+def _outer_functional(e, S: ExactMatrix, rows: int, cols: int) -> list:
+    """W = S^T e, so that <e, S T> == <W, T> for the target equation e
+    (S.rows x cols, row-major) and every rows x cols matrix T (rows == S.cols)."""
+    out = [0] * (S.cols * cols)
+    for j, s in enumerate(S.entries):
+        if s:
+            b, m = divmod(j, S.cols)
+            block = slice(m * cols, (m + 1) * cols)
+            out[block] = [v + s * x for v, x in zip(out[block], e[b * cols : (b + 1) * cols])]
+    return out
+
+
+def _right_functional(e, S: ExactMatrix, rows: int, cols: int) -> list:
+    """V with <e, T kron S> == <V, T> for every rows x cols matrix T:
+    V[b1, c1] = sum over (b2, c2) of e[(b1, b2), (c1, c2)] * S[b2, c2]."""
+    width = cols * S.cols
+    stride = S.rows * width
+    out = [0] * (rows * cols)
+    for j, s in enumerate(S.entries):
+        if s:
+            b2, c2 = divmod(j, S.cols)
+            part = []
+            for start in range(b2 * width + c2, rows * stride, stride):
+                part += e[start : start + width : S.cols]
+            out = [v + s * x for v, x in zip(out, part)]
+    return out
+
+
+def _some_pair_fails(target, functional, contracted, others) -> bool:
+    """True when some pair breaks a target equation.  Each equation is
+    contracted with each element of `contracted` once; each pair then costs
+    one dot product with the element of `others`."""
+    rows, cols = others.N ** len(others.l_word), others.N ** len(others.k_word)
+    for X in contracted.integer_basis:
+        functionals = [functional(e, X, rows, cols) for e in target.equations]
+        for Y in others.integer_basis:
+            if any(sum(map(mul, f, Y.entries)) for f in functionals):
+                return True
+    return False
+
+
+def _composition_fails(inner, outer, target) -> bool:
+    if target.equations is None:  # dimension 0: every product S T must vanish
+        return any(
+            sum(map(mul, S.row(b), T.entries[c :: T.cols]))
+            for S in outer.integer_basis
+            for T in inner.integer_basis
+            for b in range(S.rows)
+            for c in range(T.cols)
+        )
+    return _some_pair_fails(target, _outer_functional, outer, inner)
+
+
+def _tensor_fails(left, right, target) -> bool:
+    if target.equations is None:  # dimension 0: T kron S != 0 when T, S != 0
+        return bool(left.basis and right.basis)
+    return _some_pair_fails(target, _right_functional, right, left)
+
+
+def _record(entry: dict, fails: bool, failure: dict) -> None:
+    entry["checked"] += 1
+    if fails:
+        entry["passed"] = False
+        entry["failures"].append(failure)
 
 
 def axiom_report(spaces: dict) -> dict:
-    """Tensor-category diagnostics on a grid of operator spaces.
+    """Tensor-category diagnostics on a grid of operator spaces, each check
+    run against the defining equations of its result cell; only checks whose
+    operands and result cells lie in the grid are run.
 
     unit/adjoint/frobenius are theorems for relation solution spaces and are
-    the 'asserted' axioms; composition and tensor closure are reported only.
-    Only checks whose operands and result cells lie in the grid are run.
+    the 'asserted' axioms.  On a grid from one realization adjoint and tensor
+    closure are identities of the defining functionals: classically
+    phi_p(T kron S) = phi_p(T) (u_p^T S v_p) + a_T phi_p(S), with
+    phi_p(X) = u_p^T X v_p - a_X and a_X the sum of X over I^l x I^k; on a
+    dual, sum T l1(b1) sigma_S k1(c1)^-1 with sigma_S = a_S e.  Only
+    composition can really fail.  Every check is still computed, with one
+    failure recorded per cell pair.
     """
-    cells = sorted(spaces, key=lambda cell: (len(cell[0]) + len(cell[1]), cell[0], cell[1]))
+    cells = sorted(spaces, key=_cell_order)
     report = {
         "unit": [],
         "adjoint": [],
@@ -181,7 +267,6 @@ def axiom_report(spaces: dict) -> dict:
         "composition": {"checked": 0, "passed": True, "failures": []},
         "tensor": {"checked": 0, "passed": True, "failures": []},
     }
-    n = None
     for kw, lw in cells:
         space = spaces[(kw, lw)]
         n = space.N
@@ -190,62 +275,32 @@ def axiom_report(spaces: dict) -> dict:
             report["unit"].append({"k": kw, "l": lw, "passed": ok})
         mirror = spaces.get((lw, kw))
         if mirror is not None:
-            ok = all(mirror.contains(T.transpose()) for T in space.basis)
+            ok = all(mirror.contains(T.transpose()) for T in space.integer_basis)
             report["adjoint"].append({"k": kw, "l": lw, "passed": ok})
         target = spaces.get(("", lw + conjugate_word(kw)))
         if target is not None:
             forward = all(
                 target.contains(frobenius_to_fix(T, kw, lw, n)[0].as_column())
-                for T in space.basis
+                for T in space.integer_basis
             )
+            shape = (n,) * (len(kw) + len(lw))
             backward = all(
-                space.contains(frobenius_to_hom_from_column(col, kw, lw, n))
-                for col in target.basis
+                space.contains(frobenius_to_hom(ExactTensor(shape, col.entries), kw, lw, n))
+                for col in target.integer_basis
             )
             ok = forward and backward and space.dimension == target.dimension
             report["frobenius"].append({"k": kw, "l": lw, "passed": ok})
-    for (k1, l1) in cells:
-        first = spaces[(k1, l1)]
-        for (k2, l2) in cells:
-            if k2 != l1:
-                continue
-            composed_cell = (k1, l2)
-            if composed_cell not in spaces:
-                continue
-            second = spaces[(k2, l2)]
-            target = spaces[composed_cell]
-            report["composition"]["checked"] += 1
-            for S in second.basis:
-                for T in first.basis:
-                    if not target.contains(S * T):
-                        report["composition"]["passed"] = False
-                        report["composition"]["failures"].append(
-                            {"inner": [k1, l1], "outer": [k2, l2]}
-                        )
-                        break
-                else:
-                    continue
-                break
-    for (k1, l1) in cells:
-        first = spaces[(k1, l1)]
-        for (k2, l2) in cells:
-            tensor_cell = (k1 + k2, l1 + l2)
-            if tensor_cell not in spaces:
-                continue
-            second = spaces[(k2, l2)]
-            target = spaces[tensor_cell]
-            report["tensor"]["checked"] += 1
-            for T in first.basis:
-                for S in second.basis:
-                    if not target.contains(T.kron(S)):
-                        report["tensor"]["passed"] = False
-                        report["tensor"]["failures"].append(
-                            {"left": [k1, l1], "right": [k2, l2]}
-                        )
-                        break
-                else:
-                    continue
-                break
+    for k1, l1 in cells:
+        for k2, l2 in cells:
+            if k2 == l1 and (k1, l2) in spaces:
+                fails = _composition_fails(spaces[(k1, l1)], spaces[(k2, l2)], spaces[(k1, l2)])
+                _record(report["composition"], fails, {"inner": [k1, l1], "outer": [k2, l2]})
+    for k1, l1 in cells:
+        for k2, l2 in cells:
+            cell = (k1 + k2, l1 + l2)
+            if cell in spaces:
+                fails = _tensor_fails(spaces[(k1, l1)], spaces[(k2, l2)], spaces[cell])
+                _record(report["tensor"], fails, {"left": [k1, l1], "right": [k2, l2]})
     report["asserted_passed"] = (
         all(entry["passed"] for entry in report["unit"])
         and all(entry["passed"] for entry in report["adjoint"])
@@ -254,17 +309,13 @@ def axiom_report(spaces: dict) -> dict:
     return report
 
 
-def frobenius_to_hom_from_column(col: ExactMatrix, k_word: str, l_word: str, n: int):
-    k, l = len(k_word), len(l_word)
-    xi = ExactTensor((n,) * (k + l), col.entries)
-    return frobenius_to_hom(xi, k_word, l_word, n)
-
-
 def saturation_report(real: OracleRealization, hom_source, bound: int) -> dict:
     """Per grid cell: intertwiner dimension vs solution-space dimension,
     inclusion (a theorem; must hold) and equality (reported), plus the axiom
-    report on the solution grid and an overall verdict.
+    report on the solution grid and an overall verdict.  The largest cells
+    have N^bound unknowns, so the guard is checked before any space is built.
     """
+    _guarded(real.N**bound)
     cells = grid_cells(bound)
     fxi = {cell: fxi_space(real, *cell) for cell in cells}
     hom = {cell: hom_operator_space(hom_source, *cell) for cell in cells}

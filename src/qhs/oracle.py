@@ -458,7 +458,7 @@ def fixed_space(source, word: str) -> list:
     k = len(word)
     op = averaging_operator(source, key)
     delta = op - ExactMatrix.identity(op.rows)
-    _, basis = rank_nullspace(delta)
+    _, basis, _ = rank_nullspace(delta)
     tensors = [ExactTensor((n,) * k, vec.entries) for vec in basis]
     source._fixed[key] = tensors
     return tensors

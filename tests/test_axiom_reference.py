@@ -1,0 +1,212 @@
+"""Defining-equation membership and closure checks against a reference.
+
+The reference below is the construction `opspaces` used before operator
+spaces carried defining equations: membership reduces against an echelon
+of the basis, and the closure checks build every product S*T and every
+Kronecker product T kron S.  The reports of both must agree on every
+saturation grid the oracle-checks benchmark can draw and on hom-space grids,
+whose equations are computed lazily from the basis.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qhs.exact import Echelon, ExactMatrix, ExactTensor
+from qhs.frobenius import frobenius_to_fix, frobenius_to_hom
+from qhs.opspaces import OperatorSpace, axiom_report, fxi_space, grid_cells, hom_operator_space
+from qhs.oracle import OracleGroup, OracleRealization, parse_oracle
+from qhs.partitions import CategorySpec, conjugate_word
+from qhs.weingarten import IndexSet
+
+
+class _Reference:
+    """Echelon membership, one cached span per space."""
+
+    def __init__(self):
+        self.spans = {}
+
+    def contains(self, space, T):
+        span = self.spans.get(id(space))
+        if span is None:
+            span = self.spans[id(space)] = Echelon()
+            for mat in space.basis:
+                if not span.add(mat.entries):
+                    raise AssertionError("operator space basis is not independent")
+        return not any(span.reduce(T.entries))
+
+
+def ref_axiom_report(spaces: dict) -> dict:
+    ref = _Reference()
+    cells = sorted(spaces, key=lambda cell: (len(cell[0]) + len(cell[1]), cell[0], cell[1]))
+    report = {
+        "unit": [],
+        "adjoint": [],
+        "frobenius": [],
+        "composition": {"checked": 0, "passed": True, "failures": []},
+        "tensor": {"checked": 0, "passed": True, "failures": []},
+    }
+    for kw, lw in cells:
+        space = spaces[(kw, lw)]
+        n = space.N
+        if kw == lw:
+            ok = ref.contains(space, ExactMatrix.identity(n ** len(kw)))
+            report["unit"].append({"k": kw, "l": lw, "passed": ok})
+        mirror = spaces.get((lw, kw))
+        if mirror is not None:
+            ok = all(ref.contains(mirror, T.transpose()) for T in space.basis)
+            report["adjoint"].append({"k": kw, "l": lw, "passed": ok})
+        target = spaces.get(("", lw + conjugate_word(kw)))
+        if target is not None:
+            forward = all(
+                ref.contains(target, frobenius_to_fix(T, kw, lw, n)[0].as_column())
+                for T in space.basis
+            )
+            shape = (n,) * (len(kw) + len(lw))
+            backward = all(
+                ref.contains(space, frobenius_to_hom(ExactTensor(shape, col.entries), kw, lw, n))
+                for col in target.basis
+            )
+            ok = forward and backward and space.dimension == target.dimension
+            report["frobenius"].append({"k": kw, "l": lw, "passed": ok})
+    for k1, l1 in cells:
+        for k2, l2 in cells:
+            if k2 != l1 or (k1, l2) not in spaces:
+                continue
+            report["composition"]["checked"] += 1
+            target = spaces[(k1, l2)]
+            if any(
+                not ref.contains(target, S * T)
+                for S in spaces[(k2, l2)].basis
+                for T in spaces[(k1, l1)].basis
+            ):
+                report["composition"]["passed"] = False
+                report["composition"]["failures"].append({"inner": [k1, l1], "outer": [k2, l2]})
+    for k1, l1 in cells:
+        for k2, l2 in cells:
+            if (k1 + k2, l1 + l2) not in spaces:
+                continue
+            report["tensor"]["checked"] += 1
+            target = spaces[(k1 + k2, l1 + l2)]
+            if any(
+                not ref.contains(target, T.kron(S))
+                for T in spaces[(k1, l1)].basis
+                for S in spaces[(k2, l2)].basis
+            ):
+                report["tensor"]["passed"] = False
+                report["tensor"]["failures"].append({"left": [k1, l1], "right": [k2, l2]})
+    report["asserted_passed"] = all(
+        entry["passed"] for kind in ("unit", "adjoint", "frobenius") for entry in report[kind]
+    )
+    return report
+
+
+# Every saturation grid of the oracle-checks batch: (oracle, |I|, bound).
+SATURATION_GRIDS = [
+    (literal, members, bound)
+    for literal, size, bound in (
+        ("SN(3)", 2, 3),
+        ("HN(3)", 2, 3),
+        ("SN(4)", 2, 2),
+        ("dualZ2(3)", 1, 2),
+        ("dualS3(12,13,23)", 1, 2),
+    )
+    for members in combinations(range(parse_oracle(literal).N), size)
+]
+_SOURCES = {}
+
+
+def _fxi_grid(literal, members, bound) -> dict:
+    source = _SOURCES.setdefault(literal, parse_oracle(literal))
+    real = OracleRealization(source, IndexSet.of(source.N, members))
+    return {cell: fxi_space(real, *cell) for cell in grid_cells(bound)}
+
+
+@pytest.mark.parametrize("literal,members,bound", SATURATION_GRIDS)
+def test_fxi_axiom_report_matches_reference(literal, members, bound):
+    spaces = _fxi_grid(literal, members, bound)
+    assert axiom_report(spaces) == ref_axiom_report(spaces)
+
+
+@pytest.mark.parametrize(
+    "source,bound", [(OracleGroup.symmetric(3), 3), (CategorySpec("O", 3), 4)], ids=["SN3", "O3"]
+)
+def test_hom_axiom_report_matches_reference(source, bound):
+    spaces = {cell: hom_operator_space(source, *cell) for cell in grid_cells(bound)}
+    report = axiom_report(spaces)
+    assert report == ref_axiom_report(spaces)
+    assert report["composition"]["checked"] and report["tensor"]["checked"]
+
+
+def test_one_corrupted_equation_breaks_the_comparison(monkeypatch):
+    spaces = _fxi_grid("SN(3)", (0, 1), 2)
+    reference = ref_axiom_report(spaces)
+    assert axiom_report(spaces) == reference
+    space = spaces[("o", "o")]
+    first, *rest = space.equations
+    corrupted = [first[0] + 1, *first[1:]]  # the identity now breaks it at entry (0, 0)
+    monkeypatch.setitem(space.__dict__, "equations", (corrupted, *rest))
+    report = axiom_report(spaces)
+    assert report != reference
+    assert not report["asserted_passed"]
+
+
+def _independent(rows) -> list:
+    span = Echelon()
+    return [row for row in rows if span.add(row)]
+
+
+@st.composite
+def _space_and_matrix(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 2))
+    l = draw(st.integers(0, 3 - k))
+    size = n ** (k + l)
+    entry = st.integers(-2, 2)
+    shape = draw(st.sampled_from(["empty", "full", "random"]))
+    if shape == "empty":
+        rows = []
+    elif shape == "full":
+        rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    else:
+        rows = _independent(
+            draw(st.lists(st.lists(entry, min_size=size, max_size=size), max_size=size))
+        )
+    basis = tuple(ExactMatrix(n**l, n**k, row) for row in rows)
+    space = OperatorSpace("o" * k, "o" * l, n, basis, "hom-space")
+    if rows and draw(st.booleans()):  # a member: an integer combination of the basis
+        coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        x = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(size)]
+    else:
+        x = draw(st.lists(entry, min_size=size, max_size=size))
+    return space, ExactMatrix(n**l, n**k, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_space_and_matrix())
+def test_contains_matches_echelon_reduce(case):
+    space, T = case
+    assert space.contains(T) == _Reference().contains(space, T)
+
+
+@st.composite
+def _random_grid(draw):
+    """Arbitrary spaces on every cell of the N = 2, bound 2 grid, so that
+    tensor closure and dimension-0 targets fail too."""
+    spaces = {}
+    for kw, lw in grid_cells(2):
+        size = 2 ** len(kw + lw)
+        rows = _independent(
+            draw(st.lists(st.lists(st.integers(-1, 1), min_size=size, max_size=size),
+                          max_size=size))
+        )
+        basis = tuple(ExactMatrix(2 ** len(lw), 2 ** len(kw), row) for row in rows)
+        spaces[(kw, lw)] = OperatorSpace(kw, lw, 2, basis, "hom-space")
+    return spaces
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_grid())
+def test_arbitrary_grid_axiom_report_matches_reference(spaces):
+    assert axiom_report(spaces) == ref_axiom_report(spaces)

@@ -232,19 +232,37 @@ def test_negative_verify_bounds_exit_2(capsys, flag, suite_args):
     assert err.startswith("error: ")
 
 
-def test_module_invocation_smoke():
+def _child_env() -> dict:
     # the child runs the qhs under test, installed or not
     src = os.path.dirname(os.path.dirname(qhs.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "qhs", "integrate-g", "--spec", "S(3)",
          "--word", "o", "--row", "1", "--col", "1"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "1/3"
+
+
+def test_saturation_guard_fires_before_any_space_is_built():
+    # 3^8 unknowns exceed the guard; building the cells of length <= 7 first takes minutes
+    proc = subprocess.run(
+        [sys.executable, "-m", "qhs", "verify", "--suite", "saturation", "--oracle", "SN(3)",
+         "--I", "1,2", "--bounds", "8"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=5,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource-guard-exceeded:")
 
 
 def test_verify_failure_exit_code_is_one(capsys, monkeypatch):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qhs.exact import (
+    DomainError,
     Echelon,
     ExactMatrix,
     ExactTensor,
     ScaleBaseError,
     ScaledScalar,
     SingularGramError,
+    check_index,
     invert,
     rank,
     rank_nullspace,
@@ -98,12 +100,12 @@ def test_scaled_json_roundtrip():
 
 
 def test_rank_nullspace_identity():
-    r, null = rank_nullspace(ExactMatrix.identity(2))
+    r, null, _ = rank_nullspace(ExactMatrix.identity(2))
     assert r == 2 and null == []
 
 
 def test_rank_nullspace_rank_one():
-    r, null = rank_nullspace(ExactMatrix.from_rows([[1, 1], [1, 1]]))
+    r, null, _ = rank_nullspace(ExactMatrix.from_rows([[1, 1], [1, 1]]))
     assert r == 1
     assert len(null) == 1
     assert null[0].entries == (Fraction(1), Fraction(-1))
@@ -168,7 +170,7 @@ def test_rank_plus_nullity_and_exact_kernel(rows, cols, data):
         st.lists(small_entries, min_size=rows * cols, max_size=rows * cols)
     )
     m = ExactMatrix(rows, cols, entries)
-    r, null = rank_nullspace(m)
+    r, null, _ = rank_nullspace(m)
     assert r + len(null) == cols
     for v in null:
         assert (m * v).is_zero()
@@ -316,9 +318,11 @@ def test_one_routine_matches_reference_eliminations(rows, cols, data):
     )
     m = ExactMatrix(rows, cols, entries)
     ref_rank, ref_null = _ref_rank_nullspace(m)
-    rk, null = rank_nullspace(m)
-    assert rk == ref_rank == rank(m)
+    rk, null, reduced = rank_nullspace(m)
+    assert rk == ref_rank == rank(m) == len(reduced)
     assert [v.entries for v in null] == ref_null
+    assert all(isinstance(x, int) for row in reduced for x in row)
+    assert all(sum(a * b for a, b in zip(row, v.entries)) == 0 for row in reduced for v in null)
     span = Echelon()
     keep = tuple(t for t, row in enumerate(m.to_rows()) if span.add(row))
     assert keep == _ref_greedy_keep(m.to_rows())
@@ -331,3 +335,37 @@ def test_one_routine_matches_reference_eliminations(rows, cols, data):
         assert err.value.rank == expected
     else:
         assert invert(square).entries == expected
+
+
+def _ref_check_index(idx, k: int, n: int, what: str = "index") -> tuple:
+    """The generator-through-`all` predicate check_index replaced."""
+    idx = tuple(idx)
+    if len(idx) != k:
+        raise DomainError(f"{what} must have length {k}, got {len(idx)}")
+    if not all(isinstance(i, int) and 0 <= i < n for i in idx):
+        raise DomainError(f"{what} out of range 0..{n - 1}: {idx}")
+    return idx
+
+
+def _outcome(check, *args):
+    try:
+        result = check(*args)
+    except DomainError as exc:
+        return "rejected", str(exc)
+    return "accepted", result, [type(i) for i in result]
+
+
+_INDEX_ENTRY = st.one_of(
+    st.integers(-2, 6), st.booleans(), st.floats(allow_nan=False), st.fractions(),
+    st.text(max_size=2), st.none(),
+)
+
+
+@given(st.lists(st.integers(-1, 5), max_size=5) | st.lists(_INDEX_ENTRY, max_size=5),
+       st.sampled_from([0, 0, 0, -1, 1]), st.integers(1, 5),
+       st.sampled_from([tuple, list, iter]))
+def test_check_index_matches_reference_predicate(entries, shift, n, wrap):
+    k = max(0, len(entries) + shift)
+    assert _outcome(check_index, wrap(entries), k, n, "row index") == _outcome(
+        _ref_check_index, wrap(entries), k, n, "row index"
+    )

@@ -2,6 +2,7 @@ import pytest
 
 from qhs.exact import ExactMatrix, ResourceGuardError
 from qhs.opspaces import (
+    OperatorSpace,
     axiom_report,
     fxi_space,
     grid_cells,
@@ -114,3 +115,36 @@ def test_report_is_json_serialisable():
 
     text = json.dumps(saturation_report(dual_real(), dual_z2(2), 1))
     assert "verdict" in text
+
+
+def test_fxi_equations_cut_out_the_space():
+    space = fxi_space(sn4_real(), "o", "o")
+    assert len(space.equations) + space.dimension == 16
+    assert all(isinstance(x, int) for e in space.equations for x in e)
+    for T in space.integer_basis:
+        assert all(isinstance(x, int) for x in T.entries)
+        assert all(sum(a * b for a, b in zip(e, T.entries)) == 0 for e in space.equations)
+
+
+def test_dimension_zero_space_holds_only_zero():
+    space = hom_operator_space(CategorySpec("O", 3), "", "o")
+    assert space.dimension == 0 and space.equations is None
+    assert space.contains(ExactMatrix.zeros(3, 1))
+    assert not space.contains(ExactMatrix(3, 1, (0, 0, 1)))
+
+
+def test_dependent_basis_rejected_at_first_membership_test():
+    T = ExactMatrix(2, 1, (1, 1))
+    space = OperatorSpace("", "o", 2, (T, ExactMatrix(2, 1, (2, 2))), "hom-space")
+    with pytest.raises(AssertionError, match="not independent"):
+        space.contains(T)
+
+
+def test_saturation_guard_checked_before_any_space_is_built(monkeypatch):
+    import qhs.opspaces as opspaces_mod
+
+    monkeypatch.setattr(opspaces_mod, "fxi_space", lambda *args: pytest.fail("built a space"))
+    group = OracleGroup.symmetric(3)
+    real = OracleRealization(group, IndexSet.parse("1,2", 3))
+    with pytest.raises(ResourceGuardError, match="6561"):
+        saturation_report(real, group, 8)
