@@ -509,10 +509,12 @@ def rank(matrix: ExactMatrix) -> int:
 def rank_nullspace(matrix: ExactMatrix):
     """Exact rank, a deterministic nullspace basis, and the reduced rows.
 
-    One basis vector per non-pivot column, in column order, each an (n x 1)
-    ExactMatrix normalised so its first nonzero coordinate is 1;
-    matrix * v == 0 exactly.  The rows are the reduced echelon form as
-    primitive integer vectors: v is in the nullspace iff every row
+    One basis vector per non-pivot column f, in column order, read off the
+    reduced rows without division: v[f] is the lcm L of the pivots of the
+    rows nonzero at f, and v[pc] = -row[f] * (L // row[pc]) for each such
+    row.  Each v is a tuple of ints, primitive, with its first nonzero entry
+    positive; matrix * v == 0 exactly.  The rows are the reduced echelon
+    form as primitive integer vectors: v is in the nullspace iff every row
     annihilates it.
     """
     span = Echelon(_matrix_rows(matrix))
@@ -520,17 +522,13 @@ def rank_nullspace(matrix: ExactMatrix):
     pivot_rows = list(zip(span.pivots, span.rows))
     basis = []
     for free in sorted(set(range(matrix.cols)).difference(span.pivots)):
-        v = [Fraction(0)] * matrix.cols
-        v[free] = Fraction(1)
-        for pc, row in pivot_rows:
-            if pc > free:
-                break
-            if row[free]:
-                v[pc] = Fraction(-row[free], row[pc])
-        lead = next(x for x in v if x)
-        if lead != 1:
-            v = [x / lead for x in v]
-        basis.append(ExactMatrix(matrix.cols, 1, v))
+        hits = [(pc, row) for pc, row in pivot_rows if row[free]]  # all have pc < free
+        scale = math.lcm(*(row[pc] for pc, row in hits))
+        v = [0] * matrix.cols
+        v[free] = scale
+        for pc, row in hits:
+            v[pc] = -row[free] * (scale // row[pc])
+        basis.append(tuple(_primitive(v, hits[0][0] if hits else free)))
     return len(span.pivots), basis, span.rows
 
 

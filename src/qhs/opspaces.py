@@ -25,14 +25,14 @@ from .exact import (
     ExactTensor,
     ResourceGuardError,
     flat_index,
-    integer_row,
     rank_nullspace,
 )
 from .frobenius import frobenius_to_fix, frobenius_to_hom
 from .oracle import OracleRealization, hom_space
 from .partitions import CategorySpec, colored_words, conjugate_word, fix_basis, partition_vector
 
-FXI_GUARD = 4096
+FXI_GUARD = 4096  # unknowns of one solution space
+GRID_GUARD = 16384  # unknowns summed over the cells of a saturation grid
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,6 @@ class OperatorSpace:
         return len(self.basis)
 
     @cached_property
-    def integer_basis(self) -> tuple:
-        """Each basis element times the common denominator of its entries."""
-        return tuple(ExactMatrix(T.rows, T.cols, integer_row(T.entries)) for T in self.basis)
-
-    @cached_property
     def equations(self):
         """Integer rows E with X in the space iff E vec(X) == 0; None for
         dimension 0, where the space is X == 0."""
@@ -63,11 +58,10 @@ class OperatorSpace:
             return None
         if self.equation_rows is not None:
             return self.equation_rows
-        stacked = ExactMatrix.from_rows(T.entries for T in self.integer_basis)
-        rank, null, _ = rank_nullspace(stacked)
+        rank, null, _ = rank_nullspace(ExactMatrix.from_rows(T.entries for T in self.basis))
         if rank < self.dimension:
             raise AssertionError("operator space basis is not independent")
-        return tuple(integer_row(v.entries) for v in null)
+        return tuple(null)
 
     def contains(self, T: ExactMatrix) -> bool:
         """Exact membership: T satisfies every defining equation."""
@@ -80,8 +74,7 @@ class OperatorSpace:
             )
         if self.equations is None:
             return T.is_zero()
-        x = integer_row(T.entries)
-        return not any(sum(map(mul, e, x)) for e in self.equations)
+        return not any(sum(map(mul, e, T.entries)) for e in self.equations)
 
 
 def _coordinate_products(c, n: int, length: int) -> list:
@@ -90,13 +83,6 @@ def _coordinate_products(c, n: int, length: int) -> list:
     for _ in range(length):
         prods = [p * c[t] if p else 0 for p in prods for t in range(n)]
     return prods
-
-
-def _guarded(unknowns: int) -> int:
-    if unknowns > FXI_GUARD:
-        msg = f"solution space over N^(k+l) = {unknowns} exceeds the guard {FXI_GUARD}"
-        raise ResourceGuardError(msg)
-    return unknowns
 
 
 def fxi_space(
@@ -112,7 +98,10 @@ def fxi_space(
     """
     n = real.N
     k, l = len(k_word), len(l_word)
-    unknowns = _guarded(n ** (k + l))
+    unknowns = n ** (k + l)
+    if unknowns > FXI_GUARD:
+        msg = f"solution space over N^(k+l) = {unknowns} exceeds the guard {FXI_GUARD}"
+        raise ResourceGuardError(msg)
     members = real.I.sorted_members
     cols_k = n**k
     # the positions of I^l x I^k, where the rhs sum of the relation reads T
@@ -150,7 +139,7 @@ def fxi_space(
             rows.append(row)
     system = ExactMatrix(len(rows), unknowns, [x for row in rows for x in row])
     _, null, equations = rank_nullspace(system)
-    basis = tuple(ExactMatrix(n**l, cols_k, vec.entries) for vec in null)
+    basis = tuple(ExactMatrix(n**l, cols_k, vec) for vec in null)
     return OperatorSpace(k_word, l_word, n, basis, "fxi-space", tuple(equations))
 
 
@@ -212,9 +201,9 @@ def _some_pair_fails(target, functional, contracted, others) -> bool:
     contracted with each element of `contracted` once; each pair then costs
     one dot product with the element of `others`."""
     rows, cols = others.N ** len(others.l_word), others.N ** len(others.k_word)
-    for X in contracted.integer_basis:
+    for X in contracted.basis:
         functionals = [functional(e, X, rows, cols) for e in target.equations]
-        for Y in others.integer_basis:
+        for Y in others.basis:
             if any(sum(map(mul, f, Y.entries)) for f in functionals):
                 return True
     return False
@@ -224,8 +213,8 @@ def _composition_fails(inner, outer, target) -> bool:
     if target.equations is None:  # dimension 0: every product S T must vanish
         return any(
             sum(map(mul, S.row(b), T.entries[c :: T.cols]))
-            for S in outer.integer_basis
-            for T in inner.integer_basis
+            for S in outer.basis
+            for T in inner.basis
             for b in range(S.rows)
             for c in range(T.cols)
         )
@@ -275,18 +264,18 @@ def axiom_report(spaces: dict) -> dict:
             report["unit"].append({"k": kw, "l": lw, "passed": ok})
         mirror = spaces.get((lw, kw))
         if mirror is not None:
-            ok = all(mirror.contains(T.transpose()) for T in space.integer_basis)
+            ok = all(mirror.contains(T.transpose()) for T in space.basis)
             report["adjoint"].append({"k": kw, "l": lw, "passed": ok})
         target = spaces.get(("", lw + conjugate_word(kw)))
         if target is not None:
             forward = all(
                 target.contains(frobenius_to_fix(T, kw, lw, n)[0].as_column())
-                for T in space.integer_basis
+                for T in space.basis
             )
             shape = (n,) * (len(kw) + len(lw))
             backward = all(
                 space.contains(frobenius_to_hom(ExactTensor(shape, col.entries), kw, lw, n))
-                for col in target.integer_basis
+                for col in target.basis
             )
             ok = forward and backward and space.dimension == target.dimension
             report["frobenius"].append({"k": kw, "l": lw, "passed": ok})
@@ -312,10 +301,16 @@ def axiom_report(spaces: dict) -> dict:
 def saturation_report(real: OracleRealization, hom_source, bound: int) -> dict:
     """Per grid cell: intertwiner dimension vs solution-space dimension,
     inclusion (a theorem; must hold) and equality (reported), plus the axiom
-    report on the solution grid and an overall verdict.  The largest cells
-    have N^bound unknowns, so the guard is checked before any space is built.
+    report on the solution grid and an overall verdict.  The (t+1) 2^t cells
+    with |k| + |l| == t have N^t unknowns each; their sum is checked against
+    the grid guard before any space is built.
     """
-    _guarded(real.N**bound)
+    total = 0
+    for t in range(bound + 1):
+        total += (t + 1) * (2 * real.N) ** t
+        if total > GRID_GUARD:
+            msg = f"grid cells with |k|+|l| <= {t} have {total} unknowns, exceeding the guard {GRID_GUARD}"
+            raise ResourceGuardError(msg)
     cells = grid_cells(bound)
     fxi = {cell: fxi_space(real, *cell) for cell in cells}
     hom = {cell: hom_operator_space(hom_source, *cell) for cell in cells}

@@ -459,7 +459,7 @@ def fixed_space(source, word: str) -> list:
     op = averaging_operator(source, key)
     delta = op - ExactMatrix.identity(op.rows)
     _, basis, _ = rank_nullspace(delta)
-    tensors = [ExactTensor((n,) * k, vec.entries) for vec in basis]
+    tensors = [ExactTensor((n,) * k, vec) for vec in basis]
     source._fixed[key] = tensors
     return tensors
 

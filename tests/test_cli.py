@@ -252,17 +252,19 @@ def test_module_invocation_smoke():
 
 
 def test_saturation_guard_fires_before_any_space_is_built():
-    # 3^8 unknowns exceed the guard; building the cells of length <= 7 first takes minutes
-    proc = subprocess.run(
-        [sys.executable, "-m", "qhs", "verify", "--suite", "saturation", "--oracle", "SN(3)",
-         "--I", "1,2", "--bounds", "8"],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-        timeout=5,
-    )
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("resource-guard-exceeded:")
+    # bound 8: 3^8 unknowns in one cell; bound 6: at most 3^6 = 729 per cell, but
+    # 380,713 summed over the grid, which ran past 100 s before the grid guard
+    for bound in ("8", "6"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qhs", "verify", "--suite", "saturation", "--oracle", "SN(3)",
+             "--I", "1,2", "--bounds", bound],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=5,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resource-guard-exceeded:")
 
 
 def test_verify_failure_exit_code_is_one(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from qhs.exact import (
     ScaledScalar,
     SingularGramError,
     check_index,
+    integer_row,
     invert,
     rank,
     rank_nullspace,
@@ -108,7 +110,7 @@ def test_rank_nullspace_rank_one():
     r, null, _ = rank_nullspace(ExactMatrix.from_rows([[1, 1], [1, 1]]))
     assert r == 1
     assert len(null) == 1
-    assert null[0].entries == (Fraction(1), Fraction(-1))
+    assert null[0] == (1, -1)
 
 
 def test_rank_of_pairing_gram_at_small_n():
@@ -173,7 +175,7 @@ def test_rank_plus_nullity_and_exact_kernel(rows, cols, data):
     r, null, _ = rank_nullspace(m)
     assert r + len(null) == cols
     for v in null:
-        assert (m * v).is_zero()
+        assert (m * ExactMatrix(cols, 1, v)).is_zero()
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())
@@ -320,9 +322,14 @@ def test_one_routine_matches_reference_eliminations(rows, cols, data):
     ref_rank, ref_null = _ref_rank_nullspace(m)
     rk, null, reduced = rank_nullspace(m)
     assert rk == ref_rank == rank(m) == len(reduced)
-    assert [v.entries for v in null] == ref_null
+    # the primitive integer form of each reference vector, entry for entry
+    assert null == [tuple(integer_row(v)) for v in ref_null]
+    for v in null:
+        assert all(isinstance(x, int) for x in v)
+        assert math.gcd(*v) == 1
+        assert next(x for x in v if x) > 0
     assert all(isinstance(x, int) for row in reduced for x in row)
-    assert all(sum(a * b for a, b in zip(row, v.entries)) == 0 for row in reduced for v in null)
+    assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in reduced for v in null)
     span = Echelon()
     keep = tuple(t for t, row in enumerate(m.to_rows()) if span.add(row))
     assert keep == _ref_greedy_keep(m.to_rows())

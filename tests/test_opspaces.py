@@ -9,7 +9,7 @@ from qhs.opspaces import (
     hom_operator_space,
     saturation_report,
 )
-from qhs.oracle import OracleGroup, OracleRealization, dual_z2
+from qhs.oracle import OracleGroup, OracleRealization, dual_z2, parse_oracle
 from qhs.partitions import CategorySpec
 from qhs.weingarten import IndexSet
 
@@ -121,7 +121,7 @@ def test_fxi_equations_cut_out_the_space():
     space = fxi_space(sn4_real(), "o", "o")
     assert len(space.equations) + space.dimension == 16
     assert all(isinstance(x, int) for e in space.equations for x in e)
-    for T in space.integer_basis:
+    for T in space.basis:
         assert all(isinstance(x, int) for x in T.entries)
         assert all(sum(a * b for a, b in zip(e, T.entries)) == 0 for e in space.equations)
 
@@ -146,5 +146,26 @@ def test_saturation_guard_checked_before_any_space_is_built(monkeypatch):
     monkeypatch.setattr(opspaces_mod, "fxi_space", lambda *args: pytest.fail("built a space"))
     group = OracleGroup.symmetric(3)
     real = OracleRealization(group, IndexSet.parse("1,2", 3))
-    with pytest.raises(ResourceGuardError, match="6561"):
+    with pytest.raises(ResourceGuardError, match="54121"):  # the cells with |k|+|l| <= 5
         saturation_report(real, group, 8)
+
+
+@pytest.mark.parametrize(
+    "literal, members, bound",
+    [("SN(3)", "1,2", 4), ("HN(3)", "1,2", 4), ("SN(3)", "1,2", 3), ("HN(3)", "1,2", 3),
+     ("SN(4)", "1,2", 2), ("dualZ2(3)", "1", 2), ("dualS3(12,13,23)", "1", 2)],
+)
+def test_saturation_grid_guard_passes_the_grids_in_use(monkeypatch, literal, members, bound):
+    import qhs.opspaces as opspaces_mod
+
+    class Built(Exception):
+        pass
+
+    def first_space(*args):
+        raise Built
+
+    monkeypatch.setattr(opspaces_mod, "fxi_space", first_space)
+    source = parse_oracle(literal)
+    real = OracleRealization(source, IndexSet.parse(members, source.N))
+    with pytest.raises(Built):
+        saturation_report(real, source, bound)

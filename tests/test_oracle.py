@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -230,6 +231,13 @@ def test_generic_rational_group_uses_dense_paths():
     # invariant-space dimensions are conjugation invariants of S_3
     assert len(fixed_space(group, "o")) == 1
     assert len(fixed_space(group, "oo")) == 2
+    # Fraction rows in, primitive integer invariant vectors out
+    for word in ("o", "oo"):
+        op = averaging_operator(group, word)
+        for xi in fixed_space(group, word):
+            assert all(isinstance(x, int) for x in xi.entries)
+            assert math.gcd(*xi.entries) == 1
+            assert op * xi.as_column() == xi.as_column()
 
 
 def cyclic_dual(order, generators):
