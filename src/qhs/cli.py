@@ -189,6 +189,11 @@ def _symmetric_spec(args, suite: str) -> CategorySpec:
     return spec
 
 
+def _scaled_text(value: dict) -> str:
+    """A ScaledScalar's JSON form as text: q, or q*m^(-1/2)."""
+    return value["q"] if value["s"] == 0 else f"{value['q']}*{value['m']}^(-1/2)"
+
+
 def _check(checks, name, passed, detail=""):
     entry = {"name": name, "passed": bool(passed)}
     if detail:
@@ -369,7 +374,12 @@ def _suite_ergodicity(args) -> dict:
     checks = []
     for word in colored_words(max_k):
         report = ergodicity_check(spec, I, word)
-        _check(checks, f"word({word or 'empty'})", report["passed"])
+        bad = report["counterexample"]
+        detail = ""
+        if bad is not None:
+            row = ",".join(map(str, bad["row"]))
+            detail = f"row ({row}): lhs {_scaled_text(bad['lhs'])}, rhs {_scaled_text(bad['rhs'])}"
+        _check(checks, f"word({word or 'empty'})", report["passed"], detail)
     return _suite_report(
         "ergodicity", {"spec": str(spec), "I": str(I), "max_k": max_k}, checks
     )
@@ -388,9 +398,23 @@ def _suite_relations(args) -> dict:
         ("hom", relations_hom(spec, I, max_k, max_l)),
     ):
         report = verify_relations(system, real)
-        _check(checks, f"{name}-form", report["passed"])
+        failed = [rel for rel in report["relations"] if not rel["passed"]]
+        detail = ""
+        if failed:
+            rel = failed[0]
+            found = ", ".join(f"{key} {value}" for key, value in rel["witness"].items())
+            detail = f"relation {rel['index']} {rel['left_word']!r}|{rel['right_word']!r}: {found}"
+        _check(checks, f"{name}-form", report["passed"], detail)
     span = med_spans_max(spec, I, max_k)
-    _check(checks, "max-rows-in-med-span", span["passed"])
+    outside = [entry for entry in span["words"] if not entry["contained"]]
+    detail = ""
+    if outside:
+        entry = outside[0]
+        detail = (
+            f"word {entry['word']!r}: rank_med {entry['rank_med']},"
+            f" rank_stacked {entry['rank_stacked']}"
+        )
+    _check(checks, "max-rows-in-med-span", span["passed"], detail)
     return _suite_report(
         "relations",
         {"spec": str(spec), "I": str(I), "max_k": max_k, "max_l": max_l},

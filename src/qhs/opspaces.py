@@ -90,11 +90,12 @@ def fxi_space(
 ) -> OperatorSpace:
     """All operators whose relation holds over the realization, exactly.
 
-    One homogeneous linear equation per evaluation point: group elements for
-    classical oracles, regular-representation entries (bucketed per group
-    element, which spans the same constraints) for duals; their reduced rows are
-    the space's defining equations.  `points` restricts the classical
-    evaluation points; used by the monotonicity diagnostics.
+    One homogeneous linear equation per evaluation point: the distinct
+    coordinate vectors of the group elements for classical oracles,
+    regular-representation entries (bucketed per group element, which spans
+    the same constraints) for duals; their reduced rows are the space's
+    defining equations.  `points` restricts the classical evaluation points;
+    used by the monotonicity diagnostics.
     """
     n = real.N
     k, l = len(k_word), len(l_word)
@@ -112,7 +113,8 @@ def fxi_space(
         coords = real.source.coordinate_table(real.I)
         if points is not None:
             coords = [coords[p] for p in points]
-        for c in coords:
+        # one row per distinct c: repeated rows leave the reduced rows unchanged
+        for c in dict.fromkeys(coords):
             prods_k = _coordinate_products(c, n, k)
             row = [pl * pk for pl in _coordinate_products(c, n, l) for pk in prods_k]
             for pos in admissible:

@@ -55,6 +55,20 @@ def _is_orthogonal(mat: ExactMatrix) -> bool:
     return (mat * mat.transpose()).is_identity()
 
 
+def monomial_form(g: ExactMatrix):
+    """(row_of_column, value_of_column) tuples when every column of g has
+    exactly one nonzero entry, else None."""
+    rows = []
+    vals = []
+    for c in range(g.cols):
+        nz = [(r, g.at(r, c)) for r in range(g.rows) if g.at(r, c) != 0]
+        if len(nz) != 1:
+            return None
+        rows.append(nz[0][0])
+        vals.append(nz[0][1])
+    return tuple(rows), tuple(vals)
+
+
 class OracleGroup:
     """A finite group of exact orthogonal N x N matrices, fully enumerated."""
 
@@ -135,26 +149,16 @@ class OracleGroup:
         return cls.from_generators(gens, name=f"HN({n})", cap=cap)
 
     def monomial_forms(self):
-        """Per element: (row_of_column, value_of_column) tuples, or None if the
-        group is not monomial (some column with != 1 nonzero entry)."""
+        """Per element its monomial_form, or None if some element has none."""
         if self._monomial_checked:
             return self._monomial_forms
         forms = []
         for g in self.elements:
-            rows = []
-            vals = []
-            ok = True
-            for c in range(self.N):
-                nz = [(r, g.at(r, c)) for r in range(self.N) if g.at(r, c) != 0]
-                if len(nz) != 1:
-                    ok = False
-                    break
-                rows.append(nz[0][0])
-                vals.append(nz[0][1])
-            if not ok:
+            form = monomial_form(g)
+            if form is None:
                 forms = None
                 break
-            forms.append((tuple(rows), tuple(vals)))
+            forms.append(form)
         self._monomial_forms = forms
         self._monomial_checked = True
         return forms

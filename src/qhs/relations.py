@@ -12,18 +12,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import compress, product
+from math import lcm
+from operator import mul
 
 from .exact import (
     ExactMatrix,
     IncompatibleOracleError,
+    ParseError,
     ScaledScalar,
     flat_index,
     multi_indices,
     rank,
 )
 from .frobenius import frobenius_to_hom
-from .oracle import GroupDualData, OracleRealization
+from .oracle import GroupDualData, OracleRealization, monomial_form
 from .partitions import (
     BLACK,
     CategorySpec,
@@ -165,19 +169,6 @@ def relations_hom(
     return RelationSystem(spec, I, "hom-form", tuple(rels))
 
 
-def _decoded_nonzeros(T: ExactMatrix, n: int, l: int, k: int) -> list:
-    """(row tuple + col tuple, value) for the nonzero coefficients."""
-    cols_dec = list(multi_indices(n, k))
-    out = []
-    for r, dr in enumerate(multi_indices(n, l)):
-        base = r * T.cols
-        for c, dc in enumerate(cols_dec):
-            val = T.entries[base + c]
-            if val:
-                out.append((dr + dc, val))
-    return out
-
-
 def _apply_tensor_power(g: ExactMatrix, entries, n: int, k: int) -> list:
     """Push a flat N^k tensor through g tensor ... tensor g, one axis at a time."""
     columns = [[(r, g.at(r, c)) for r in range(n) if g.at(r, c)] for c in range(n)]
@@ -195,12 +186,37 @@ def _apply_tensor_power(g: ExactMatrix, entries, n: int, k: int) -> list:
     return out
 
 
+def _signed_index_map(form, n: int, k: int) -> tuple:
+    """(img, sign) with (g tensor ... tensor g) e_f = sign[f] e_img[f] on N^k,
+    for g of monomial form (row_of_column, value_of_column)."""
+    rows, vals = form
+    img, sign = [0], [1]
+    for _ in range(k):
+        img = [f * n + rows[c] for f in img for c in range(n)]
+        sign = [s * vals[c] for s in sign for c in range(n)]
+    return img, sign
+
+
+def _fixes(g: ExactMatrix, action, vec, support, n: int, k: int) -> bool:
+    """g tensor ... tensor g fixes the flat N^k tensor vec.  A signed index
+    map is checked on the support only: as a bijection of flat indices that
+    maps the support into itself, it maps the support onto itself."""
+    if action is None:
+        return _apply_tensor_power(g, vec, n, k) == list(vec)
+    img, sign = action
+    at = vec.__getitem__
+    moved = map(at, map(img.__getitem__, support))
+    return list(moved) == list(map(mul, map(sign.__getitem__, support), map(at, support)))
+
+
 def _check_compatible(system: RelationSystem, real: OracleRealization):
     """The oracle must fix every category basis vector used by the system.
 
     Checked exactly at every word length.  A vector fixed by each generator
     is fixed by the whole group, so classical oracles are checked on their
-    generators; duals are checked through the word values.
+    generators: as signed permutations of flat indices where a generator has
+    one nonzero entry per column, densely otherwise.  Duals are checked
+    through the word values.
     """
     spec = system.spec
     if real.N != spec.N:
@@ -213,20 +229,28 @@ def _check_compatible(system: RelationSystem, real: OracleRealization):
     )
     source = real.source
     n = spec.N
+    if real.classical:
+        forms = [monomial_form(g) for g in source.generators]
+        actions = {}  # word length -> per generator its signed index map, or None
     for word in words:
         k = len(word)
+        if real.classical and k not in actions:
+            actions[k] = [
+                None if form is None else _signed_index_map(form, n, k) for form in forms
+            ]
         for part in gram_weingarten(spec, word).basis.selected:
-            vec = partition_vector(part, n)
+            vec = partition_vector(part, n).entries
             if real.classical:
+                support = list(compress(range(len(vec)), vec))
                 fixed = all(
-                    _apply_tensor_power(g, vec.entries, n, k) == list(vec.entries)
-                    for g in source.generators
+                    _fixes(g, action, vec, support, n, k)
+                    for g, action in zip(source.generators, actions[k])
                 )
             else:
                 fixed = all(
                     source.word_value(word, idx) == source.identity
                     for flat, idx in enumerate(multi_indices(n, k))
-                    if vec.entries[flat]
+                    if vec[flat]
                 )
             if not fixed:
                 kind = "oracle" if real.classical else "dual oracle"
@@ -235,27 +259,58 @@ def _check_compatible(system: RelationSystem, real: OracleRealization):
                 )
 
 
-def _verify_classical(rel: Relation, real: OracleRealization):
+def _support_terms(c, support, n: int, length: int) -> tuple:
+    """(flats, weights): for every i in support^length its flat index in
+    N^length and the product c[i_1] ... c[i_length]."""
+    terms = [(0, 1)]
+    for _ in range(length):
+        terms = [(f * n + t, w * c[t]) for f, w in terms for t in support]
+    return tuple(f for f, _ in terms), tuple(w for _, w in terms)
+
+
+def _over_common_denominator(entries) -> tuple:
+    """(numerators, D): integer numerators of the entries over their least
+    common denominator D, so that sums over them run in integers."""
+    if set(map(type, entries)) <= {int}:
+        return entries, 1
+    denominator = lcm(*{x.denominator for x in entries})
+    return tuple(x.numerator * (denominator // x.denominator) for x in entries), denominator
+
+
+def _classical_verifier(real: OracleRealization):
+    """verify_one for a classical realization.
+
+    g is seen only through c, which vanishes outside its support S, so a
+    relation's lhs at c is the sum of T[flat(i)] c[i_1]...c[i_(l+k)] over
+    i in S^(l+k).  The distinct c are read once, in order of first
+    appearance, so the first failing c holds the first failing element;
+    their (flat, weight) terms are built once per length.
+    """
     n = real.N
-    l, k = len(rel.left_word), len(rel.right_word)
-    nz = _decoded_nonzeros(rel.coefficients, n, l, k)
-    rhs_q = rel.rhs.rescale(k + l)
-    # g is seen only through c: the first failing c holds the first failing g
     first = {}
     for gi, c in enumerate(real.source.coordinate_table(real.I)):
         first.setdefault(c, gi)
-    for c, gi in first.items():
-        acc = Fraction(0)
-        for idx, val in nz:
-            for t in idx:
-                val *= c[t]
-                if not val:
-                    break
-            else:
-                acc += val
-        if acc != rhs_q:
-            return False, {"element": gi, "lhs_scaled": str(acc), "rhs_scaled": str(rhs_q)}
-    return True, None
+    points = [(gi, c, [t for t, x in enumerate(c) if x]) for c, gi in first.items()]
+    terms = {}
+
+    def verify(rel: Relation):
+        size = len(rel.left_word) + len(rel.right_word)
+        if size not in terms:
+            terms[size] = [
+                (gi, *_support_terms(c, support, n, size)) for gi, c, support in points
+            ]
+        rhs_q = rel.rhs.rescale(size)
+        numerators, denominator = _over_common_denominator(rel.coefficients.entries)
+        target = rhs_q * denominator
+        read = numerators.__getitem__
+        for gi, flats, weights in terms[size]:
+            lhs = sum(map(mul, map(read, flats), weights))
+            if lhs != target:
+                lhs = Fraction(lhs, denominator)
+                return False, {"element": gi, "lhs_scaled": str(lhs), "rhs_scaled": str(rhs_q)}
+        return True, None
+
+    return verify
 
 
 def _verify_dual(rel: Relation, real: OracleRealization):
@@ -303,11 +358,11 @@ def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
     if system.I.sorted_members != real.I.sorted_members or system.I.N != real.I.N:
         raise IncompatibleOracleError("relation system and realization use different index sets")
     _check_compatible(system, real)
-    verify_one = _verify_classical if real.classical else _verify_dual
+    verify_one = _classical_verifier(real) if real.classical else partial(_verify_dual, real=real)
     entries = []
     all_passed = True
     for pos, rel in enumerate(system.relations):
-        passed, witness = verify_one(rel, real)
+        passed, witness = verify_one(rel)
         all_passed &= passed
         entry = {
             "index": pos,
@@ -363,11 +418,17 @@ def med_spans_max(spec: CategorySpec, I: IndexSet, max_k: int = 3) -> dict:
 
 
 def parse_relation_system(data: dict) -> RelationSystem:
+    """The system from its JSON form; every T must be N^l x N^k for its words."""
     spec = CategorySpec.parse(data["spec"])
     I = IndexSet.of(spec.N, [i - 1 for i in data["I"]])
-    return RelationSystem(
-        spec,
-        I,
-        data["provenance"],
-        tuple(Relation.from_json(rel) for rel in data["relations"]),
-    )
+    rels = tuple(Relation.from_json(rel) for rel in data["relations"])
+    n = spec.N
+    for pos, rel in enumerate(rels):
+        T = rel.coefficients
+        rows, cols = n ** len(rel.left_word), n ** len(rel.right_word)
+        if (T.rows, T.cols) != (rows, cols):
+            raise ParseError(
+                f"relation {pos}: T is {T.rows}x{T.cols}, but words "
+                f"{rel.left_word!r}, {rel.right_word!r} at N={n} need {rows}x{cols}"
+            )
+    return RelationSystem(spec, I, data["provenance"], rels)

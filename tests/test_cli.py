@@ -287,3 +287,49 @@ def test_internal_error_exits_4_without_traceback(capsys, cold_caches, corrupted
     assert code == 4
     assert out == ""
     assert err == "internal-error: weingarten inverse failed exactness check\n"
+
+
+def test_relations_suite_reports_the_first_witness(capsys, monkeypatch):
+    # the med-form rhs doubled: the relation fails at every element, so the
+    # witness is element 0 (the identity) with the true lhs beside it
+    import qhs.cli as cli_mod
+    from qhs.exact import ScaledScalar
+    from qhs.relations import Relation, RelationSystem
+
+    real_med = cli_mod.relations_med
+
+    def corrupted(spec, I, max_k):
+        system = real_med(spec, I, max_k)
+        rel = system.relations[0]
+        rhs = ScaledScalar(2 * rel.rhs.q, rel.rhs.s, rel.rhs.m)
+        bad = Relation(rel.left_word, rel.right_word, rel.coefficients, rhs)
+        return RelationSystem(system.spec, system.I, system.provenance, (bad,) + system.relations[1:])
+
+    monkeypatch.setattr(cli_mod, "relations_med", corrupted)
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "relations", "--spec", "S(3)", "--I", "1,2", "--max-k", "1"
+    )
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["med-form"] == {
+        "name": "med-form",
+        "passed": False,
+        "detail": "relation 0 'o'|'': element 0, lhs_scaled 2, rhs_scaled 4",
+    }
+    assert checks["max-form"] == {"name": "max-form", "passed": True}
+
+
+def test_ergodicity_suite_reports_the_first_witness(capsys, monkeypatch, cold_caches):
+    # every space moment doubled: the lhs of each first row doubles too
+    import qhs.weingarten as weingarten
+
+    real_moment = weingarten._space_moment
+    monkeypatch.setattr(weingarten, "_space_moment", lambda *args: 2 * real_moment(*args))
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "ergodicity", "--spec", "S(3)", "--I", "1,2", "--max-k", "2"
+    )
+    assert code == 1
+    details = {c["name"]: c.get("detail") for c in json.loads(out)["checks"]}
+    assert details["word(empty)"] == "row (): lhs 2, rhs 1"
+    assert details["word(o)"] == "row (1): lhs 4/3*2^(-1/2), rhs 2/3*2^(-1/2)"
+    assert details["word(ob)"] == "row (1,1): lhs 2/3, rhs 1/3"

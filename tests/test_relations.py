@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -5,7 +6,7 @@ from math import prod
 
 import pytest
 
-from qhs.exact import DomainError, ExactMatrix, IncompatibleOracleError, ScaledScalar
+from qhs.exact import DomainError, ExactMatrix, IncompatibleOracleError, ParseError, ScaledScalar
 from qhs.frobenius import frobenius_to_fix, frobenius_to_hom
 from qhs.oracle import OracleGroup, OracleRealization, dual_z2
 from qhs.partitions import CategorySpec, parse_partition, partition_vector
@@ -281,3 +282,17 @@ def test_relation_system_json_roundtrip():
     data = system.to_json()
     back = parse_relation_system(data)
     assert back.to_json() == data
+
+
+def test_parse_rejects_coefficients_of_the_wrong_shape():
+    data = relations_med(S3, IndexSet.parse("1,2", 3), 2).to_json()
+    pos = next(p for p, rel in enumerate(data["relations"]) if rel["left_word"] == "oo")
+    assert len(data["relations"][pos]["T"]) == 9
+    relabelled = json.loads(json.dumps(data))
+    relabelled["relations"][pos].update(left_word="o", right_word="o")
+    with pytest.raises(ParseError, match=rf"relation {pos}: T is 9x1, .* need 3x3"):
+        parse_relation_system(relabelled)
+    truncated = json.loads(json.dumps(data))
+    del truncated["relations"][pos]["T"][-1]
+    with pytest.raises(ParseError, match=rf"relation {pos}: T is 8x1, .* need 9x1"):
+        parse_relation_system(truncated)
