@@ -17,14 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 from operator import mul
 
 from .exact import (
     ExactMatrix,
     ExactTensor,
     ResourceGuardError,
-    flat_index,
     rank_nullspace,
 )
 from .frobenius import frobenius_to_fix, frobenius_to_hom
@@ -77,25 +75,16 @@ class OperatorSpace:
         return not any(sum(map(mul, e, T.entries)) for e in self.equations)
 
 
-def _coordinate_products(c, n: int, length: int) -> list:
-    """prods[flat(i)] = c[i_1] * ... * c[i_length]."""
-    prods = [1]
-    for _ in range(length):
-        prods = [p * c[t] if p else 0 for p in prods for t in range(n)]
-    return prods
-
-
 def fxi_space(
     real: OracleRealization, k_word: str, l_word: str, points=None
 ) -> OperatorSpace:
     """All operators whose relation holds over the realization, exactly.
 
-    One homogeneous linear equation per evaluation point: the distinct
-    coordinate vectors of the group elements for classical oracles,
-    regular-representation entries (bucketed per group element, which spans
-    the same constraints) for duals; their reduced rows are the space's
-    defining equations.  `points` restricts the classical evaluation points;
-    used by the monotonicity diagnostics.
+    One homogeneous linear equation per evaluation functional of the
+    realization (`OracleRealization.functionals`), minus the rhs sum a_T at
+    the points where it is due; their reduced rows are the space's defining
+    equations.  `points` restricts the classical evaluation points; used by
+    the monotonicity diagnostics.
     """
     n = real.N
     k, l = len(k_word), len(l_word)
@@ -103,42 +92,19 @@ def fxi_space(
     if unknowns > FXI_GUARD:
         msg = f"solution space over N^(k+l) = {unknowns} exceeds the guard {FXI_GUARD}"
         raise ResourceGuardError(msg)
-    members = real.I.sorted_members
     cols_k = n**k
     # the positions of I^l x I^k, where the rhs sum of the relation reads T
     k_flats = real.I.flat_indices(k)
     admissible = [b * cols_k + c for b in real.I.flat_indices(l) for c in k_flats]
     rows = []
-    if real.classical:
-        coords = real.source.coordinate_table(real.I)
-        if points is not None:
-            coords = [coords[p] for p in points]
-        # one row per distinct c: repeated rows leave the reduced rows unchanged
-        for c in dict.fromkeys(coords):
-            prods_k = _coordinate_products(c, n, k)
-            row = [pl * pk for pl in _coordinate_products(c, n, l) for pk in prods_k]
+    for _, flats, weights, at_identity in real.functionals(k_word, l_word, points):
+        row = [0] * unknowns
+        for f, w in zip(flats, weights):
+            row[f] += w
+        if at_identity:
             for pos in admissible:
                 row[pos] -= 1
-            rows.append(row)
-    else:
-        dual = real.source
-        buckets = {dual.identity: []}  # the rhs row exists even when no word hits e
-        for b in product(members, repeat=l):
-            left = dual.word_value(l_word, b)
-            base = flat_index(b, n) * cols_k
-            for c in product(members, repeat=k):
-                gamma = dual.multiply(
-                    left, dual.invert(dual.word_value(k_word, c))
-                )
-                buckets.setdefault(gamma, []).append(base + flat_index(c, n))
-        for gamma, positions in buckets.items():  # any order: reduced rows and basis are canonical
-            row = [0] * unknowns
-            for pos in positions:
-                row[pos] += 1
-            if gamma == dual.identity:
-                for pos in admissible:
-                    row[pos] -= 1
-            rows.append(row)
+        rows.append(row)
     system = ExactMatrix(len(rows), unknowns, [x for row in rows for x in row])
     _, null, equations = rank_nullspace(system)
     basis = tuple(ExactMatrix(n**l, cols_k, vec) for vec in null)

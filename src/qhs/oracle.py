@@ -15,7 +15,8 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from functools import cached_property
+from itertools import compress, permutations, product
 
 from .exact import (
     ClosureCapError,
@@ -67,6 +68,17 @@ def monomial_form(g: ExactMatrix):
         rows.append(nz[0][0])
         vals.append(nz[0][1])
     return tuple(rows), tuple(vals)
+
+
+def signed_index_map(form, n: int, k: int) -> tuple:
+    """(img, sign) with (g tensor ... tensor g) e_f = sign[f] e_img[f] on N^k,
+    for g of monomial form (row_of_column, value_of_column)."""
+    rows, vals = form
+    img, sign = [0], [1]
+    for _ in range(k):
+        img = [f * n + rows[c] for f in img for c in range(n)]
+        sign = [s * vals[c] for s in sign for c in range(n)]
+    return img, sign
 
 
 class OracleGroup:
@@ -176,14 +188,10 @@ class OracleGroup:
         counts = {}
         forms = self.monomial_forms()
         if forms is not None:
-            for rows, vals in forms:
-                for j in product(range(n), repeat=k):
-                    val = 1
-                    for t in j:
-                        val *= vals[t]
-                    fi = flat_index((rows[t] for t in j), n)
-                    key = (fi, flat_index(j, n))
-                    counts[key] = counts.get(key, 0) + val
+            for form in forms:
+                img, sign = signed_index_map(form, n, k)
+                for f, (fi, val) in enumerate(zip(img, sign)):
+                    counts[fi, f] = counts.get((fi, f), 0) + val
         else:
             for g in self.elements:
                 for i in product(range(n), repeat=k):
@@ -453,16 +461,22 @@ def averaging_operator(source, word: str) -> ExactMatrix:
 
 
 def fixed_space(source, word: str) -> list:
-    """Exact basis of the invariant vectors: nullspace of (average - identity)."""
+    """Exact basis of the invariant vectors: nullspace of (average - identity).
+    A dual's average is diagonal, so that basis is the unit vectors at the
+    indices whose word value is e, in flat order; no N^2k matrix is built."""
     check_word(word)
     key = WHITE * len(word) if isinstance(source, OracleGroup) else word
     if key in source._fixed:
         return source._fixed[key]
     n = source.N
     k = len(word)
-    op = averaging_operator(source, key)
-    delta = op - ExactMatrix.identity(op.rows)
-    _, basis, _ = rank_nullspace(delta)
+    if isinstance(source, OracleGroup):
+        op = averaging_operator(source, key)
+        _, basis, _ = rank_nullspace(op - ExactMatrix.identity(op.rows))
+    else:
+        values = (source.word_value(word, idx) for idx in product(range(n), repeat=k))
+        hits = [f for f, value in enumerate(values) if value == source.identity]
+        basis = [(0,) * hit + (1,) + (0,) * (n**k - hit - 1) for hit in hits]
     tensors = [ExactTensor((n,) * k, vec) for vec in basis]
     source._fixed[key] = tensors
     return tensors
@@ -562,7 +576,7 @@ class OracleRealization:
         self.I.require_N(self.source.N, "oracle")
         if isinstance(self.source, OracleGroup):
             m = self.I.m
-            for c in self.source.coordinate_table(self.I):
+            for _, c, _ in self.points:
                 if sum(x * x for x in c) != m:
                     raise DomainError("sphere normalisation fails on the oracle")
         else:
@@ -579,6 +593,60 @@ class OracleRealization:
     @property
     def classical(self) -> bool:
         return isinstance(self.source, OracleGroup)
+
+    @cached_property
+    def points(self) -> tuple:
+        """Classical: (first element index, c, support of c) per distinct
+        coordinate vector c, in order of first appearance."""
+        first = {}
+        for gi, c in enumerate(self.source.coordinate_table(self.I)):
+            first.setdefault(c, gi)
+        return tuple((gi, c, tuple(compress(range(len(c)), c))) for c, gi in first.items())
+
+    def functionals(self, k_word: str, l_word: str, points=None) -> list:
+        """The relation of the words (k, l) at each evaluation point.
+
+        Per point (label, flats, weights, at_identity): T satisfies the
+        relation there iff sum_j weights[j] * T.entries[flats[j]] equals
+        m^((k+l)/2) times the rhs when at_identity, and 0 otherwise.
+        Classical: per entry of `points` (optionally restricted to the
+        vectors of the listed element indices), labelled by its element; c
+        vanishes off its support S, so the terms run over S^(l+k) with
+        weights c[i_1] ... c[i_(l+k)].  Dual: per group element l(b) k(c)^-1
+        reached from I^l x I^k, in order of first appearance, then e if
+        none reaches it; labelled by its index, every weight 1.
+        """
+        n = self.N
+        if self.classical:
+            chosen = self.points
+            if points is not None:
+                wanted = {self.source.coordinate_table(self.I)[p] for p in points}
+                chosen = [point for point in chosen if point[1] in wanted]
+            out = []
+            for gi, c, support in chosen:
+                terms = [(0, 1)]
+                for _ in range(len(l_word) + len(k_word)):
+                    terms = [(f * n + t, w * c[t]) for f, w in terms for t in support]
+                out.append((gi, *zip(*terms), True))
+            return out
+        dual = self.source
+        members = self.I.sorted_members
+        cols = n ** len(k_word)
+        rights = [
+            (flat_index(c, n), dual.invert(dual.word_value(k_word, c)))
+            for c in product(members, repeat=len(k_word))
+        ]
+        reached = {}
+        for b in product(members, repeat=len(l_word)):
+            left = dual.word_value(l_word, b)
+            base = flat_index(b, n) * cols
+            for fc, right in rights:
+                reached.setdefault(dual.multiply(left, right), []).append(base + fc)
+        reached.setdefault(dual.identity, [])
+        return [
+            (dual.index[g], flats, (1,) * len(flats), g == dual.identity)
+            for g, flats in reached.items()
+        ]
 
     def moment(self, word: str, idx) -> ScaledScalar:
         if self.classical:

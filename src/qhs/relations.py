@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import compress, product
+from itertools import compress
 from math import lcm
 from operator import mul
 
@@ -22,12 +21,11 @@ from .exact import (
     IncompatibleOracleError,
     ParseError,
     ScaledScalar,
-    flat_index,
     multi_indices,
     rank,
 )
 from .frobenius import frobenius_to_hom
-from .oracle import GroupDualData, OracleRealization, monomial_form
+from .oracle import OracleRealization, monomial_form, signed_index_map
 from .partitions import (
     BLACK,
     CategorySpec,
@@ -106,17 +104,9 @@ def _trivial_relation(I: IndexSet) -> Relation:
 
 
 def relations_med(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSystem:
-    """One relation per selected invariant vector per word; the rhs is its K_vector entry."""
-    I.require_N(spec.N, "spec")
-    rels = []
-    if max_k == 0:
-        rels.append(_trivial_relation(I))
-    for word in _generator_words(spec, max_k):
-        parts = gram_weingarten(spec, word).basis.selected
-        for part, rhs in zip(parts, K_vector(spec, word, I)):
-            T = partition_vector(part, spec.N).as_column()
-            rels.append(Relation(word, "", T, rhs))
-    return RelationSystem(spec, I, "med-form", tuple(rels))
+    """One relation per selected invariant vector per word; the rhs is its
+    K_vector entry.  These are the hom-form relations with no right word."""
+    return RelationSystem(spec, I, "med-form", _two_sided(spec, I, 0, max_k))
 
 
 def relations_max(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSystem:
@@ -142,6 +132,11 @@ def relations_hom(
 ) -> RelationSystem:
     """Two-sided relations from the invariant vectors of l + conjugate(k),
     pushed through Frobenius duality."""
+    return RelationSystem(spec, I, "hom-form", _two_sided(spec, I, max_k, max_l))
+
+
+def _two_sided(spec: CategorySpec, I: IndexSet, max_k: int, max_l: int) -> tuple:
+    """The relations of relations_hom, by total length |k| + |l|, then |l|."""
     I.require_N(spec.N, "spec")
     rels = []
     if max_k == 0 and max_l == 0:
@@ -166,7 +161,7 @@ def relations_hom(
                     for part, rhs in zip(parts, K_vector(spec, fix_word, I)):
                         T = frobenius_to_hom(partition_vector(part, n), kw, lw, n)
                         rels.append(Relation(lw, kw, T, rhs))
-    return RelationSystem(spec, I, "hom-form", tuple(rels))
+    return tuple(rels)
 
 
 def _apply_tensor_power(g: ExactMatrix, entries, n: int, k: int) -> list:
@@ -184,17 +179,6 @@ def _apply_tensor_power(g: ExactMatrix, entries, n: int, k: int) -> list:
                     moved[base + r * stride] += coeff * val
         out = moved
     return out
-
-
-def _signed_index_map(form, n: int, k: int) -> tuple:
-    """(img, sign) with (g tensor ... tensor g) e_f = sign[f] e_img[f] on N^k,
-    for g of monomial form (row_of_column, value_of_column)."""
-    rows, vals = form
-    img, sign = [0], [1]
-    for _ in range(k):
-        img = [f * n + rows[c] for f in img for c in range(n)]
-        sign = [s * vals[c] for s in sign for c in range(n)]
-    return img, sign
 
 
 def _fixes(g: ExactMatrix, action, vec, support, n: int, k: int) -> bool:
@@ -236,7 +220,7 @@ def _check_compatible(system: RelationSystem, real: OracleRealization):
         k = len(word)
         if real.classical and k not in actions:
             actions[k] = [
-                None if form is None else _signed_index_map(form, n, k) for form in forms
+                None if form is None else signed_index_map(form, n, k) for form in forms
             ]
         for part in gram_weingarten(spec, word).basis.selected:
             vec = partition_vector(part, n).entries
@@ -259,15 +243,6 @@ def _check_compatible(system: RelationSystem, real: OracleRealization):
                 )
 
 
-def _support_terms(c, support, n: int, length: int) -> tuple:
-    """(flats, weights): for every i in support^length its flat index in
-    N^length and the product c[i_1] ... c[i_length]."""
-    terms = [(0, 1)]
-    for _ in range(length):
-        terms = [(f * n + t, w * c[t]) for f, w in terms for t in support]
-    return tuple(f for f, _ in terms), tuple(w for _, w in terms)
-
-
 def _over_common_denominator(entries) -> tuple:
     """(numerators, D): integer numerators of the entries over their least
     common denominator D, so that sums over them run in integers."""
@@ -277,108 +252,54 @@ def _over_common_denominator(entries) -> tuple:
     return tuple(x.numerator * (denominator // x.denominator) for x in entries), denominator
 
 
-def _classical_verifier(real: OracleRealization):
-    """verify_one for a classical realization.
-
-    g is seen only through c, which vanishes outside its support S, so a
-    relation's lhs at c is the sum of T[flat(i)] c[i_1]...c[i_(l+k)] over
-    i in S^(l+k).  The distinct c are read once, in order of first
-    appearance, so the first failing c holds the first failing element;
-    their (flat, weight) terms are built once per length.
-    """
-    n = real.N
-    first = {}
-    for gi, c in enumerate(real.source.coordinate_table(real.I)):
-        first.setdefault(c, gi)
-    points = [(gi, c, [t for t, x in enumerate(c) if x]) for c, gi in first.items()]
-    terms = {}
-
-    def verify(rel: Relation):
-        size = len(rel.left_word) + len(rel.right_word)
-        if size not in terms:
-            terms[size] = [
-                (gi, *_support_terms(c, support, n, size)) for gi, c, support in points
-            ]
-        rhs_q = rel.rhs.rescale(size)
-        numerators, denominator = _over_common_denominator(rel.coefficients.entries)
-        target = rhs_q * denominator
-        read = numerators.__getitem__
-        for gi, flats, weights in terms[size]:
-            lhs = sum(map(mul, map(read, flats), weights))
-            if lhs != target:
-                lhs = Fraction(lhs, denominator)
-                return False, {"element": gi, "lhs_scaled": str(lhs), "rhs_scaled": str(rhs_q)}
-        return True, None
-
-    return verify
-
-
-def _verify_dual(rel: Relation, real: OracleRealization):
-    dual: GroupDualData = real.source
-    I = real.I
-    n = real.N
-    l, k = len(rel.left_word), len(rel.right_word)
-    cols = rel.coefficients.cols
-    rhs_q = rel.rhs.rescale(k + l)
-    buckets = {}
-    for b in product(I.sorted_members, repeat=l):
-        base = flat_index(b, n) * cols
-        left = dual.word_value(rel.left_word, b)
-        for c in product(I.sorted_members, repeat=k):
-            val = rel.coefficients.entries[base + flat_index(c, n)]
-            if val:
-                gamma = dual.multiply(
-                    left, dual.invert(dual.word_value(rel.right_word, c))
-                )
-                buckets[gamma] = buckets.get(gamma, 0) + val
-    for gamma, coeff in buckets.items():
-        expected = rhs_q if gamma == dual.identity else 0
-        if coeff != expected:
-            return False, {
-                "group_element": dual.index[gamma],
-                "lhs_scaled": str(coeff),
-                "rhs_scaled": str(expected),
-            }
-    if dual.identity not in buckets and rhs_q != 0:
-        return False, {
-            "group_element": dual.index[dual.identity],
-            "lhs_scaled": "0",
-            "rhs_scaled": str(rhs_q),
-        }
-    return True, None
-
-
 def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
-    """Evaluate every relation exactly on the realization.
+    """Evaluate every relation exactly on the realization, through its
+    evaluation functionals (built once per word pair).
 
     Classical: the scalar identity must hold at every group element.  Dual:
-    the operator identity must hold in the regular representation.  Reports
-    pass/fail per relation with a witness for the first failure.
+    the operator identity must hold in the regular representation.  The
+    witness is the first failing point in functional order: the first
+    failing element, or on a dual the first failing group element in order
+    of first appearance over I^l x I^k (e last when no index reaches it).
     """
     if system.I.sorted_members != real.I.sorted_members or system.I.N != real.I.N:
         raise IncompatibleOracleError("relation system and realization use different index sets")
     _check_compatible(system, real)
-    verify_one = _classical_verifier(real) if real.classical else partial(_verify_dual, real=real)
+    label = "element" if real.classical else "group_element"
+    functionals = {}
     entries = []
-    all_passed = True
     for pos, rel in enumerate(system.relations):
-        passed, witness = verify_one(rel)
-        all_passed &= passed
+        words = (rel.right_word, rel.left_word)
+        if words not in functionals:
+            functionals[words] = real.functionals(*words)
+        rhs_q = rel.rhs.rescale(len(rel.left_word) + len(rel.right_word))
+        if real.classical:  # sums in integers; dual ones read T only on I^l x I^k
+            numerators, denominator = _over_common_denominator(rel.coefficients.entries)
+        else:
+            numerators, denominator = rel.coefficients.entries, 1
+        read = numerators.__getitem__
+        target = rhs_q * denominator
         entry = {
             "index": pos,
             "left_word": rel.left_word,
             "right_word": rel.right_word,
-            "passed": passed,
+            "passed": True,
         }
-        if witness is not None:
-            entry["witness"] = witness
+        for point, flats, weights, at_identity in functionals[words]:
+            lhs = sum(map(mul, map(read, flats), weights))
+            if lhs != (target if at_identity else 0):
+                lhs = Fraction(lhs, denominator)
+                expected = rhs_q if at_identity else 0
+                witness = {label: point, "lhs_scaled": str(lhs), "rhs_scaled": str(expected)}
+                entry.update(passed=False, witness=witness)
+                break
         entries.append(entry)
     return {
         "spec": str(system.spec),
         "I": str(system.I),
         "provenance": system.provenance,
         "oracle": getattr(real.source, "name", "oracle"),
-        "passed": all_passed,
+        "passed": all(entry["passed"] for entry in entries),
         "relations": entries,
     }
 

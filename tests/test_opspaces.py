@@ -1,6 +1,10 @@
-import pytest
+from fractions import Fraction
+from functools import cache
 
-from qhs.exact import ExactMatrix, ResourceGuardError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qhs.exact import ExactMatrix, ResourceGuardError, ScaledScalar
 from qhs.opspaces import (
     OperatorSpace,
     axiom_report,
@@ -11,6 +15,7 @@ from qhs.opspaces import (
 )
 from qhs.oracle import OracleGroup, OracleRealization, dual_z2, parse_oracle
 from qhs.partitions import CategorySpec
+from qhs.relations import Relation, RelationSystem, verify_relations
 from qhs.weingarten import IndexSet
 
 
@@ -66,6 +71,47 @@ def test_fxi_monotone_in_evaluation_points():
         dims.append(fxi_space(real, "", "oo", points=range(count)).dimension)
     assert dims == sorted(dims, reverse=True)
     assert dims[-1] == fxi_space(real, "", "oo").dimension
+
+
+# (oracle, a spec whose category vectors it fixes, I members)
+CONSUMERS = [("SN(3)", "S(3)", (0, 1)), ("HN(3)", "O(3)", (0, 2)), ("dualZ2(3)", "U(3)", (0, 1))]
+
+
+@cache
+def consumer_spaces(name, members, cell):
+    real = OracleRealization(parse_oracle(name), IndexSet.of(3, members))
+    return real, fxi_space(real, *cell), hom_operator_space(real.source, *cell)
+
+
+@st.composite
+def consumer_operators(draw):
+    """An integer combination of the solution-space and intertwiner bases,
+    sometimes with one entry moved, so that members and non-members both
+    occur; the intertwiners lie in the solution space by the paper's
+    inclusion, independently of how fxi_space computes it."""
+    name, spec_text, members = draw(st.sampled_from(CONSUMERS))
+    cell = draw(st.sampled_from(grid_cells(3)))
+    real, space, hom = consumer_spaces(name, members, cell)
+    rows, cols = 3 ** len(cell[1]), 3 ** len(cell[0])
+    entries = [0] * (rows * cols)
+    for X in space.basis + hom.basis:
+        scale = draw(st.integers(-2, 2))
+        entries = [v + scale * x for v, x in zip(entries, X.entries)]
+    if draw(st.booleans()):
+        entries[draw(st.integers(0, rows * cols - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+    return real, CategorySpec.parse(spec_text), cell, space, ExactMatrix(rows, cols, entries)
+
+
+@settings(max_examples=120, deadline=None)
+@given(consumer_operators())
+def test_fxi_space_and_verify_relations_agree(operator):
+    # both read the realization's evaluation functionals, one as rows of a
+    # linear system and one as dot products with T
+    real, spec, (k_word, l_word), space, T = operator
+    unscaled = Relation(l_word, k_word, T, ScaledScalar(Fraction(0), 0, real.I.m))
+    rel = Relation(l_word, k_word, T, unscaled.recompute_rhs(real.I))
+    report = verify_relations(RelationSystem(spec, real.I, "hom-form", (rel,)), real)
+    assert space.contains(T) == report["passed"]
 
 
 def test_hom_operator_space_sources_agree_for_sn4():

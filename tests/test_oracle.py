@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from qhs.exact import ClosureCapError, DomainError, ExactMatrix, ScaledScalar
+from qhs.exact import ClosureCapError, DomainError, ExactMatrix, ScaledScalar, rank_nullspace
 from qhs.oracle import (
     GroupDualData,
     OracleGroup,
@@ -24,6 +24,7 @@ from qhs.oracle import (
     orbit_moment,
     parse_oracle,
 )
+from qhs.partitions import colored_words
 from qhs.weingarten import IndexSet
 
 
@@ -106,6 +107,20 @@ def test_hom_space_dimensions():
     assert len(hom_space(OracleGroup.symmetric(3), "o", "o")) == 2
     assert len(hom_space(OracleGroup.hyperoctahedral(3), "o", "o")) == 1
     assert len(hom_space(OracleGroup.symmetric(3), "", "")) == 1
+
+
+@pytest.mark.parametrize("literal", ["dualZ2(3)", "dualZ2(4)", "dualS3(12,13,23)"])
+def test_dual_fixed_space_is_the_nullspace_of_the_average(literal):
+    # a dual's basis is read off the word values; the dense nullspace of
+    # (average - identity) is the definition it must reproduce exactly
+    dual = parse_oracle(literal)
+    for word in colored_words(3):
+        op = averaging_operator(dual, word)
+        _, basis, _ = rank_nullspace(op - ExactMatrix.identity(op.rows))
+        fixed = fixed_space(dual, word)
+        assert [xi.shape for xi in fixed] == [(dual.N,) * len(word)] * len(basis)
+        assert [xi.entries for xi in fixed] == basis
+        assert [list(map(type, xi.entries)) for xi in fixed] == [list(map(type, v)) for v in basis]
 
 
 def test_averaging_operator_idempotent():

@@ -1,23 +1,37 @@
-"""verify_relations against a reference evaluation.
+"""verify_relations against reference evaluations.
 
-The reference below is how `relations` verified classical realizations
+The classical reference is how `relations` verified classical realizations
 before it read coordinate vectors on their support: every nonzero
 coefficient is multiplied out at every group element, and compatibility
 pushes each dense category vector through g tensor ... tensor g for every
-generator.  Whole reports (verdicts and witnesses) and the messages of
+generator.  The dual reference is how it verified group duals before both
+kinds went through `OracleRealization.functionals`: coefficients on
+I^l x I^k are bucketed per group element l(b) k(c)^-1 in order of their
+first nonzero coefficient, with e checked last when no coefficient reaches
+it.  Whole reports (verdicts and witnesses) and the messages of
 IncompatibleOracleError must agree on permutation, signed-permutation,
-non-monomial and sign-flipping oracles, for the med, max and hom systems,
-also after a coefficient or a rhs is corrupted.
+non-monomial, sign-flipping and group-dual oracles, for the med, max and
+hom systems, also after a coefficient or a rhs is corrupted.  Where two
+points of a dual may fail, the witness rules differ (the library reports
+the first failing point in functional order), so only verdicts are
+compared there.
 """
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qhs.exact import ExactMatrix, IncompatibleOracleError, ScaledScalar, multi_indices
-from qhs.oracle import OracleGroup, OracleRealization
+from qhs.exact import (
+    ExactMatrix,
+    IncompatibleOracleError,
+    ScaledScalar,
+    flat_index,
+    multi_indices,
+)
+from qhs.oracle import OracleGroup, OracleRealization, parse_oracle
 from qhs.partitions import CategorySpec, conjugate_word, partition_vector
 from qhs.relations import (
     Relation,
@@ -55,15 +69,25 @@ def ref_check_compatible(system, real):
         key=lambda w: (len(w), w),
     )
     n = spec.N
+    source = real.source
     for word in words:
         k = len(word)
         for part in gram_weingarten(spec, word).basis.selected:
             vec = partition_vector(part, n).entries
-            if not all(
-                _apply_tensor_power(g, vec, n, k) == list(vec) for g in real.source.generators
-            ):
+            if real.classical:
+                fixed = all(
+                    _apply_tensor_power(g, vec, n, k) == list(vec) for g in source.generators
+                )
+            else:
+                fixed = all(
+                    source.word_value(word, idx) == source.identity
+                    for idx, val in zip(multi_indices(n, k), vec)
+                    if val
+                )
+            if not fixed:
+                kind = "oracle" if real.classical else "dual oracle"
                 raise IncompatibleOracleError(
-                    f"oracle does not fix the category vectors at word {word!r}"
+                    f"{kind} does not fix the category vectors at word {word!r}"
                 )
 
 
@@ -91,13 +115,45 @@ def ref_first_failure(rel, real):
     return None
 
 
+def ref_dual_failure(rel, real):
+    """Witness of the first failing bucket: coefficients on I^l x I^k summed
+    per group element l(b) k(c)^-1, in order of their first nonzero
+    coefficient, then e if no coefficient reaches it."""
+    dual, I, n = real.source, real.I, real.N
+    l, k = len(rel.left_word), len(rel.right_word)
+    cols = rel.coefficients.cols
+    rhs_q = rel.rhs.rescale(k + l)
+    buckets = {}
+    for b in product(I.sorted_members, repeat=l):
+        base = flat_index(b, n) * cols
+        left = dual.word_value(rel.left_word, b)
+        for c in product(I.sorted_members, repeat=k):
+            val = rel.coefficients.entries[base + flat_index(c, n)]
+            if val:
+                gamma = dual.multiply(left, dual.invert(dual.word_value(rel.right_word, c)))
+                buckets[gamma] = buckets.get(gamma, 0) + val
+    for gamma, coeff in buckets.items():
+        expected = rhs_q if gamma == dual.identity else 0
+        if coeff != expected:
+            return {
+                "group_element": dual.index[gamma],
+                "lhs_scaled": str(coeff),
+                "rhs_scaled": str(expected),
+            }
+    if dual.identity not in buckets and rhs_q != 0:
+        e = dual.index[dual.identity]
+        return {"group_element": e, "lhs_scaled": "0", "rhs_scaled": str(rhs_q)}
+    return None
+
+
 def ref_verify_relations(system, real):
     if system.I.sorted_members != real.I.sorted_members or system.I.N != real.I.N:
         raise IncompatibleOracleError("relation system and realization use different index sets")
     ref_check_compatible(system, real)
+    first_failure = ref_first_failure if real.classical else ref_dual_failure
     entries = []
     for pos, rel in enumerate(system.relations):
-        witness = ref_first_failure(rel, real)
+        witness = first_failure(rel, real)
         entry = {
             "index": pos,
             "left_word": rel.left_word,
@@ -157,6 +213,8 @@ def oracle(name):
               [2 * third, 2 * third, -third]]],
             name=name,
         )
+    if name.startswith("dual"):
+        return parse_oracle(name)
     assert name == "signed-swap"
     return OracleGroup.from_generators([SWAP12, FLIP3], name=name)
 
@@ -185,15 +243,24 @@ COMPATIBLE = [
     ("householder-S3", "O(3)", (0, 1), 3, 1),
     ("signed-swap", "O(3)", (0, 2), 3, 1),
 ]
-# the oracle does not fix the S(N) vector of the word named last
+DUAL_COMPATIBLE = [
+    ("dualZ2(3)", "U(3)", (0, 1), 3, 2),
+    ("dualZ2(3)", "U+(3)", (0, 2), 3, 2),
+    ("dualZ2(4)", "U(4)", (1, 3), 3, 2),
+    ("dualZ2(4)", "U+(4)", (0,), 3, 2),
+    ("dualS3(12,13,23)", "U+(3)", (0, 1), 3, 2),
+    ("dualS3(12,13,23)", "U+(3)", (2,), 3, 2),
+]
+# the oracle does not fix a category vector of the word named last
 INCOMPATIBLE = [
     ("HN(3)", "S(3)", (0, 1), 2, 1, "o"),
     ("HN(4)", "S(4)", (0, 1), 1, 1, "o"),
     ("householder-S3", "S(3)", (0, 1), 2, 1, "o"),
     ("signed-swap", "S(3)", (0, 2), 2, 1, "o"),
     ("reflection", "S(3)", (0, 1), 3, 1, "ooo"),
+    ("dualS3(12,13,23)", "U(3)", (0, 1), 4, 1, "bboo"),
 ]
-CASES = COMPATIBLE + [case[:5] for case in INCOMPATIBLE]
+CASES = COMPATIBLE + DUAL_COMPATIBLE + [case[:5] for case in INCOMPATIBLE]
 
 
 @pytest.mark.parametrize("form", ["med", "max", "hom"])
@@ -206,7 +273,7 @@ def test_reports_match_reference(case, form):
 
 
 def test_reference_sees_each_kind_of_oracle():
-    for name, spec_text, members, max_k, max_l in COMPATIBLE:
+    for name, spec_text, members, max_k, max_l in COMPATIBLE + DUAL_COMPATIBLE:
         sys_ = system("med", spec_text, members, max_k, max_l)
         assert ref_verify_relations(sys_, OracleRealization(oracle(name), sys_.I))["passed"]
     for name, spec_text, members, max_k, max_l, word in INCOMPATIBLE:
@@ -216,6 +283,19 @@ def test_reference_sees_each_kind_of_oracle():
 
 
 DELTAS = [1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]
+
+
+def _corrupted(clean, pos, changes, rhs_factor):
+    """clean with relation pos corrupted: {flat: delta} added to T, rhs scaled."""
+    rel = clean.relations[pos]
+    entries = list(rel.coefficients.entries)
+    for flat, delta in changes.items():
+        entries[flat] += delta
+    T = ExactMatrix(rel.coefficients.rows, rel.coefficients.cols, entries)
+    rhs = ScaledScalar(rel.rhs.q * rhs_factor, rel.rhs.s, rel.rhs.m)
+    bad = Relation(rel.left_word, rel.right_word, T, rhs)
+    rels = clean.relations[:pos] + (bad,) + clean.relations[pos + 1 :]
+    return RelationSystem(clean.spec, clean.I, clean.provenance, rels)
 
 
 @st.composite
@@ -238,16 +318,59 @@ def corruptions(draw):
 @example((("SN(4)", "S(4)", (0, 1), 3, 2), "hom", 5, 0, 0, 2))
 @example((("householder-S3", "O(3)", (0, 1), 3, 1), "max", 4, 2, Fraction(1, 2), 1))
 def test_corrupted_reports_match_reference(corruption):
-    (name, spec_text, members, max_k, max_l), form, pos, flat, delta, rhs_factor = corruption
-    clean = system(form, spec_text, members, max_k, max_l)
-    rel = clean.relations[pos]
-    entries = list(rel.coefficients.entries)
-    entries[flat] += delta
-    T = ExactMatrix(rel.coefficients.rows, rel.coefficients.cols, entries)
-    rhs = ScaledScalar(rel.rhs.q * rhs_factor, rel.rhs.s, rel.rhs.m)
-    bad = Relation(rel.left_word, rel.right_word, T, rhs)
-    rels = clean.relations[:pos] + (bad,) + clean.relations[pos + 1 :]
-    broken = RelationSystem(clean.spec, clean.I, clean.provenance, rels)
-    real = OracleRealization(oracle(name), clean.I)
+    case, form, pos, flat, delta, rhs_factor = corruption
+    broken = _corrupted(system(form, *case[1:]), pos, {flat: delta}, rhs_factor)
+    real = OracleRealization(oracle(case[0]), broken.I)
     report = verify_relations(broken, real)
     assert report == ref_verify_relations(broken, real)
+
+
+@st.composite
+def dual_corruptions(draw, count):
+    """count changes to one relation of a dual system: each adds a delta to
+    one coefficient, except that one of them may scale the rhs instead."""
+    case = draw(st.sampled_from(DUAL_COMPATIBLE))
+    form = draw(st.sampled_from(["med", "max", "hom"]))
+    rels = system(form, *case[1:]).relations
+    pos = draw(st.integers(0, len(rels) - 1))
+    size = len(rels[pos].coefficients.entries)
+    scale_rhs = draw(st.booleans())
+    rhs_factor = draw(st.sampled_from([2, -1, 0])) if scale_rhs else 1
+    flats = count - scale_rhs
+    changes = draw(
+        st.dictionaries(
+            st.integers(0, size - 1), st.sampled_from(DELTAS), min_size=flats, max_size=flats
+        )
+    )
+    return case, form, pos, changes, rhs_factor
+
+
+@settings(max_examples=80, deadline=None)
+@given(dual_corruptions(1))
+# a coefficient of dualS3's T moved onto a group element other than e
+@example((DUAL_COMPATIBLE[4], "hom", 3, {1: 1}, 1))
+# only the rhs: e fails
+@example((DUAL_COMPATIBLE[0], "med", 1, {}, 2))
+# word o on I = {1}: no index reaches e, which is the last point and holds
+@example((DUAL_COMPATIBLE[3], "max", 0, {0: 1}, 1))
+def test_single_dual_corruption_reports_match_reference(corruption):
+    # one coefficient or the rhs alone: at most one group element fails,
+    # so both witness rules name the same point
+    case, form, pos, changes, rhs_factor = corruption
+    broken = _corrupted(system(form, *case[1:]), pos, changes, rhs_factor)
+    real = OracleRealization(oracle(case[0]), broken.I)
+    assert verify_relations(broken, real) == ref_verify_relations(broken, real)
+
+
+def _verdicts(report):
+    return report["passed"], [entry["passed"] for entry in report["relations"]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(dual_corruptions(2))
+def test_double_dual_corruption_verdicts_match_reference(corruption):
+    case, form, pos, changes, rhs_factor = corruption
+    broken = _corrupted(system(form, *case[1:]), pos, changes, rhs_factor)
+    real = OracleRealization(oracle(case[0]), broken.I)
+    expected = _verdicts(ref_verify_relations(broken, real))
+    assert _verdicts(verify_relations(broken, real)) == expected
