@@ -15,12 +15,14 @@ from .partitions import check_word, conjugate_word
 
 
 @cache
-def _reversal_map(n: int, k: int) -> tuple:
-    """reversal[flat(j_1..j_k)] = flat(j_k..j_1)."""
-    out = [0] * (n**k)
-    for flat, idx in enumerate(multi_indices(n, k)):
-        out[flat] = flat_index(tuple(reversed(idx)), n)
-    return tuple(out)
+def frobenius_map(n: int, k: int, l: int) -> tuple:
+    """The reshuffle on flat indices: r N^k + c -> r N^k + rev[c], where
+    rev[flat(j_1..j_k)] = flat(j_k..j_1), for rows r < N^l.  Reversal is an
+    involution, so the map is its own inverse: xi[map[f]] = T[f] and
+    T[f] = xi[map[f]] for every flat f."""
+    cols = n**k
+    rev = [flat_index(tuple(reversed(idx)), n) for idx in multi_indices(n, k)]
+    return tuple(base + c for base in range(0, n**l * cols, cols) for c in rev)
 
 
 def frobenius_to_fix(T: ExactMatrix, k_word: str, l_word: str, n: int):
@@ -33,15 +35,9 @@ def frobenius_to_fix(T: ExactMatrix, k_word: str, l_word: str, n: int):
             f"shape mismatch: expected {n**l}x{n**k} for words "
             f"({k_word!r}, {l_word!r}), got {T.rows}x{T.cols}"
         )
-    cols = n**k
-    rev = _reversal_map(n, k)
-    entries = [0] * (n ** (l + k))
-    t_entries = T.entries
-    for r in range(T.rows):
-        base = r * cols
-        for c in range(cols):
-            entries[base + rev[c]] = t_entries[base + c]
-    return ExactTensor((n,) * (l + k), entries), l_word + conjugate_word(k_word)
+    entries = T.entries
+    fix = [entries[f] for f in frobenius_map(n, k, l)]
+    return ExactTensor((n,) * (l + k), fix), l_word + conjugate_word(k_word)
 
 
 def frobenius_to_hom(xi: ExactTensor, k_word: str, l_word: str, n: int) -> ExactMatrix:
@@ -54,12 +50,5 @@ def frobenius_to_hom(xi: ExactTensor, k_word: str, l_word: str, n: int) -> Exact
             f"shape mismatch: expected order-{l + k} tensor over {n} for words "
             f"({k_word!r}, {l_word!r}), got shape {xi.shape}"
         )
-    cols = n**k
-    rev = _reversal_map(n, k)
-    x_entries = xi.entries
-    out = [0] * len(x_entries)
-    for r in range(n**l):
-        base = r * cols
-        for c in range(cols):
-            out[base + c] = x_entries[base + rev[c]]
-    return ExactMatrix(n**l, cols, out)
+    entries = xi.entries
+    return ExactMatrix(n**l, n**k, [entries[f] for f in frobenius_map(n, k, l)])

@@ -19,13 +19,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 
-from .exact import (
-    ExactMatrix,
-    ExactTensor,
-    ResourceGuardError,
-    rank_nullspace,
-)
-from .frobenius import frobenius_to_fix, frobenius_to_hom
+from .exact import ExactMatrix, ResourceGuardError, rank_nullspace
+from .frobenius import frobenius_map, frobenius_to_hom
 from .oracle import OracleRealization, hom_space
 from .partitions import CategorySpec, colored_words, conjugate_word, fix_basis, partition_vector
 
@@ -61,6 +56,11 @@ class OperatorSpace:
             raise AssertionError("operator space basis is not independent")
         return tuple(null)
 
+    @cached_property
+    def supports(self) -> tuple:
+        """Per basis element its nonzero entries, as (flat indices, values)."""
+        return tuple(_support(T.entries) for T in self.basis)
+
     def contains(self, T: ExactMatrix) -> bool:
         """Exact membership: T satisfies every defining equation."""
         ambient_rows = self.N ** len(self.l_word)
@@ -70,9 +70,24 @@ class OperatorSpace:
                 f"shape mismatch: space holds {ambient_rows}x{ambient_cols}, "
                 f"got {T.rows}x{T.cols}"
             )
-        if self.equations is None:
-            return T.is_zero()
-        return not any(sum(map(mul, e, T.entries)) for e in self.equations)
+        return self.contains_sparse(*_support(T.entries))
+
+    def contains_sparse(self, flats, values) -> bool:
+        """Membership of the vector sum of values[j] at flat index flats[j]
+        (a flat may repeat): every equation dotted with it is zero."""
+        if self.equations is None:  # the zero space
+            acc = dict.fromkeys(flats, 0)
+            for f, v in zip(flats, values):
+                acc[f] += v
+            return not any(acc.values())
+        return not any(
+            sum(map(mul, map(e.__getitem__, flats), values)) for e in self.equations
+        )
+
+
+def _support(entries) -> tuple:
+    flats = tuple(f for f, x in enumerate(entries) if x)
+    return flats, tuple(entries[f] for f in flats)
 
 
 def fxi_space(
@@ -136,63 +151,58 @@ def grid_cells(bound: int) -> list:
     return sorted(cells, key=_cell_order)
 
 
-def _outer_functional(e, S: ExactMatrix, rows: int, cols: int) -> list:
-    """W = S^T e, so that <e, S T> == <W, T> for the target equation e
-    (S.rows x cols, row-major) and every rows x cols matrix T (rows == S.cols)."""
-    out = [0] * (S.cols * cols)
-    for j, s in enumerate(S.entries):
-        if s:
-            b, m = divmod(j, S.cols)
-            block = slice(m * cols, (m + 1) * cols)
-            out[block] = [v + s * x for v, x in zip(out[block], e[b * cols : (b + 1) * cols])]
-    return out
+def _moved_in(space, flat_map, support) -> bool:
+    """Whether the vector with this support, moved through flat_map, lies in
+    the space: each equation e is pulled back to e∘flat_map on the support."""
+    flats, values = support
+    return space.contains_sparse([flat_map[f] for f in flats], values)
 
 
-def _right_functional(e, S: ExactMatrix, rows: int, cols: int) -> list:
-    """V with <e, T kron S> == <V, T> for every rows x cols matrix T:
-    V[b1, c1] = sum over (b2, c2) of e[(b1, b2), (c1, c2)] * S[b2, c2]."""
-    width = cols * S.cols
-    stride = S.rows * width
-    out = [0] * (rows * cols)
-    for j, s in enumerate(S.entries):
-        if s:
-            b2, c2 = divmod(j, S.cols)
-            part = []
-            for start in range(b2 * width + c2, rows * stride, stride):
-                part += e[start : start + width : S.cols]
-            out = [v + s * x for v, x in zip(out, part)]
-    return out
-
-
-def _some_pair_fails(target, functional, contracted, others) -> bool:
-    """True when some pair breaks a target equation.  Each equation is
-    contracted with each element of `contracted` once; each pair then costs
-    one dot product with the element of `others`."""
-    rows, cols = others.N ** len(others.l_word), others.N ** len(others.k_word)
-    for X in contracted.basis:
-        functionals = [functional(e, X, rows, cols) for e in target.equations]
-        for Y in others.basis:
-            if any(sum(map(mul, f, Y.entries)) for f in functionals):
+def _composition_fails(inner, outer, target) -> bool:
+    """True when some product S T of an outer and an inner element breaks a
+    target equation.  S T has support in the pairs of nonzero S[b, m] and
+    T[m, c] that meet in m, each adding S[b, m] T[m, c] at flat b cols + c;
+    no product is built."""
+    cols = inner.N ** len(inner.k_word)
+    middle = inner.N ** len(inner.l_word)
+    inner_split = [
+        [(*divmod(f, cols), t) for f, t in zip(flats, values)] for flats, values in inner.supports
+    ]
+    for flats2, values2 in outer.supports:
+        by_middle = [[] for _ in range(middle)]
+        for f, s in zip(flats2, values2):
+            b, m = divmod(f, middle)
+            by_middle[m].append((b * cols, s))
+        for split in inner_split:
+            flats, values = [], []
+            for m, c, t in split:
+                for base, s in by_middle[m]:
+                    flats.append(base + c)
+                    values.append(s * t)
+            if not target.contains_sparse(flats, values):
                 return True
     return False
 
 
-def _composition_fails(inner, outer, target) -> bool:
-    if target.equations is None:  # dimension 0: every product S T must vanish
-        return any(
-            sum(map(mul, S.row(b), T.entries[c :: T.cols]))
-            for S in outer.basis
-            for T in inner.basis
-            for b in range(S.rows)
-            for c in range(T.cols)
-        )
-    return _some_pair_fails(target, _outer_functional, outer, inner)
-
-
 def _tensor_fails(left, right, target) -> bool:
-    if target.equations is None:  # dimension 0: T kron S != 0 when T, S != 0
-        return bool(left.basis and right.basis)
-    return _some_pair_fails(target, _right_functional, right, left)
+    """True when some T kron S of a left and a right element breaks a target
+    equation.  The flat index of T kron S splits as
+    flat((b1, b2), (c1, c2)) = A[(b1, c1)] + B[(b2, c2)], so the pair's
+    support is the sum of the two supports and no kron is built."""
+    rows2, cols2 = right.N ** len(right.l_word), right.N ** len(right.k_word)
+    cols1 = left.N ** len(left.k_word)
+    width = cols1 * cols2
+    starts = [
+        [f // cols1 * rows2 * width + f % cols1 * cols2 for f in flats] for flats, _ in left.supports
+    ]
+    for flats2, values2 in right.supports:
+        offsets = [f // cols2 * width + f % cols2 for f in flats2]
+        for left_starts, (_, values1) in zip(starts, left.supports):
+            flats = [a + b for a in left_starts for b in offsets]
+            values = [t * s for t in values1 for s in values2]
+            if not target.contains_sparse(flats, values):
+                return True
+    return False
 
 
 def _record(entry: dict, fails: bool, failure: dict) -> None:
@@ -206,6 +216,20 @@ def axiom_report(spaces: dict) -> dict:
     """Tensor-category diagnostics on a grid of operator spaces, each check
     run against the defining equations of its result cell; only checks whose
     operands and result cells lie in the grid are run.
+
+    Every check dots the equations e of the result cell with a support read
+    off the operands' supports (`OperatorSpace.supports`) through a map of
+    flat indices; no identity, transpose, reshuffle, product or Kronecker
+    matrix is built:
+    - unit: <e, 1> is the sum of e at stride cols + 1 (the diagonal);
+    - adjoint: <e, T^T> = sum of T[r, c] e[c rows + r] over T's support;
+    - frobenius: the reshuffle is a permutation of flat indices that is its
+      own inverse (`frobenius.frobenius_map`), in both directions;
+    - composition: <e, S T> = sum of S[b, m] T[m, c] e[b cols + c] over the
+      pairs of nonzero entries that meet in m;
+    - tensor: <e, T kron S> = sum of T[b1, c1] S[b2, c2] e[A + B] over the
+      pairs of nonzero entries, with the flat index of T kron S split as
+      A[(b1, c1)] + B[(b2, c2)].
 
     unit/adjoint/frobenius are theorems for relation solution spaces and are
     the 'asserted' axioms.  On a grid from one realization adjoint and tensor
@@ -227,24 +251,21 @@ def axiom_report(spaces: dict) -> dict:
     for kw, lw in cells:
         space = spaces[(kw, lw)]
         n = space.N
+        rows, cols = n ** len(lw), n ** len(kw)
         if kw == lw:
-            ok = space.contains(ExactMatrix.identity(n ** len(kw)))
+            diagonal = range(0, rows * cols, cols + 1)
+            ok = space.contains_sparse(diagonal, (1,) * cols)
             report["unit"].append({"k": kw, "l": lw, "passed": ok})
         mirror = spaces.get((lw, kw))
         if mirror is not None:
-            ok = all(mirror.contains(T.transpose()) for T in space.basis)
+            transpose = [c * rows + r for r in range(rows) for c in range(cols)]
+            ok = all(_moved_in(mirror, transpose, sup) for sup in space.supports)
             report["adjoint"].append({"k": kw, "l": lw, "passed": ok})
         target = spaces.get(("", lw + conjugate_word(kw)))
         if target is not None:
-            forward = all(
-                target.contains(frobenius_to_fix(T, kw, lw, n)[0].as_column())
-                for T in space.basis
-            )
-            shape = (n,) * (len(kw) + len(lw))
-            backward = all(
-                space.contains(frobenius_to_hom(ExactTensor(shape, col.entries), kw, lw, n))
-                for col in target.basis
-            )
+            reshuffle = frobenius_map(n, len(kw), len(lw))
+            forward = all(_moved_in(target, reshuffle, sup) for sup in space.supports)
+            backward = all(_moved_in(space, reshuffle, sup) for sup in target.supports)
             ok = forward and backward and space.dimension == target.dimension
             report["frobenius"].append({"k": kw, "l": lw, "passed": ok})
     for k1, l1 in cells:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import perm
+from operator import mul
 
 from .exact import (
     DomainError,
@@ -171,7 +172,8 @@ def _kernel_moment(family: str, n: int, word: str, a: int, b: int) -> Fraction:
 @cache
 def _kernel_projection(family: str, n: int, word: str) -> dict:
     """P[i, j] depends on i and j only through their kernels: table[a][b] over
-    the kernels with at most n blocks (the ones that occur), one sum per pair."""
+    the kernels with at most n blocks (the ones that occur), one sum per pair.
+    Only the dense projection reads it; ergodicity_check needs W z alone."""
     wrows = _weingarten_rows(family, n, word)
     hits = _kernel_hits(family, n, word)
     kernels = [a for a, part in enumerate(all_partitions(len(word))) if part.block_count <= n]
@@ -266,18 +268,35 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
     Verifies sum_j P[i, j] * M_j == m**(-k/2) * sum_{j in I^k} P[i, j] for
     every row i, where M_j is the space moment at j.  Exact; reports the
     first failing row, if any.
+
+    P[i, j] = sum of W[t, u] over t in hits[a], u in hits[b], for i of
+    kernel a and j of kernel b, and M_j depends on j only through b, which
+    perm(N, |b|) indices of [N]^k and perm(m, |b|) of I^k have.  So with
+    z_u = sum over the kernels b with u in hits[b] of v_b, once for
+    v_b = M_b perm(N, |b|) and once for v_b = perm(m, |b|), both sides of
+    row i are sum over t in hits[a] of (W z)_t: two products with W in
+    place of the kernel-pair table.
     """
     check_word(word)
     I.require_N(spec.N, "spec")
     n = spec.N
     k = len(word)
     norm = _norm_word(spec, word)
-    table = _kernel_projection(spec.family, n, norm)
+    wrows = _weingarten_rows(spec.family, n, norm)
+    hits = _kernel_hits(spec.family, n, norm)
     kernels = all_partitions(k)
-    # P[i, j] and M_j depend on j only through its kernel b, which
-    # perm(n, |b|) indices of [N]^k and perm(m, |b|) of I^k have
-    size = {b: kernels[b].block_count for b in table}
-    weight = {b: _space_moment(spec.family, n, norm, I.m, b) * perm(n, size[b]) for b in table}
+    occurring = [a for a, part in enumerate(kernels) if part.block_count <= n]
+    z_lhs = [Fraction(0)] * len(wrows)
+    z_rhs = [0] * len(wrows)
+    for b in occurring:
+        size = kernels[b].block_count
+        weight = _space_moment(spec.family, n, norm, I.m, b) * perm(n, size)
+        count = perm(I.m, size)
+        for u in hits[b]:
+            z_lhs[u] += weight
+            z_rhs[u] += count
+    y_lhs = [sum(map(mul, wrow, z_lhs), Fraction(0)) for wrow in wrows]
+    y_rhs = [sum(map(mul, wrow, z_rhs), Fraction(0)) for wrow in wrows]
     report = {
         "spec": str(spec),
         "I": str(I),
@@ -286,9 +305,9 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
         "counterexample": None,
     }
     # in all_partitions order the first failing kernel holds the first failing row
-    for a, row in table.items():
-        lhs = sum((p * weight[b] for b, p in row.items()), Fraction(0))
-        rhs = sum((p * perm(I.m, size[b]) for b, p in row.items()), Fraction(0))
+    for a in occurring:
+        lhs = sum((y_lhs[t] for t in hits[a]), Fraction(0))
+        rhs = sum((y_rhs[t] for t in hits[a]), Fraction(0))
         if lhs != rhs:
             report["passed"] = False
             report["counterexample"] = {
