@@ -38,6 +38,7 @@ from .oracle import (
     dual_X_moment,
     dual_z2,
     fixed_space,
+    hom_dimension,
     hom_space,
     normal_closure_compare,
     orbit_moment,

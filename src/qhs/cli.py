@@ -16,6 +16,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .exact import (
     DomainError,
@@ -33,7 +34,7 @@ from .oracle import (
     dual_matrix_moment,
     dual_X_moment,
     fixed_space,
-    hom_space,
+    hom_dimension,
     normal_closure_compare,
     orbit_moment,
     parse_oracle,
@@ -217,12 +218,7 @@ def _suite_counts(args) -> dict:
         return row[0]
 
     def double_factorial_pairings(k):
-        if k % 2:
-            return 0
-        out = 1
-        for j in range(k - 1, 0, -2):
-            out *= j
-        return out
+        return 0 if k % 2 else prod(range(k - 1, 0, -2))
 
     def catalan(n):
         row = [1]
@@ -448,7 +444,7 @@ def _suite_frobenius(args) -> dict:
     if args.oracle is not None:
         source = parse_oracle(args.oracle)
         dims_ok = all(
-            len(hom_space(source, kw, lw)) == len(fixed_space(source, lw + conjugate_word(kw)))
+            hom_dimension(source, kw, lw) == len(fixed_space(source, lw + conjugate_word(kw)))
             for kw, lw in grid_cells(bound)
         )
         _check(checks, "hom-dims-match-fix-dims", dims_ok)

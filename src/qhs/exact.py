@@ -235,9 +235,6 @@ class ExactMatrix:
             (self.entries[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)),
         )
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
             x == int(r == c)

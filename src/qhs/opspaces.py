@@ -90,16 +90,13 @@ def _support(entries) -> tuple:
     return flats, tuple(entries[f] for f in flats)
 
 
-def fxi_space(
-    real: OracleRealization, k_word: str, l_word: str, points=None
-) -> OperatorSpace:
+def fxi_space(real: OracleRealization, k_word: str, l_word: str) -> OperatorSpace:
     """All operators whose relation holds over the realization, exactly.
 
     One homogeneous linear equation per evaluation functional of the
     realization (`OracleRealization.functionals`), minus the rhs sum a_T at
     the points where it is due; their reduced rows are the space's defining
-    equations.  `points` restricts the classical evaluation points; used by
-    the monotonicity diagnostics.
+    equations.
     """
     n = real.N
     k, l = len(k_word), len(l_word)
@@ -112,7 +109,7 @@ def fxi_space(
     k_flats = real.I.flat_indices(k)
     admissible = [b * cols_k + c for b in real.I.flat_indices(l) for c in k_flats]
     rows = []
-    for _, flats, weights, at_identity in real.functionals(k_word, l_word, points):
+    for _, flats, weights, at_identity in real.functionals(k_word, l_word):
         row = [0] * unknowns
         for f, w in zip(flats, weights):
             row[f] += w

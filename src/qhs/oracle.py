@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from itertools import compress, permutations, product
 
 from .exact import (
@@ -86,7 +86,7 @@ class OracleGroup:
 
     kind = "classical"
 
-    def __init__(self, elements, name: str = "group", generators=None):
+    def __init__(self, elements, generators, name: str = "group"):
         elements = tuple(elements)
         if not elements:
             raise DomainError("a group needs at least the identity")
@@ -97,14 +97,10 @@ class OracleGroup:
             raise DomainError("identity matrix missing from element list")
         self.N = n
         self.elements = elements
-        # The elements generate the group too; fixed points need only these.
-        self.generators = elements if generators is None else tuple(generators)
+        self.generators = tuple(generators)
         self.name = name
         self._moments = {}
         self._coords = {}
-        self._fixed = {}
-        self._monomial_forms = None
-        self._monomial_checked = False
 
     def __len__(self):
         return len(self.elements)
@@ -145,7 +141,7 @@ class OracleGroup:
                     seen.add(nxt)
                     elements.append(nxt)
                     queue.append(nxt)
-        return cls(elements, name=name, generators=generators)
+        return cls(elements, generators, name=name)
 
     @classmethod
     def symmetric(cls, n: int, cap: int | None = None) -> "OracleGroup":
@@ -162,18 +158,8 @@ class OracleGroup:
 
     def monomial_forms(self):
         """Per element its monomial_form, or None if some element has none."""
-        if self._monomial_checked:
-            return self._monomial_forms
-        forms = []
-        for g in self.elements:
-            form = monomial_form(g)
-            if form is None:
-                forms = None
-                break
-            forms.append(form)
-        self._monomial_forms = forms
-        self._monomial_checked = True
-        return forms
+        forms = [monomial_form(g) for g in self.elements]
+        return None if None in forms else forms
 
     def moment_table(self, k: int) -> dict:
         """Sparse {(flat_row, flat_col): moment} for words of length k.
@@ -263,7 +249,6 @@ class GroupDualData:
             raise DomainError("generators must be group elements")
         if len(self.subgroup(self.generators)) != len(self.elements):
             raise DomainError("generators do not generate the group")
-        self._fixed = {}
         self._regular = {}
 
     @property
@@ -460,26 +445,36 @@ def averaging_operator(source, word: str) -> ExactMatrix:
     return ExactMatrix(size, size, entries)
 
 
-def fixed_space(source, word: str) -> list:
-    """Exact basis of the invariant vectors: nullspace of (average - identity).
-    A dual's average is diagonal, so that basis is the unit vectors at the
-    indices whose word value is e, in flat order; no N^2k matrix is built."""
+def fixed_space(source, word: str) -> tuple:
+    """Exact basis of the invariant vectors: the canonical nullspace basis
+    of (average - identity).  Classically that is the nullspace of the
+    generators' stacked rows g^(tensor k) - I, with no |G| factor; a dual's
+    average is diagonal, so its basis is the unit vectors at the indices
+    whose word value is e, in flat order.  Cached by value: by the generator
+    matrices and the word length, or by the dual and the word."""
     check_word(word)
-    key = WHITE * len(word) if isinstance(source, OracleGroup) else word
-    if key in source._fixed:
-        return source._fixed[key]
-    n = source.N
-    k = len(word)
     if isinstance(source, OracleGroup):
-        op = averaging_operator(source, key)
-        _, basis, _ = rank_nullspace(op - ExactMatrix.identity(op.rows))
+        return _fixed_space(source.generators, source.N, WHITE * len(word))
+    return _fixed_space(source, source.N, word)
+
+
+@cache
+def _fixed_space(source, n: int, word: str) -> tuple:
+    """source: a classical oracle's generators (a tuple), or a dual."""
+    k = len(word)
+    size = n**k
+    if isinstance(source, tuple):
+        ident = ExactMatrix.identity(size)
+        rows = []
+        for g in source:
+            power = reduce(ExactMatrix.kron, (g,) * k, ExactMatrix.identity(1))
+            rows.extend((power - ident).entries)
+        _, basis, _ = rank_nullspace(ExactMatrix(len(source) * size, size, rows))
     else:
         values = (source.word_value(word, idx) for idx in product(range(n), repeat=k))
         hits = [f for f, value in enumerate(values) if value == source.identity]
-        basis = [(0,) * hit + (1,) + (0,) * (n**k - hit - 1) for hit in hits]
-    tensors = [ExactTensor((n,) * k, vec) for vec in basis]
-    source._fixed[key] = tensors
-    return tensors
+        basis = [(0,) * hit + (1,) + (0,) * (size - hit - 1) for hit in hits]
+    return tuple(ExactTensor((n,) * k, vec) for vec in basis)
 
 
 def hom_space(source, k_word: str, l_word: str) -> list:
@@ -489,6 +484,35 @@ def hom_space(source, k_word: str, l_word: str) -> list:
         frobenius_to_hom(xi, k_word, l_word, source.N)
         for xi in fixed_space(source, fix_word)
     ]
+
+
+def hom_dimension(source, k_word: str, l_word: str):
+    """dim Hom(k, l) counted without any fixed vector.  Classically the
+    character average (1/|G|) sum_g tr(g)^(|k|+|l|); on a dual the pairs
+    (b, c) with l(b) = k(c), that is sum over gamma of #{b: l(b) = gamma}
+    times #{c: k(c) = gamma}."""
+    check_word(k_word)
+    check_word(l_word)
+    if isinstance(source, OracleGroup):
+        power = len(k_word) + len(l_word)
+        traces = (sum(g.entries[:: source.N + 1]) for g in source.elements)
+        return Fraction(sum(t**power for t in traces), len(source.elements))
+    k_values = _word_value_counts(source, k_word)
+    l_values = _word_value_counts(source, l_word)
+    return sum(count * l_values[value] for value, count in k_values.items())
+
+
+def _word_value_counts(dual: GroupDualData, word: str) -> Counter:
+    """How many index tuples give each word value, one letter at a time."""
+    counts = Counter({dual.identity: 1})
+    for ch in word:
+        steps = [g if ch == WHITE else dual.invert(g) for g in dual.generators]
+        grown = Counter()
+        for value, count in counts.items():
+            for step in steps:
+                grown[dual.multiply(value, step)] += count
+        counts = grown
+    return counts
 
 
 def orbit_moment(group: OracleGroup, I: IndexSet, word: str, idx) -> ScaledScalar:
@@ -603,14 +627,13 @@ class OracleRealization:
             first.setdefault(c, gi)
         return tuple((gi, c, tuple(compress(range(len(c)), c))) for c, gi in first.items())
 
-    def functionals(self, k_word: str, l_word: str, points=None) -> list:
+    def functionals(self, k_word: str, l_word: str) -> list:
         """The relation of the words (k, l) at each evaluation point.
 
         Per point (label, flats, weights, at_identity): T satisfies the
         relation there iff sum_j weights[j] * T.entries[flats[j]] equals
         m^((k+l)/2) times the rhs when at_identity, and 0 otherwise.
-        Classical: per entry of `points` (optionally restricted to the
-        vectors of the listed element indices), labelled by its element; c
+        Classical: per entry of `points`, labelled by its element; c
         vanishes off its support S, so the terms run over S^(l+k) with
         weights c[i_1] ... c[i_(l+k)].  Dual: per group element l(b) k(c)^-1
         reached from I^l x I^k, in order of first appearance, then e if
@@ -618,12 +641,8 @@ class OracleRealization:
         """
         n = self.N
         if self.classical:
-            chosen = self.points
-            if points is not None:
-                wanted = {self.source.coordinate_table(self.I)[p] for p in points}
-                chosen = [point for point in chosen if point[1] in wanted]
             out = []
-            for gi, c, support in chosen:
+            for gi, c, support in self.points:
                 terms = [(0, 1)]
                 for _ in range(len(l_word) + len(k_word)):
                     terms = [(f * n + t, w * c[t]) for f, w in terms for t in support]

@@ -47,17 +47,6 @@ class Relation:
     coefficients: ExactMatrix
     rhs: ScaledScalar
 
-    def recompute_rhs(self, I: IndexSet) -> ScaledScalar:
-        """rhs = m**(-(k+l)/2) * sum of coefficients over I^l x I^k."""
-        l, k = len(self.left_word), len(self.right_word)
-        cols = self.coefficients.cols
-        entries = self.coefficients.entries
-        c_flats = I.flat_indices(k)
-        total = sum(
-            (entries[b * cols + c] for b in I.flat_indices(l) for c in c_flats), Fraction(0)
-        )
-        return ScaledScalar(total, k + l, I.m)
-
     def to_json(self) -> dict:
         return {
             "left_word": self.left_word,

@@ -1,16 +1,16 @@
 import pytest
 
-from qhs import partitions, weingarten
+from qhs import oracle, partitions, weingarten
 from qhs.exact import Echelon
 
 
 def _clear_module_caches():
-    """Clear every functools cache defined in qhs.partitions and
-    qhs.weingarten, found by introspection so a renamed or new cache is
-    included; returns how many there were."""
+    """Clear every functools cache defined in qhs.partitions,
+    qhs.weingarten and qhs.oracle, found by introspection so a renamed or
+    new cache is included; returns how many there were."""
     caches = [
         value
-        for module in (partitions, weingarten)
+        for module in (partitions, weingarten, oracle)
         for value in vars(module).values()
         if callable(getattr(value, "cache_clear", None))
     ]
@@ -21,8 +21,9 @@ def _clear_module_caches():
 
 @pytest.fixture
 def cold_caches():
-    """The test starts with the partition and Weingarten caches empty, and
-    nothing it computed (perhaps under a monkeypatch) is left in them."""
+    """The test starts with the partition, Weingarten and fixed-space caches
+    empty, and nothing it computed (perhaps under a monkeypatch) is left in
+    them."""
     assert _clear_module_caches()
     yield
     _clear_module_caches()

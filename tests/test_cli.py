@@ -280,6 +280,28 @@ def test_verify_failure_exit_code_is_one(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+def test_frobenius_suite_counts_the_hom_side_independently(capsys, monkeypatch):
+    # one fixed vector dropped: a hom side derived from the fixed vectors
+    # would shrink with it, an independent count does not
+    import qhs.cli as cli_mod
+    import qhs.oracle as oracle_mod
+
+    real = oracle_mod.fixed_space
+
+    def dropped(source, word):
+        return real(source, word)[1:]
+
+    monkeypatch.setattr(oracle_mod, "fixed_space", dropped)
+    monkeypatch.setattr(cli_mod, "fixed_space", dropped)
+    for literal in ("SN(3)", "dualZ2(2)"):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "frobenius", "--oracle", literal, "--bounds", "2"
+        )
+        assert code == 1
+        checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+        assert checks["hom-dims-match-fix-dims"] is False
+
+
 def test_internal_error_exits_4_without_traceback(capsys, cold_caches, corrupted_elimination):
     code, out, err = run_cli(
         capsys, "integrate-g", "--spec", "S(3)", "--word", "oo", "--row", "1,1", "--col", "1,1"

@@ -65,12 +65,16 @@ def test_resource_guard():
 
 
 def test_fxi_monotone_in_evaluation_points():
-    real = sn4_real()
-    dims = []
-    for count in (1, 6, 12, 24):
-        dims.append(fxi_space(real, "", "oo", points=range(count)).dimension)
-    assert dims == sorted(dims, reverse=True)
-    assert dims[-1] == fxi_space(real, "", "oo").dimension
+    # a subgroup's coordinate points are among the group's, so each subgroup
+    # in the chain {1} < S2 < S3 < S4 has a solution space at least as large
+    swaps = OracleGroup.symmetric(4).generators
+    I = IndexSet.parse("1,2", 4)
+    dims = [
+        fxi_space(OracleRealization(OracleGroup.from_generators(gens), I), "", "oo").dimension
+        for gens in [[ExactMatrix.identity(4)]] + [swaps[:t] for t in range(1, 4)]
+    ]
+    assert dims == sorted(dims, reverse=True) and dims[0] > dims[-1]
+    assert dims[-1] == fxi_space(sn4_real(), "", "oo").dimension
 
 
 # (oracle, a spec whose category vectors it fixes, I members)
@@ -108,8 +112,9 @@ def test_fxi_space_and_verify_relations_agree(operator):
     # both read the realization's evaluation functionals, one as rows of a
     # linear system and one as dot products with T
     real, spec, (k_word, l_word), space, T = operator
-    unscaled = Relation(l_word, k_word, T, ScaledScalar(Fraction(0), 0, real.I.m))
-    rel = Relation(l_word, k_word, T, unscaled.recompute_rhs(real.I))
+    I, k, l = real.I, len(k_word), len(l_word)
+    total = sum(T.at(b, c) for b in I.flat_indices(l) for c in I.flat_indices(k))
+    rel = Relation(l_word, k_word, T, ScaledScalar(Fraction(total), k + l, I.m))
     report = verify_relations(RelationSystem(spec, real.I, "hom-form", (rel,)), real)
     assert space.contains(T) == report["passed"]
 

@@ -5,7 +5,14 @@ from itertools import product
 
 import pytest
 
-from qhs.exact import ClosureCapError, DomainError, ExactMatrix, ScaledScalar, rank_nullspace
+from qhs.exact import (
+    ClosureCapError,
+    DomainError,
+    ExactMatrix,
+    ExactTensor,
+    ScaledScalar,
+    rank_nullspace,
+)
 from qhs.oracle import (
     GroupDualData,
     OracleGroup,
@@ -19,11 +26,13 @@ from qhs.oracle import (
     dual_X_moment,
     dual_z2,
     fixed_space,
+    hom_dimension,
     hom_space,
     normal_closure_compare,
     orbit_moment,
     parse_oracle,
 )
+from qhs.opspaces import grid_cells
 from qhs.partitions import colored_words
 from qhs.weingarten import IndexSet
 
@@ -109,18 +118,59 @@ def test_hom_space_dimensions():
     assert len(hom_space(OracleGroup.symmetric(3), "", "")) == 1
 
 
-@pytest.mark.parametrize("literal", ["dualZ2(3)", "dualZ2(4)", "dualS3(12,13,23)"])
-def test_dual_fixed_space_is_the_nullspace_of_the_average(literal):
-    # a dual's basis is read off the word values; the dense nullspace of
-    # (average - identity) is the definition it must reproduce exactly
-    dual = parse_oracle(literal)
+def oracle_source(literal):
+    if literal == "householder-S3":
+        return householder_conjugated_s3()
+    if literal == "no-generators":
+        return OracleGroup.from_generators([])
+    if literal == "dualZ4(1,3)":
+        return cyclic_dual(4, [1, 3])
+    return parse_oracle(literal)
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "dualZ2(3)",
+        "dualZ2(4)",
+        "dualS3(12,13,23)",
+        "SN(3)",
+        "SN(4)",
+        "HN(3)",
+        "householder-S3",
+        "no-generators",
+    ],
+)
+def test_fixed_space_is_the_nullspace_of_the_average(literal):
+    # classical bases come from the generators' equations and a dual's from
+    # its word values; the dense nullspace of (average - identity) is the
+    # definition both must reproduce exactly
+    source = oracle_source(literal)
     for word in colored_words(3):
-        op = averaging_operator(dual, word)
+        op = averaging_operator(source, word)
         _, basis, _ = rank_nullspace(op - ExactMatrix.identity(op.rows))
-        fixed = fixed_space(dual, word)
-        assert [xi.shape for xi in fixed] == [(dual.N,) * len(word)] * len(basis)
+        fixed = fixed_space(source, word)
+        assert [xi.shape for xi in fixed] == [(source.N,) * len(word)] * len(basis)
         assert [xi.entries for xi in fixed] == basis
         assert [list(map(type, xi.entries)) for xi in fixed] == [list(map(type, v)) for v in basis]
+
+
+def test_fixed_space_is_shared_by_equal_oracles():
+    # cached by the generator matrices, so two parses of one literal share it
+    assert fixed_space(parse_oracle("SN(3)"), "ob") is fixed_space(build_group("SN(3)"), "oo")
+    assert fixed_space(OracleGroup.from_generators([]), "ooo") == (ExactTensor((1, 1, 1), (1,)),)
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["SN(3)", "HN(3)", "dualZ2(3)", "dualS3(12,13,23)", "householder-S3", "dualZ4(1,3)"],
+)
+def test_hom_dimension_counts_the_intertwiners(literal):
+    # the character average (classical) and the word-value pairs (dual)
+    # count what hom_space spans, without reading any fixed vector
+    source = oracle_source(literal)
+    for k_word, l_word in grid_cells(3):
+        assert hom_dimension(source, k_word, l_word) == len(hom_space(source, k_word, l_word))
 
 
 def test_averaging_operator_idempotent():

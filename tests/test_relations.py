@@ -158,6 +158,12 @@ def test_hom_with_empty_right_side_equals_med():
     assert med_payload == hom_payload
 
 
+def rhs_over_I(T: ExactMatrix, I: IndexSet, k: int, l: int) -> ScaledScalar:
+    """m**(-(k+l)/2) times the sum of T over I^l x I^k."""
+    total = sum(T.at(b, c) for b in I.flat_indices(l) for c in I.flat_indices(k))
+    return ScaledScalar(Fraction(total), k + l, I.m)
+
+
 def test_rhs_recomputable_invariant():
     for system in (
         relations_med(S4, I12_4, 2),
@@ -165,7 +171,8 @@ def test_rhs_recomputable_invariant():
         relations_hom(S4, I12_4, 2, 1),
     ):
         for rel in system.relations:
-            assert rel.recompute_rhs(system.I) == rel.rhs
+            k, l = len(rel.right_word), len(rel.left_word)
+            assert rhs_over_I(rel.coefficients, system.I, k, l) == rel.rhs
 
 
 def test_verify_relations_all_forms_pass_on_oracle():
