@@ -321,7 +321,7 @@ class ExactMatrix:
         return ExactMatrix(self.rows * other.rows, self.cols * other.cols, out)
 
     def to_string_rows(self) -> list:
-        return [[str(Fraction(x)) for x in self.row(r)] for r in range(self.rows)]
+        return [list(map(str, self.row(r))) for r in range(self.rows)]
 
     @classmethod
     def from_string_rows(cls, rows) -> "ExactMatrix":

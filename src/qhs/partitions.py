@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, permutations, product
 
-from .exact import DomainError, Echelon, ExactTensor, ParseError
+from .exact import DomainError, Echelon, ExactTensor, ParseError, ResourceGuardError
 
 WHITE = "o"
 BLACK = "b"
 COLORS = WHITE + BLACK
 
 FAMILIES = ("S", "O", "U", "S+", "O+", "U+")
+DENSE_GUARD = 1 << 20  # entries of one dense output: a partition vector or a projection
 # u = ubar for these, so colors are invisible to the category.
 SELF_CONJUGATE_FAMILIES = frozenset({"S", "O", "S+", "O+"})
 
@@ -245,9 +246,28 @@ def _positions(k: int) -> dict:
 
 
 @cache
+def kernel_position(idx: tuple) -> int:
+    """Position in all_partitions(len(idx)) of the kernel of one index (its
+    classes of equal entries): the index's restricted growth string, each
+    value replaced by the order of its first appearance, is the kernel's
+    block_index.  O(k); the memo holds only the indices queried."""
+    first = {}
+    return _positions(len(idx))[tuple(first.setdefault(v, len(first)) for v in idx)]
+
+
+def check_dense(entries: int, what: str) -> None:
+    """Refuse a dense output of more than DENSE_GUARD entries before any of
+    it is allocated."""
+    if entries > DENSE_GUARD:
+        raise ResourceGuardError(
+            f"{what} has {entries} entries, exceeding the guard DENSE_GUARD = {DENSE_GUARD}"
+        )
+
+
+@cache
 def kernel_ids(n: int, k: int) -> tuple:
-    """kernel_ids[flat index] is the position in all_partitions(k) of the
-    index's kernel (its classes of equal entries).  Each index arises once,
+    """kernel_ids[flat index] is kernel_position of that index, for every
+    index at once; only dense outputs read it.  Each index arises once,
     from an injective assignment of values to the blocks of its kernel."""
     out = [0] * (n**k)
     for pos, part in enumerate(all_partitions(k)):
@@ -273,6 +293,7 @@ def partition_vector(part: SetPartition, n: int) -> ExactTensor:
     """The 0/1 tensor supported on multi-indices constant on each block,
     that is on the indices whose kernel part refines."""
     k = part.point_count
+    check_dense(n**k, f"partition vector over N^k = {n}^{k}")
     zeta = [0] * len(all_partitions(k))
     for c in coarsenings(part):
         zeta[c] = 1

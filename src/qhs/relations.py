@@ -34,7 +34,7 @@ from .partitions import (
     conjugate_word,
     partition_vector,
 )
-from .weingarten import IndexSet, K_vector, gram_weingarten, projection_P
+from .weingarten import IndexSet, K_vector, projection_P, selected_partitions
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def _two_sided(spec: CategorySpec, I: IndexSet, max_k: int, max_l: int) -> tuple
             for lw in l_words.get(l_len, []):
                 for kw in k_words.get(k_len, []):
                     fix_word = lw + conjugate_word(kw)
-                    parts = gram_weingarten(spec, fix_word).basis.selected
+                    parts = selected_partitions(spec, fix_word)
                     # T sums over I^l x I^k to its vector's sum over I^(l+k)
                     for part, rhs in zip(parts, K_vector(spec, fix_word, I)):
                         T = frobenius_to_hom(partition_vector(part, n), kw, lw, n)
@@ -211,7 +211,7 @@ def _check_compatible(system: RelationSystem, real: OracleRealization):
             actions[k] = [
                 None if form is None else signed_index_map(form, n, k) for form in forms
             ]
-        for part in gram_weingarten(spec, word).basis.selected:
+        for part in selected_partitions(spec, word):
             vec = partition_vector(part, n).entries
             if real.classical:
                 support = list(compress(range(len(vec)), vec))

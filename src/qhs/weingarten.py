@@ -22,7 +22,6 @@ from .exact import (
     ParseError,
     ScaledScalar,
     check_index,
-    flat_index,
     invert,
 )
 from .partitions import (
@@ -30,10 +29,12 @@ from .partitions import (
     FixBasis,
     WHITE,
     all_partitions,
+    check_dense,
     check_word,
     coarsenings,
     fix_basis,
     kernel_ids,
+    kernel_position,
 )
 
 
@@ -105,9 +106,21 @@ def _norm_word(spec: CategorySpec, word: str) -> str:
 
 
 @cache
+def _basis(family: str, n: int, word: str) -> FixBasis:
+    """The selected basis, for every caller that reads no Gram data and
+    for _gram_data itself."""
+    return fix_basis(CategorySpec(family, n), word)
+
+
+def selected_partitions(spec: CategorySpec, word: str) -> tuple:
+    """The selected basis partitions of the word, in canonical order."""
+    check_word(word)
+    return _basis(spec.family, spec.N, _norm_word(spec, word)).selected
+
+
+@cache
 def _gram_data(family: str, n: int, word: str) -> GramData:
-    spec = CategorySpec(family, n)
-    basis = fix_basis(spec, word)
+    basis = _basis(family, n, word)
     parts = basis.selected
     d = len(parts)
     # join is commutative, so the Gram matrix is symmetric
@@ -134,7 +147,7 @@ def _kernel_hits(family: str, n: int, word: str) -> tuple:
     """hits[a] = positions of the selected partitions that kernel a (its
     position in all_partitions(k)) coarsens."""
     per_kernel = [[] for _ in all_partitions(len(word))]
-    for pos, part in enumerate(_gram_data(family, n, word).basis.selected):
+    for pos, part in enumerate(_basis(family, n, word).selected):
         for c in coarsenings(part):
             per_kernel[c].append(pos)
     return tuple(tuple(h) for h in per_kernel)
@@ -157,8 +170,8 @@ def integrate_G(spec: CategorySpec, word: str, row, col) -> Fraction:
     n = spec.N
     row = check_index(row, k, n, "row index")
     col = check_index(col, k, n, "column index")
-    kid, norm = kernel_ids(n, k), _norm_word(spec, word)
-    return _kernel_moment(spec.family, n, norm, kid[flat_index(row, n)], kid[flat_index(col, n)])
+    norm = _norm_word(spec, word)
+    return _kernel_moment(spec.family, n, norm, kernel_position(row), kernel_position(col))
 
 
 @cache
@@ -189,6 +202,7 @@ def _kernel_projection(family: str, n: int, word: str) -> dict:
 @cache
 def _projection(family: str, n: int, word: str) -> ExactMatrix:
     """The kernel-pair table read back through kernel_ids."""
+    check_dense(n ** (2 * len(word)), f"projection over N^2k = {n}^{2 * len(word)}")
     kid = kernel_ids(n, len(word))
     table = _kernel_projection(family, n, word)
     expanded = {a: [row[b] for b in kid] for a, row in table.items()}
@@ -212,10 +226,10 @@ def K_vector(spec: CategorySpec, word: str, I: IndexSet) -> list:
     """
     check_word(word)
     I.require_N(spec.N, "spec")
-    data = gram_weingarten(spec, word)
     k = len(word)
     return [
-        ScaledScalar(Fraction(I.m**part.block_count), k, I.m) for part in data.basis.selected
+        ScaledScalar(Fraction(I.m**part.block_count), k, I.m)
+        for part in selected_partitions(spec, word)
     ]
 
 
@@ -223,7 +237,7 @@ def K_vector(spec: CategorySpec, word: str, I: IndexSet) -> list:
 def _k_dot_weingarten(family: str, n: int, word: str, m: int) -> tuple:
     """kw[t] = sum_u K_q(u) * W[t, u], the rational part at scale m**(-k/2);
     K_q(u) = m**|pi_u| depends on I only through m = |I|."""
-    kq = [m**part.block_count for part in _gram_data(family, n, word).basis.selected]
+    kq = [m**part.block_count for part in _basis(family, n, word).selected]
     return tuple(
         sum((w * q for w, q in zip(wrow, kq)), Fraction(0))
         for wrow in _weingarten_rows(family, n, word)
@@ -240,7 +254,7 @@ def integrate_X(spec: CategorySpec, I: IndexSet, word: str, idx) -> ScaledScalar
     k = len(word)
     n = spec.N
     idx = check_index(idx, k, n, "index")
-    a = kernel_ids(n, k)[flat_index(idx, n)]
+    a = kernel_position(idx)
     return ScaledScalar(_space_moment(spec.family, n, _norm_word(spec, word), I.m, a), k, I.m)
 
 

@@ -267,6 +267,32 @@ def test_saturation_guard_fires_before_any_space_is_built():
         assert proc.stderr.startswith("resource-guard-exceeded:")
 
 
+def test_dense_guard_fires_before_the_projection_is_built():
+    # word 'oo' at N=40 would need a 40^4 = 2.56M-entry projection; point
+    # queries at the same N build no dense table and still answer
+    proc = subprocess.run(
+        [sys.executable, "-m", "qhs", "relations", "--form", "max", "--spec", "S(40)",
+         "--I", "1,2", "--max-k", "4"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=10,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource-guard-exceeded:")
+    assert "DENSE_GUARD" in proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "qhs", "integrate-g", "--spec", "S(40)", "--word", "oooo",
+         "--row", "1,2,1,3", "--col", "1,2,1,3"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == "1/59280"
+
+
 def test_verify_failure_exit_code_is_one(capsys, monkeypatch):
     # a deliberately broken check must exit 1 while still emitting the report
     import qhs.cli as cli_mod

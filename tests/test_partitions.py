@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qhs.exact import ParseError
+from qhs.exact import ParseError, flat_index
 from qhs.partitions import (
     CategorySpec,
     SetPartition,
@@ -11,6 +11,8 @@ from qhs.partitions import (
     enumerate_category,
     fix_basis,
     format_partition,
+    kernel_ids,
+    kernel_position,
     parse_partition,
     partition_vector,
     select_basis,
@@ -30,6 +32,26 @@ def test_conjugation_reverses_and_flips(word):
     assert len(conj) == len(word)
     for i, ch in enumerate(word):
         assert conj[len(word) - 1 - i] != ch
+
+
+@st.composite
+def indices(draw):
+    n = draw(st.integers(1, 5))
+    idx = draw(st.lists(st.integers(0, n - 1), max_size=6))
+    return n, tuple(idx)
+
+
+@given(indices())
+def test_kernel_position_matches_the_dense_table(case):
+    # kernel_ids is the reference: every index's kernel, read off a full scan
+    n, idx = case
+    assert kernel_position(idx) == kernel_ids(n, len(idx))[flat_index(idx, n)]
+
+
+def test_kernel_position_is_the_first_appearance_order():
+    assert all_partitions(3)[kernel_position((7, 2, 7))] == parse_partition("13|2")
+    assert all_partitions(4)[kernel_position((5, 5, 1, 0))] == parse_partition("12|3|4")
+    assert kernel_position(()) == 0
 
 
 def test_partition_literals_roundtrip():

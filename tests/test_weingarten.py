@@ -4,13 +4,22 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import factorial, perm
+from time import perf_counter
 
 import pytest
 
 import qhs
 from qhs.exact import DomainError, ScaledScalar
 from qhs.oracle import OracleGroup, brute_integrate_G
-from qhs.partitions import CategorySpec, enumerate_category, partition_vector
+from qhs.partitions import (
+    CategorySpec,
+    SetPartition,
+    all_partitions,
+    enumerate_category,
+    kernel_ids,
+    partition_vector,
+)
 from qhs.weingarten import (
     IndexSet,
     K_vector,
@@ -208,3 +217,93 @@ def test_gram_cache_shares_selfconjugate_colorings():
     assert a is b
     u3 = CategorySpec("U", 3)
     assert projection_P(u3, "oo") is not projection_P(u3, "ob")
+
+
+def test_point_queries_at_large_n_build_no_dense_table(cold_caches):
+    # each kernel is read off its index; kernel_ids(N, k) would have N^k entries
+    # (40^4 = 2.56M, 20^6 = 64M), so none of these may touch it
+    queries = [
+        (integrate_G, (CategorySpec("S", 40), "oooo", (0, 1, 0, 2), (0, 1, 0, 2))),
+        (integrate_G, (CategorySpec("O", 20), "o" * 6, (0, 0, 1, 1, 2, 2), (0, 0, 1, 1, 2, 2))),
+        (integrate_G, (CategorySpec("S+", 30), "oooo", (0, 0, 1, 1), (0, 0, 1, 1))),
+        (integrate_X, (CategorySpec("S", 40), IndexSet.of(40, {0, 1}), "oooo", (0, 1, 0, 1))),
+    ]
+    values = []
+    for integrate, args in queries:
+        start = perf_counter()
+        values.append(integrate(*args))
+        assert perf_counter() - start < 2.0, args
+    assert kernel_ids.cache_info().currsize == 0
+    assert values[0] == Fraction(1, 40 * 39 * 38)
+    assert values[1] > 0  # the integral of a square, over a faithful Haar state
+    # the entries of a magic unitary are projections, so this is u_11 u_22, where S+ and S agree
+    assert values[2] == Fraction(1, 30 * 29)
+
+
+def _kernel(idx) -> SetPartition:
+    classes = {}
+    for p, v in enumerate(idx):
+        classes.setdefault(v, []).append(p)
+    return SetPartition.from_blocks(len(idx), classes.values())
+
+
+def _refines(fine: SetPartition, coarse: SetPartition) -> bool:
+    bi = coarse.block_index
+    return all(bi[p] == bi[block[0]] for block in fine.blocks for p in block)
+
+
+def _mobius(fine: SetPartition, coarse: SetPartition) -> int:
+    """mu(fine, coarse) on the partition lattice: per block of coarse made of
+    j blocks of fine, a factor (-1)^(j-1) (j-1)!."""
+    merged = {}
+    for block in fine.blocks:
+        b = coarse.block_index[block[0]]
+        merged[b] = merged.get(b, 0) + 1
+    out = 1
+    for j in merged.values():
+        out *= (-1) ** (j - 1) * factorial(j - 1)
+    return out
+
+
+def _mobius_moment(n: int, row, col) -> Fraction:
+    """integrate_G over S_N, N >= k, in closed form.  The Gram matrix is
+    zeta^T D zeta with D = diag((N)_|tau|) over all partitions tau, so
+    W(pi, sigma) = sum over tau finer than pi and sigma of
+    mu(tau, pi) mu(tau, sigma) / (N)_|tau|; the moment sums W over the pi
+    below ker row and the sigma below ker col."""
+    parts = all_partitions(len(row))
+    below_row = [p for p in parts if _refines(p, _kernel(row))]
+    below_col = [p for p in parts if _refines(p, _kernel(col))]
+    total = Fraction(0)
+    for pi in below_row:
+        for sigma in below_col:
+            for tau in parts:
+                if _refines(tau, pi) and _refines(tau, sigma):
+                    weight = _mobius(tau, pi) * _mobius(tau, sigma)
+                    total += Fraction(weight, perm(n, tau.block_count))
+    return total
+
+
+def test_point_queries_match_the_mobius_form_at_s40():
+    n = 40
+    spec = CategorySpec("S", n)
+    pairs = [
+        ((0,), (0,)),
+        ((0,), (5,)),
+        ((0, 0), (0, 1)),
+        ((0, 1), (1, 0)),
+        ((0, 1, 0), (2, 3, 2)),
+        ((0, 1, 0), (2, 3, 4)),
+        ((0, 1, 0, 2), (0, 1, 0, 2)),
+        ((0, 1, 2, 3), (3, 2, 1, 0)),
+        ((0, 0, 1, 1), (2, 2, 3, 3)),
+        ((0, 1, 0, 1), (2, 3, 3, 2)),
+        ((7, 7, 7, 9), (1, 1, 4, 1)),
+    ]
+    for row, col in pairs:
+        assert integrate_G(spec, "o" * len(row), row, col) == _mobius_moment(n, row, col), (row, col)
+    I = IndexSet.of(n, {0, 1})
+    for idx in ((0, 1, 0, 1), (0, 5, 5, 2), (3, 3, 3)):
+        k = len(idx)
+        q = sum(_mobius_moment(n, idx, col) for col in product((0, 1), repeat=k))
+        assert integrate_X(spec, I, "o" * k, idx) == ScaledScalar(q, k, I.m), idx
