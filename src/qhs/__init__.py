@@ -5,7 +5,6 @@ from .exact import (
     ClosureCapError,
     DomainError,
     ExactMatrix,
-    ExactTensor,
     IncompatibleOracleError,
     ParseError,
     ResourceGuardError,
@@ -39,7 +38,6 @@ from .oracle import (
     dual_z2,
     fixed_space,
     hom_dimension,
-    hom_space,
     normal_closure_compare,
     orbit_moment,
     parse_oracle,
@@ -78,7 +76,6 @@ from .weingarten import (
     gram_weingarten,
     integrate_G,
     integrate_X,
-    moment_table,
     projection_P,
 )
 

@@ -353,7 +353,7 @@ def _suite_projection_laws(args) -> dict:
         _check(checks, f"idempotent({word or 'empty'})", seen[id(P)])
         ok = True
         for part in enumerate_category(spec, word):
-            xi = partition_vector(part, spec.N).as_column()
+            xi = partition_vector(part, spec.N)
             if P * xi != xi:
                 ok = False
                 break

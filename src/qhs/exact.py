@@ -2,9 +2,9 @@
 
 Scalars are rationals (`fractions.Fraction`), optionally carrying a factor
 m**(-s/2) so that the 1/sqrt(m)-normalised quantities stay exact.  Matrices
-and tensors are dense, immutable, and entrywise exact.  All elimination goes
-through one routine, `Echelon`: fraction-free, with a fixed pivot rule, so
-every output is deterministic and reproducible.
+are dense, immutable, and entrywise exact; a vector over N^k is an N^k x 1
+matrix.  All elimination goes through one routine, `Echelon`: fraction-free,
+with a fixed pivot rule, so every output is deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -331,59 +331,6 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-class ExactTensor:
-    """Dense exact tensor over a cubic shape (N, ..., N), lexicographic flat order."""
-
-    __slots__ = ("shape", "entries")
-
-    def __init__(self, shape, entries):
-        shape = tuple(shape)
-        entries = tuple(entries)
-        size = 1
-        for d in shape:
-            if d < 1:
-                raise ValueError(f"bad dimension {d}")
-            size *= d
-        if len(entries) != size:
-            raise ValueError(f"need {size} entries, got {len(entries)}")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactTensor is immutable")
-
-    @property
-    def order(self) -> int:
-        return len(self.shape)
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def at(self, idx):
-        n = self.shape[0] if self.shape else 1
-        return self.entries[flat_index(idx, n)]
-
-    def dot(self, other: "ExactTensor"):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return sum(a * b for a, b in zip(self.entries, other.entries) if a and b)
-
-    def as_column(self) -> ExactMatrix:
-        return ExactMatrix(self.size, 1, self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactTensor):
-            return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.shape, self.entries))
-
-    def __repr__(self):
-        return f"ExactTensor(shape={self.shape})"
-
-
 def multi_indices(n: int, k: int):
     """All k-tuples over range(n) in lexicographic (row-major flat) order."""
     return product(range(n), repeat=k)
@@ -407,14 +354,16 @@ def check_index(idx, k: int, n: int, what: str = "index") -> tuple:
     return idx
 
 
-def integer_row(row) -> list:
-    """The row times the least common denominator of its entries."""
+def common_denominator(row) -> tuple:
+    """(numerators, D): the entries as integers over their least common
+    denominator D, so that sums over them run in integers; a row of ints
+    comes back as it is, with D = 1."""
     try:
         math.gcd(*row)  # the fast test that every entry is an int
-        return list(row)
+        return row, 1
     except TypeError:
         den = math.lcm(*{x.denominator for x in row})
-        return [x.numerator * (den // x.denominator) for x in row]
+        return [x.numerator * (den // x.denominator) for x in row], den
 
 
 def _primitive(x: list, lead: int) -> list:
@@ -474,7 +423,7 @@ class Echelon:
     def reduce(self, row) -> list:
         """The row with every pivot column cleared, up to a nonzero factor;
         it is zero exactly when the row lies in the span."""
-        return self._eliminate(integer_row(row))
+        return self._eliminate(list(common_denominator(row)[0]))
 
     def add(self, row) -> bool:
         """Keep the reduced row if it raises the rank; True when kept."""

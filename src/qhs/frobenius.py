@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .exact import DomainError, ExactMatrix, ExactTensor, flat_index, multi_indices
+from .exact import DomainError, ExactMatrix, flat_index, multi_indices
 from .partitions import check_word, conjugate_word
 
 
@@ -26,7 +26,8 @@ def frobenius_map(n: int, k: int, l: int) -> tuple:
 
 
 def frobenius_to_fix(T: ExactMatrix, k_word: str, l_word: str, n: int):
-    """Map an operator to its invariant vector; returns (tensor, word)."""
+    """Map an operator to its invariant vector; returns (N^(l+k) x 1
+    column, word)."""
     check_word(k_word)
     check_word(l_word)
     k, l = len(k_word), len(l_word)
@@ -37,18 +38,18 @@ def frobenius_to_fix(T: ExactMatrix, k_word: str, l_word: str, n: int):
         )
     entries = T.entries
     fix = [entries[f] for f in frobenius_map(n, k, l)]
-    return ExactTensor((n,) * (l + k), fix), l_word + conjugate_word(k_word)
+    return ExactMatrix(len(fix), 1, fix), l_word + conjugate_word(k_word)
 
 
-def frobenius_to_hom(xi: ExactTensor, k_word: str, l_word: str, n: int) -> ExactMatrix:
+def frobenius_to_hom(xi: ExactMatrix, k_word: str, l_word: str, n: int) -> ExactMatrix:
     """Inverse of frobenius_to_fix; exact roundtrip in both directions."""
     check_word(k_word)
     check_word(l_word)
     k, l = len(k_word), len(l_word)
-    if xi.shape != (n,) * (l + k):
+    if (xi.rows, xi.cols) != (n ** (l + k), 1):
         raise DomainError(
-            f"shape mismatch: expected order-{l + k} tensor over {n} for words "
-            f"({k_word!r}, {l_word!r}), got shape {xi.shape}"
+            f"shape mismatch: expected a {n ** (l + k)}x1 column for words "
+            f"({k_word!r}, {l_word!r}), got {xi.rows}x{xi.cols}"
         )
     entries = xi.entries
     return ExactMatrix(n**l, n**k, [entries[f] for f in frobenius_map(n, k, l)])

@@ -13,16 +13,16 @@ import json
 import os
 import re
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import compress, permutations, product
+from types import MappingProxyType
 
 from .exact import (
     ClosureCapError,
     DomainError,
     ExactMatrix,
-    ExactTensor,
     ParseError,
     ScaledScalar,
     check_index,
@@ -31,8 +31,7 @@ from .exact import (
     rank,
     rank_nullspace,
 )
-from .frobenius import frobenius_to_hom
-from .partitions import WHITE, check_word, conjugate_word
+from .partitions import WHITE, check_word
 from .weingarten import IndexSet
 
 DEFAULT_CLOSURE_CAP = 100_000
@@ -81,26 +80,30 @@ def signed_index_map(form, n: int, k: int) -> tuple:
     return img, sign
 
 
+@dataclass(frozen=True, repr=False)
 class OracleGroup:
-    """A finite group of exact orthogonal N x N matrices, fully enumerated."""
+    """A finite group of exact orthogonal N x N matrices, fully enumerated.
 
-    kind = "classical"
+    A value, equal and hashed by its generators: the breadth-first closure
+    of from_generators makes the elements and their order a function of
+    them, so equal oracles share every cached table.
+    """
 
-    def __init__(self, elements, generators, name: str = "group"):
-        elements = tuple(elements)
-        if not elements:
+    generators: tuple
+    elements: tuple = field(compare=False)
+    name: str = field(default="group", compare=False)
+
+    def __post_init__(self):
+        if not self.elements:
             raise DomainError("a group needs at least the identity")
-        n = elements[0].rows
-        if any(g.rows != n or g.cols != n for g in elements):
+        if any(g.rows != self.N or g.cols != self.N for g in self.elements):
             raise DomainError("elements must be square matrices of one size")
-        if not any(g.is_identity() for g in elements):
+        if not any(g.is_identity() for g in self.elements):
             raise DomainError("identity matrix missing from element list")
-        self.N = n
-        self.elements = elements
-        self.generators = tuple(generators)
-        self.name = name
-        self._moments = {}
-        self._coords = {}
+
+    @property
+    def N(self) -> int:
+        return self.elements[0].rows
 
     def __len__(self):
         return len(self.elements)
@@ -113,10 +116,7 @@ class OracleGroup:
         """Breadth-first closure from the generators; insertion element order."""
         cap = closure_cap() if cap is None else cap
         generators = [g if isinstance(g, ExactMatrix) else ExactMatrix.from_rows(g) for g in generators]
-        if not generators:
-            n = 1
-        else:
-            n = generators[0].rows
+        n = generators[0].rows if generators else 1
         for g in generators:
             if g.rows != g.cols or g.rows != n:
                 raise DomainError("generators must be square matrices of one size")
@@ -141,7 +141,7 @@ class OracleGroup:
                     seen.add(nxt)
                     elements.append(nxt)
                     queue.append(nxt)
-        return cls(elements, generators, name=name)
+        return cls(tuple(generators), tuple(elements), name)
 
     @classmethod
     def symmetric(cls, n: int, cap: int | None = None) -> "OracleGroup":
@@ -161,14 +161,13 @@ class OracleGroup:
         forms = [monomial_form(g) for g in self.elements]
         return None if None in forms else forms
 
+    @cache
     def moment_table(self, k: int) -> dict:
         """Sparse {(flat_row, flat_col): moment} for words of length k.
 
         Conjugation is the identity on real rational entries, so the table
         only depends on the word length.
         """
-        if k in self._moments:
-            return self._moments[k]
         n = self.N
         order = len(self.elements)
         counts = {}
@@ -190,24 +189,17 @@ class OracleGroup:
                         if val:
                             key = (flat_index(i, n), flat_index(j, n))
                             counts[key] = counts.get(key, 0) + val
-        table = {
-            key: Fraction(val, order) for key, val in counts.items() if val != 0
-        }
-        self._moments[k] = table
-        return table
+        return {key: Fraction(val, order) for key, val in counts.items() if val != 0}
 
+    @cache
     def coordinate_table(self, I: IndexSet) -> tuple:
         """Per element g the vector c with c_i = sum_{j in I} g_{ij};
         the space coordinate is x_i(g) = c_i / sqrt(m)."""
         I.require_N(self.N, "group")
-        key = I.sorted_members
-        if key not in self._coords:
-            cols = key
-            self._coords[key] = tuple(
-                tuple(sum(g.at(i, j) for j in cols) for i in range(self.N))
-                for g in self.elements
-            )
-        return self._coords[key]
+        cols = I.sorted_members
+        return tuple(
+            tuple(sum(g.at(i, j) for j in cols) for i in range(self.N)) for g in self.elements
+        )
 
 
 def _adjacent_swaps(n: int) -> list:
@@ -228,28 +220,31 @@ class GroupDualData:
     """A finite group Gamma with N marked generators, used through its dual.
 
     The Haar state is 1 on words reducing to the identity and 0 otherwise,
-    i.e. the normalised trace of the left regular representation.
+    i.e. the normalised trace of the left regular representation.  Immutable;
+    multiply and invert are functions, so a dual is equal only to itself and
+    its cached tables are keyed by identity.  index maps each element to its
+    position, read-only.
     """
 
-    kind = "group-dual"
+    __slots__ = ("elements", "multiply", "invert", "identity", "generators", "name", "index")
 
     def __init__(self, elements, multiply, invert, identity, generators, name="dual"):
-        self.elements = tuple(elements)
-        self.multiply = multiply
-        self.invert = invert
-        self.identity = identity
-        self.generators = tuple(generators)
-        self.name = name
-        self.index = {el: i for i, el in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
+        elements = tuple(elements)
+        index = MappingProxyType({el: i for i, el in enumerate(elements)})
+        values = (elements, multiply, invert, identity, tuple(generators), name, index)
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+        if len(index) != len(elements):
             raise DomainError("duplicate group elements")
-        if identity not in self.index:
+        if identity not in index:
             raise DomainError("identity missing from element list")
-        if any(g not in self.index for g in self.generators):
+        if any(g not in index for g in self.generators):
             raise DomainError("generators must be group elements")
-        if len(self.subgroup(self.generators)) != len(self.elements):
+        if len(self.subgroup(self.generators)) != len(elements):
             raise DomainError("generators do not generate the group")
-        self._regular = {}
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupDualData is immutable")
 
     @property
     def N(self) -> int:
@@ -296,15 +291,14 @@ class GroupDualData:
             acc = self.multiply(acc, g if ch == WHITE else self.invert(g))
         return acc
 
+    @cache
     def regular_matrix(self, el) -> ExactMatrix:
         """Left regular representation: column h maps to row el*h."""
-        if el not in self._regular:
-            size = len(self.elements)
-            entries = [0] * (size * size)
-            for c, h in enumerate(self.elements):
-                entries[self.index[self.multiply(el, h)] * size + c] = 1
-            self._regular[el] = ExactMatrix(size, size, entries)
-        return self._regular[el]
+        size = len(self.elements)
+        entries = [0] * (size * size)
+        for c, h in enumerate(self.elements):
+            entries[self.index[self.multiply(el, h)] * size + c] = 1
+        return ExactMatrix(size, size, entries)
 
 
 def dual_z2(n: int) -> GroupDualData:
@@ -432,58 +426,46 @@ def averaging_operator(source, word: str) -> ExactMatrix:
     k = len(word)
     n = source.N
     size = n**k
-    if isinstance(source, OracleGroup):
-        table = source.moment_table(k)
-        entries = [0] * (size * size)
-        for (fi, fj), val in table.items():
-            entries[fi * size + fj] = val
-        return ExactMatrix(size, size, entries)
     entries = [0] * (size * size)
-    for flat, idx in enumerate(product(range(n), repeat=k)):
-        if source.word_value(word, idx) == source.identity:
-            entries[flat * size + flat] = 1
+    if isinstance(source, OracleGroup):
+        for (fi, fj), val in source.moment_table(k).items():
+            entries[fi * size + fj] = val
+    else:
+        for flat, idx in enumerate(product(range(n), repeat=k)):
+            if source.word_value(word, idx) == source.identity:
+                entries[flat * size + flat] = 1
     return ExactMatrix(size, size, entries)
 
 
 def fixed_space(source, word: str) -> tuple:
-    """Exact basis of the invariant vectors: the canonical nullspace basis
-    of (average - identity).  Classically that is the nullspace of the
-    generators' stacked rows g^(tensor k) - I, with no |G| factor; a dual's
-    average is diagonal, so its basis is the unit vectors at the indices
-    whose word value is e, in flat order.  Cached by value: by the generator
-    matrices and the word length, or by the dual and the word."""
+    """Exact basis of the invariant vectors, as N^k x 1 columns: the
+    canonical nullspace basis of (average - identity).  Classically that is
+    the nullspace of the generators' stacked rows g^(tensor k) - I, with no
+    |G| factor; a dual's average is diagonal, so its basis is the unit
+    vectors at the indices whose word value is e, in flat order.  Cached by
+    the oracle and the word (only its length, classically)."""
     check_word(word)
     if isinstance(source, OracleGroup):
-        return _fixed_space(source.generators, source.N, WHITE * len(word))
-    return _fixed_space(source, source.N, word)
+        word = WHITE * len(word)
+    return _fixed_space(source, word)
 
 
 @cache
-def _fixed_space(source, n: int, word: str) -> tuple:
-    """source: a classical oracle's generators (a tuple), or a dual."""
+def _fixed_space(source, word: str) -> tuple:
     k = len(word)
-    size = n**k
-    if isinstance(source, tuple):
+    size = source.N**k
+    if isinstance(source, OracleGroup):
         ident = ExactMatrix.identity(size)
         rows = []
-        for g in source:
+        for g in source.generators:
             power = reduce(ExactMatrix.kron, (g,) * k, ExactMatrix.identity(1))
             rows.extend((power - ident).entries)
-        _, basis, _ = rank_nullspace(ExactMatrix(len(source) * size, size, rows))
+        _, basis, _ = rank_nullspace(ExactMatrix(len(source.generators) * size, size, rows))
     else:
-        values = (source.word_value(word, idx) for idx in product(range(n), repeat=k))
+        values = (source.word_value(word, idx) for idx in product(range(source.N), repeat=k))
         hits = [f for f, value in enumerate(values) if value == source.identity]
         basis = [(0,) * hit + (1,) + (0,) * (size - hit - 1) for hit in hits]
-    return tuple(ExactTensor((n,) * k, vec) for vec in basis)
-
-
-def hom_space(source, k_word: str, l_word: str) -> list:
-    """Intertwiner basis, derived from the fixed vectors of l + conjugate(k)."""
-    fix_word = l_word + conjugate_word(k_word)
-    return [
-        frobenius_to_hom(xi, k_word, l_word, source.N)
-        for xi in fixed_space(source, fix_word)
-    ]
+    return tuple(ExactMatrix(size, 1, vec) for vec in basis)
 
 
 def hom_dimension(source, k_word: str, l_word: str):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, permutations, product
 
-from .exact import DomainError, Echelon, ExactTensor, ParseError, ResourceGuardError
+from .exact import DomainError, Echelon, ExactMatrix, ParseError, ResourceGuardError
 
 WHITE = "o"
 BLACK = "b"
@@ -289,15 +289,15 @@ def coarsenings(part: SetPartition) -> tuple:
     )
 
 
-def partition_vector(part: SetPartition, n: int) -> ExactTensor:
-    """The 0/1 tensor supported on multi-indices constant on each block,
-    that is on the indices whose kernel part refines."""
+def partition_vector(part: SetPartition, n: int) -> ExactMatrix:
+    """The 0/1 column over N^k supported on multi-indices constant on each
+    block, that is on the indices whose kernel part refines."""
     k = part.point_count
     check_dense(n**k, f"partition vector over N^k = {n}^{k}")
     zeta = [0] * len(all_partitions(k))
     for c in coarsenings(part):
         zeta[c] = 1
-    return ExactTensor((n,) * k, map(zeta.__getitem__, kernel_ids(n, k)))
+    return ExactMatrix(n**k, 1, map(zeta.__getitem__, kernel_ids(n, k)))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import lcm
 from operator import mul
 
 from .exact import (
@@ -21,6 +20,7 @@ from .exact import (
     IncompatibleOracleError,
     ParseError,
     ScaledScalar,
+    common_denominator,
     multi_indices,
     rank,
 )
@@ -232,15 +232,6 @@ def _check_compatible(system: RelationSystem, real: OracleRealization):
                 )
 
 
-def _over_common_denominator(entries) -> tuple:
-    """(numerators, D): integer numerators of the entries over their least
-    common denominator D, so that sums over them run in integers."""
-    if set(map(type, entries)) <= {int}:
-        return entries, 1
-    denominator = lcm(*{x.denominator for x in entries})
-    return tuple(x.numerator * (denominator // x.denominator) for x in entries), denominator
-
-
 def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
     """Evaluate every relation exactly on the realization, through its
     evaluation functionals (built once per word pair).
@@ -262,10 +253,9 @@ def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
         if words not in functionals:
             functionals[words] = real.functionals(*words)
         rhs_q = rel.rhs.rescale(len(rel.left_word) + len(rel.right_word))
-        if real.classical:  # sums in integers; dual ones read T only on I^l x I^k
-            numerators, denominator = _over_common_denominator(rel.coefficients.entries)
-        else:
-            numerators, denominator = rel.coefficients.entries, 1
+        T = rel.coefficients.entries
+        # classical sums run in integers; dual ones read T only on I^l x I^k
+        numerators, denominator = common_denominator(T) if real.classical else (T, 1)
         read = numerators.__getitem__
         target = rhs_q * denominator
         entry = {

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from itertools import product
 from math import perm
 from operator import mul
 
@@ -263,17 +262,6 @@ def _space_moment(family: str, n: int, word: str, m: int, a: int) -> Fraction:
     """The rational part of the space moment at any index of kernel a."""
     kw = _k_dot_weingarten(family, n, word, m)
     return sum((kw[t] for t in _kernel_hits(family, n, word)[a]), Fraction(0))
-
-
-def moment_table(spec: CategorySpec, I: IndexSet, words) -> dict:
-    """All moments for the given words, keyed by (word, 0-based index tuple)."""
-    table = {}
-    for word in words:
-        for idx in product(range(spec.N), repeat=len(word)):
-            table[(word, idx)] = integrate_X(spec, I, word, idx)
-    if ("", ()) in table and table[("", ())] != 1:
-        raise AssertionError("empty-word moment must be exactly 1")
-    return table
 
 
 def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qhs import weingarten
-from qhs.exact import Echelon, ExactTensor, ScaledScalar, flat_index
+from qhs.exact import Echelon, ExactMatrix, ScaledScalar, flat_index
 from qhs.partitions import FAMILIES, CategorySpec, enumerate_category, fix_basis, partition_vector
 from qhs.weingarten import (
     IndexSet,
@@ -39,7 +39,7 @@ def _ref_partition_vector(part, n):
             for p in block:
                 idx[p] = value
         entries[flat_index(idx, n)] = 1
-    return ExactTensor((n,) * k, entries)
+    return ExactMatrix(n**k, 1, entries)
 
 
 def _ref_independent(vectors):

@@ -9,12 +9,11 @@ from qhs.exact import (
     DomainError,
     Echelon,
     ExactMatrix,
-    ExactTensor,
     ScaleBaseError,
     ScaledScalar,
     SingularGramError,
     check_index,
-    integer_row,
+    common_denominator,
     invert,
     rank,
     rank_nullspace,
@@ -122,7 +121,7 @@ def test_rank_of_pairing_gram_at_small_n():
         SetPartition.from_blocks(4, [(0, 3), (1, 2)]),
     ]
     vecs = [partition_vector(p, 2) for p in pairings]
-    gram = ExactMatrix.from_rows([[a.dot(b) for b in vecs] for a in vecs])
+    gram = ExactMatrix.from_rows([[(a.transpose() * b).entries[0] for b in vecs] for a in vecs])
     assert gram.to_rows() == [[4, 2, 2], [2, 4, 2], [2, 2, 4]]
     assert rank(gram) == 3
 
@@ -197,13 +196,6 @@ def test_matrix_kron_shapes_and_values():
     k = a.kron(b)
     assert (k.rows, k.cols) == (2, 2)
     assert k.to_rows() == [[3, 6], [4, 8]]
-
-
-def test_tensor_basics():
-    t = ExactTensor((2, 2), (1, 0, 0, 1))
-    assert t.at((0, 0)) == 1 and t.at((0, 1)) == 0
-    assert t.dot(t) == 2
-    assert t.as_column().rows == 4
 
 
 def test_matrices_hash_consistently_across_int_and_fraction():
@@ -323,7 +315,7 @@ def test_one_routine_matches_reference_eliminations(rows, cols, data):
     rk, null, reduced = rank_nullspace(m)
     assert rk == ref_rank == rank(m) == len(reduced)
     # the primitive integer form of each reference vector, entry for entry
-    assert null == [tuple(integer_row(v)) for v in ref_null]
+    assert null == [tuple(common_denominator(v)[0]) for v in ref_null]
     for v in null:
         assert all(isinstance(x, int) for x in v)
         assert math.gcd(*v) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -9,7 +10,6 @@ from qhs.exact import (
     ClosureCapError,
     DomainError,
     ExactMatrix,
-    ExactTensor,
     ScaledScalar,
     rank_nullspace,
 )
@@ -27,12 +27,11 @@ from qhs.oracle import (
     dual_z2,
     fixed_space,
     hom_dimension,
-    hom_space,
     normal_closure_compare,
     orbit_moment,
     parse_oracle,
 )
-from qhs.opspaces import grid_cells
+from qhs.opspaces import grid_cells, hom_operator_space
 from qhs.partitions import colored_words
 from qhs.weingarten import IndexSet
 
@@ -112,10 +111,33 @@ def test_fixed_space_dimensions():
     ]
 
 
+def test_oracles_are_frozen_values():
+    group = OracleGroup.symmetric(3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        group.name = "other"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        group.elements = ()
+    dual = dual_z2(2)
+    with pytest.raises(AttributeError):
+        dual.identity = (1, 1)
+    with pytest.raises(TypeError):
+        dual.index[(1, 1)] = 0
+    # classical oracles are equal by their generators, so two parses of one
+    # literal share every cached table; a dual is equal only to itself
+    first, second = parse_oracle("SN(3)"), parse_oracle("SN(3)")
+    assert first == second and hash(first) == hash(second) and first is not second
+    assert first.moment_table(2) is second.moment_table(2)
+    I = IndexSet.of(3, [0, 1])
+    assert first.coordinate_table(I) is second.coordinate_table(I)
+    assert OracleGroup.symmetric(3) != OracleGroup.hyperoctahedral(3)
+    assert dual == dual and dual != dual_z2(2)
+    assert dual.regular_matrix((1, 0)) is dual.regular_matrix((1, 0))
+
+
 def test_hom_space_dimensions():
-    assert len(hom_space(OracleGroup.symmetric(3), "o", "o")) == 2
-    assert len(hom_space(OracleGroup.hyperoctahedral(3), "o", "o")) == 1
-    assert len(hom_space(OracleGroup.symmetric(3), "", "")) == 1
+    assert hom_operator_space(OracleGroup.symmetric(3), "o", "o").dimension == 2
+    assert hom_operator_space(OracleGroup.hyperoctahedral(3), "o", "o").dimension == 1
+    assert hom_operator_space(OracleGroup.symmetric(3), "", "").dimension == 1
 
 
 def oracle_source(literal):
@@ -150,15 +172,16 @@ def test_fixed_space_is_the_nullspace_of_the_average(literal):
         op = averaging_operator(source, word)
         _, basis, _ = rank_nullspace(op - ExactMatrix.identity(op.rows))
         fixed = fixed_space(source, word)
-        assert [xi.shape for xi in fixed] == [(source.N,) * len(word)] * len(basis)
+        assert [(xi.rows, xi.cols) for xi in fixed] == [(op.rows, 1)] * len(basis)
         assert [xi.entries for xi in fixed] == basis
         assert [list(map(type, xi.entries)) for xi in fixed] == [list(map(type, v)) for v in basis]
 
 
 def test_fixed_space_is_shared_by_equal_oracles():
-    # cached by the generator matrices, so two parses of one literal share it
+    # cached by the oracle, equal by its generators, so two parses of one
+    # literal share it
     assert fixed_space(parse_oracle("SN(3)"), "ob") is fixed_space(build_group("SN(3)"), "oo")
-    assert fixed_space(OracleGroup.from_generators([]), "ooo") == (ExactTensor((1, 1, 1), (1,)),)
+    assert fixed_space(OracleGroup.from_generators([]), "ooo") == (ExactMatrix(1, 1, (1,)),)
 
 
 @pytest.mark.parametrize(
@@ -167,10 +190,11 @@ def test_fixed_space_is_shared_by_equal_oracles():
 )
 def test_hom_dimension_counts_the_intertwiners(literal):
     # the character average (classical) and the word-value pairs (dual)
-    # count what hom_space spans, without reading any fixed vector
+    # count what the hom space spans, without reading any fixed vector
     source = oracle_source(literal)
     for k_word, l_word in grid_cells(3):
-        assert hom_dimension(source, k_word, l_word) == len(hom_space(source, k_word, l_word))
+        hom = hom_operator_space(source, k_word, l_word)
+        assert hom_dimension(source, k_word, l_word) == hom.dimension
 
 
 def test_averaging_operator_idempotent():
@@ -302,7 +326,7 @@ def test_generic_rational_group_uses_dense_paths():
         for xi in fixed_space(group, word):
             assert all(isinstance(x, int) for x in xi.entries)
             assert math.gcd(*xi.entries) == 1
-            assert op * xi.as_column() == xi.as_column()
+            assert op * xi == xi
 
 
 def cyclic_dual(order, generators):

@@ -8,7 +8,7 @@ import pytest
 
 from qhs.exact import DomainError, ExactMatrix, IncompatibleOracleError, ParseError, ScaledScalar
 from qhs.frobenius import frobenius_to_fix, frobenius_to_hom
-from qhs.oracle import OracleGroup, OracleRealization, dual_z2
+from qhs.oracle import OracleGroup, OracleRealization, dual_z2, fixed_space
 from qhs.partitions import CategorySpec, parse_partition, partition_vector
 from qhs.relations import (
     Relation,
@@ -77,6 +77,22 @@ def test_frobenius_roundtrip_at_full_depth():
 def test_frobenius_shape_mismatch():
     with pytest.raises(DomainError):
         frobenius_to_fix(ExactMatrix.identity(3), "oo", "o", 3)
+
+
+def test_dense_vectors_are_columns():
+    # partition vectors, fixed vectors and reshuffled operators are all
+    # N^k x 1 matrices; frobenius_to_hom refuses any other shape
+    vec = partition_vector(parse_partition("12|3"), 3)
+    assert (vec.rows, vec.cols) == (27, 1)
+    for word, source in (("ooo", OracleGroup.symmetric(3)), ("ob", dual_z2(3))):
+        for xi in fixed_space(source, word):
+            assert (xi.rows, xi.cols) == (3 ** len(word), 1)
+    xi, _ = frobenius_to_fix(ExactMatrix.identity(3), "o", "o", 3)
+    assert (xi.rows, xi.cols) == (9, 1)
+    assert frobenius_to_hom(xi, "o", "o", 3) == ExactMatrix.identity(3)
+    for wrong in (ExactMatrix(27, 1, (0,) * 27), xi.transpose()):
+        with pytest.raises(DomainError):
+            frobenius_to_hom(wrong, "o", "o", 3)
 
 
 def test_med_first_relation_is_row_sum():
