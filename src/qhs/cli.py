@@ -64,20 +64,6 @@ from .weingarten import (
     projection_P,
 )
 
-SUITES = (
-    "counts",
-    "weingarten-vs-bruteforce",
-    "moments-vs-orbit",
-    "dual-moments",
-    "projection-laws",
-    "ergodicity",
-    "relations",
-    "frobenius",
-    "saturation",
-    "properness",
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qhs",
@@ -191,8 +177,8 @@ def _symmetric_spec(args, suite: str) -> CategorySpec:
 
 
 def _scaled_text(value: dict) -> str:
-    """A ScaledScalar's JSON form as text: q, or q*m^(-1/2)."""
-    return value["q"] if value["s"] == 0 else f"{value['q']}*{value['m']}^(-1/2)"
+    """A ScaledScalar's JSON form as text: q, or q*m^(-s/2)."""
+    return value["q"] if value["s"] == 0 else f"{value['q']}*{value['m']}^(-{value['s']}/2)"
 
 
 def _check(checks, name, passed, detail=""):
@@ -526,7 +512,7 @@ def cmd_verify(args) -> dict:
     runner = _SUITE_RUNNERS.get(args.suite)
     if runner is None:
         raise ParseError(
-            f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}"
+            f"unknown suite {args.suite!r}; choose from {', '.join(_SUITE_RUNNERS)}"
         )
     for flag in ("max_k", "max_l", "bounds", "samples"):
         value = getattr(args, flag)
@@ -575,18 +561,12 @@ def _render_pretty(payload: dict) -> str:
             f" {len(payload['relations'])} relations"
         )
         for pos, rel in enumerate(payload["relations"]):
-            rhs = rel["rhs"]
-            rhs_text = rhs["q"] if rhs["s"] == 0 else f"{rhs['q']}*{rhs['m']}^(-{rhs['s']}/2)"
             lines.append(
                 f"  [{pos}] left={rel['left_word'] or 'empty'}"
-                f" right={rel['right_word'] or 'empty'} rhs={rhs_text}"
+                f" right={rel['right_word'] or 'empty'} rhs={_scaled_text(rel['rhs'])}"
             )
     elif "q" in payload:
-        if payload["s"] == 0:
-            exact = payload["q"]
-        else:
-            exact = f"{payload['q']}*{payload['m']}^(-{payload['s']}/2)"
-        lines.append(f"{exact} = {payload['approx']!r}")
+        lines.append(f"{_scaled_text(payload)} = {payload['approx']!r}")
     else:
         lines.append(f"{payload['value']} = {payload['approx']!r}")
     return "\n".join(lines) + "\n"

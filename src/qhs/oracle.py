@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
@@ -49,6 +49,27 @@ def closure_cap() -> int:
     if cap < 1:
         raise ParseError(f"{_CAP_ENV} must be positive, got {cap}")
     return cap
+
+
+def _closure(identity, generators, multiply, cap=None) -> list:
+    """Breadth-first closure of the generators under multiply, in insertion
+    order (the list is its own queue); ClosureCapError past cap elements."""
+    out = [identity]
+    seen = {identity}
+    for cur in out:
+        for g in generators:
+            nxt = multiply(cur, g)
+            if nxt not in seen:
+                if cap is not None and len(out) >= cap:
+                    raise ClosureCapError(f"group closure exceeded the cap of {cap} elements")
+                seen.add(nxt)
+                out.append(nxt)
+    return out
+
+
+def tensor_power(g: ExactMatrix, k: int) -> ExactMatrix:
+    """g tensor ... tensor g (k factors), dense; the 1 x 1 identity at k = 0."""
+    return reduce(ExactMatrix.kron, (g,) * k, ExactMatrix.identity(1))
 
 
 def _is_orthogonal(mat: ExactMatrix) -> bool:
@@ -112,9 +133,9 @@ class OracleGroup:
         return f"OracleGroup({self.name}, order={len(self.elements)}, N={self.N})"
 
     @classmethod
-    def from_generators(cls, generators, name: str = "group", cap: int | None = None):
+    def from_generators(cls, generators, name: str = "group"):
         """Breadth-first closure from the generators; insertion element order."""
-        cap = closure_cap() if cap is None else cap
+        cap = closure_cap()
         generators = [g if isinstance(g, ExactMatrix) else ExactMatrix.from_rows(g) for g in generators]
         n = generators[0].rows if generators else 1
         for g in generators:
@@ -125,36 +146,21 @@ class OracleGroup:
                 if rank(g) < n:
                     raise DomainError("non-invertible generator")
                 raise DomainError("generator is not orthogonal")
-        ident = ExactMatrix.identity(n)
-        elements = [ident]
-        seen = {ident}
-        queue = deque([ident])
-        while queue:
-            cur = queue.popleft()
-            for g in generators:
-                nxt = cur * g
-                if nxt not in seen:
-                    if len(elements) >= cap:
-                        raise ClosureCapError(
-                            f"group closure exceeded the cap of {cap} elements"
-                        )
-                    seen.add(nxt)
-                    elements.append(nxt)
-                    queue.append(nxt)
+        elements = _closure(ExactMatrix.identity(n), generators, ExactMatrix.__mul__, cap)
         return cls(tuple(generators), tuple(elements), name)
 
     @classmethod
-    def symmetric(cls, n: int, cap: int | None = None) -> "OracleGroup":
+    def symmetric(cls, n: int) -> "OracleGroup":
         """All n x n permutation matrices (generated by adjacent swaps)."""
-        return cls.from_generators(_adjacent_swaps(n), name=f"SN({n})", cap=cap)
+        return cls.from_generators(_adjacent_swaps(n, "SN"), name=f"SN({n})")
 
     @classmethod
-    def hyperoctahedral(cls, n: int, cap: int | None = None) -> "OracleGroup":
+    def hyperoctahedral(cls, n: int) -> "OracleGroup":
         """All signed permutation matrices."""
-        gens = _adjacent_swaps(n)
+        gens = _adjacent_swaps(n, "HN")
         flip = [[(-1 if r == c == 0 else int(r == c)) for c in range(n)] for r in range(n)]
         gens.append(ExactMatrix.from_rows(flip))
-        return cls.from_generators(gens, name=f"HN({n})", cap=cap)
+        return cls.from_generators(gens, name=f"HN({n})")
 
     def monomial_forms(self):
         """Per element its monomial_form, or None if some element has none."""
@@ -179,16 +185,10 @@ class OracleGroup:
                     counts[fi, f] = counts.get((fi, f), 0) + val
         else:
             for g in self.elements:
-                for i in product(range(n), repeat=k):
-                    for j in product(range(n), repeat=k):
-                        val = 1
-                        for a, b in zip(i, j):
-                            val *= g.at(a, b)
-                            if val == 0:
-                                break
-                        if val:
-                            key = (flat_index(i, n), flat_index(j, n))
-                            counts[key] = counts.get(key, 0) + val
+                pairs = product(range(n**k), repeat=2)
+                for key, val in zip(pairs, tensor_power(g, k).entries):
+                    if val:
+                        counts[key] = counts.get(key, 0) + val
         return {key: Fraction(val, order) for key, val in counts.items() if val != 0}
 
     @cache
@@ -202,7 +202,9 @@ class OracleGroup:
         )
 
 
-def _adjacent_swaps(n: int) -> list:
+def _adjacent_swaps(n: int, family: str) -> list:
+    if n < 1:
+        raise ParseError(f"{family} needs n >= 1")
     gens = []
     for i in range(n - 1):
         perm = list(range(n))
@@ -258,18 +260,7 @@ class GroupDualData:
 
     def subgroup(self, gens) -> list:
         """Closure of gens under multiplication (deterministic insertion order)."""
-        out = [self.identity]
-        seen = {self.identity}
-        queue = deque([self.identity])
-        while queue:
-            cur = queue.popleft()
-            for g in gens:
-                nxt = self.multiply(cur, g)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    out.append(nxt)
-                    queue.append(nxt)
-        return out
+        return _closure(self.identity, gens, self.multiply)
 
     def normal_closure(self, gens) -> list:
         conjugates = []
@@ -345,15 +336,15 @@ def dual_s3(pairs) -> GroupDualData:
     )
 
 
-def build_group(text: str, cap: int | None = None) -> OracleGroup:
+def build_group(text: str) -> OracleGroup:
     """Parse a classical group literal: SN(n), HN(n), or gens(file.json)."""
     text = text.strip()
     match = re.fullmatch(r"SN\((\d+)\)", text)
     if match:
-        return OracleGroup.symmetric(int(match.group(1)), cap=cap)
+        return OracleGroup.symmetric(int(match.group(1)))
     match = re.fullmatch(r"HN\((\d+)\)", text)
     if match:
-        return OracleGroup.hyperoctahedral(int(match.group(1)), cap=cap)
+        return OracleGroup.hyperoctahedral(int(match.group(1)))
     match = re.fullmatch(r"gens\((.+)\)", text)
     if match:
         path = match.group(1).strip()
@@ -375,11 +366,11 @@ def build_group(text: str, cap: int | None = None) -> OracleGroup:
             raise ParseError(
                 f"{path} must hold a list of rectangular matrices of rationals"
             ) from exc
-        return OracleGroup.from_generators(gens, name=f"gens({path})", cap=cap)
+        return OracleGroup.from_generators(gens, name=f"gens({path})")
     raise ParseError(f"bad group literal {text!r}; expected SN(n), HN(n) or gens(file)")
 
 
-def parse_oracle(text: str, cap: int | None = None):
+def parse_oracle(text: str):
     """Parse any oracle literal, classical or dual."""
     text = text.strip()
     match = re.fullmatch(r"dualZ2\((\d+)\)", text)
@@ -394,7 +385,7 @@ def parse_oracle(text: str, cap: int | None = None):
             )
         pairs = [(int(tok[0]), int(tok[1])) for tok in tokens]
         return dual_s3(pairs)
-    return build_group(text, cap=cap)
+    return build_group(text)
 
 
 def brute_integrate_G(group: OracleGroup, word: str, row, col) -> Fraction:
@@ -458,8 +449,7 @@ def _fixed_space(source, word: str) -> tuple:
         ident = ExactMatrix.identity(size)
         rows = []
         for g in source.generators:
-            power = reduce(ExactMatrix.kron, (g,) * k, ExactMatrix.identity(1))
-            rows.extend((power - ident).entries)
+            rows.extend((tensor_power(g, k) - ident).entries)
         _, basis, _ = rank_nullspace(ExactMatrix(len(source.generators) * size, size, rows))
     else:
         values = (source.word_value(word, idx) for idx in product(range(source.N), repeat=k))
@@ -648,8 +638,3 @@ class OracleRealization:
             (dual.index[g], flats, (1,) * len(flats), g == dual.identity)
             for g, flats in reached.items()
         ]
-
-    def moment(self, word: str, idx) -> ScaledScalar:
-        if self.classical:
-            return orbit_moment(self.source, self.I, word, idx)
-        return dual_X_moment(self.source, self.I, word, idx)

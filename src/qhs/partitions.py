@@ -305,8 +305,6 @@ class FixBasis:
     """Partitions spanning an invariant-vector space through their vectors,
     with a selected linearly independent sublist (same span)."""
 
-    word: str
-    N: int
     members: tuple  # (SetPartition, ...)
     independent: tuple  # indices into members
 
@@ -319,7 +317,7 @@ class FixBasis:
         return len(self.independent)
 
 
-def select_basis(members, n: int, word: str = "") -> FixBasis:
+def select_basis(members, n: int) -> FixBasis:
     """Scan in canonical order, keeping a partition iff its zeta row raises
     the rank.  The row has a 1 at each kernel with at most n blocks that the
     partition refines; kernel_ids maps onto exactly those kernels, with
@@ -332,9 +330,9 @@ def select_basis(members, n: int, word: str = "") -> FixBasis:
         above = {c for c in coarsenings(part) if kernels[c].block_count <= n}
         if span.add([int(c in above) for c in range(len(kernels))]):
             keep.append(t)
-    return FixBasis(word, n, tuple(members), tuple(keep))
+    return FixBasis(tuple(members), tuple(keep))
 
 
 def fix_basis(spec: CategorySpec, word: str) -> FixBasis:
     """Enumerate the category and select a basis of its partitions."""
-    return select_basis(enumerate_category(spec, word), spec.N, word)
+    return select_basis(enumerate_category(spec, word), spec.N)

@@ -9,7 +9,7 @@ are deterministic and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import perm
@@ -135,10 +135,7 @@ def _gram_data(family: str, n: int, word: str) -> GramData:
 def gram_weingarten(spec: CategorySpec, word: str) -> GramData:
     """Gram matrix N**|join| on the selected basis and its exact inverse."""
     check_word(word)
-    data = _gram_data(spec.family, spec.N, _norm_word(spec, word))
-    if data.basis.word != word:
-        data = replace(data, basis=replace(data.basis, word=word))
-    return data
+    return _gram_data(spec.family, spec.N, _norm_word(spec, word))
 
 
 @cache
@@ -182,29 +179,22 @@ def _kernel_moment(family: str, n: int, word: str, a: int, b: int) -> Fraction:
 
 
 @cache
-def _kernel_projection(family: str, n: int, word: str) -> dict:
-    """P[i, j] depends on i and j only through their kernels: table[a][b] over
-    the kernels with at most n blocks (the ones that occur), one sum per pair.
-    Only the dense projection reads it; ergodicity_check needs W z alone."""
+def _projection(family: str, n: int, word: str) -> ExactMatrix:
+    """P[i, j] depends on i and j only through their kernels: one sum per
+    pair of kernels with at most n blocks (the ones that occur), read back
+    through kernel_ids."""
+    check_dense(n ** (2 * len(word)), f"projection over N^2k = {n}^{2 * len(word)}")
+    kid = kernel_ids(n, len(word))
     wrows = _weingarten_rows(family, n, word)
     hits = _kernel_hits(family, n, word)
     kernels = [a for a, part in enumerate(all_partitions(len(word))) if part.block_count <= n]
-    table = {}
+    expanded = {}
     for a in kernels:
         colsum = [Fraction(0)] * len(wrows)
         for t in hits[a]:
             colsum = [x + y for x, y in zip(colsum, wrows[t])]
-        table[a] = {b: sum((colsum[u] for u in hits[b]), Fraction(0)) for b in kernels}
-    return table
-
-
-@cache
-def _projection(family: str, n: int, word: str) -> ExactMatrix:
-    """The kernel-pair table read back through kernel_ids."""
-    check_dense(n ** (2 * len(word)), f"projection over N^2k = {n}^{2 * len(word)}")
-    kid = kernel_ids(n, len(word))
-    table = _kernel_projection(family, n, word)
-    expanded = {a: [row[b] for b in kid] for a, row in table.items()}
+        row = {b: sum((colsum[u] for u in hits[b]), Fraction(0)) for b in kernels}
+        expanded[a] = [row[b] for b in kid]
     out = []
     for a in kid:
         out.extend(expanded[a])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -88,7 +89,21 @@ def test_verify_exit_codes(capsys):
 
     code, _, err = run_cli(capsys, "verify", "--suite", "does-not-exist")
     assert code == 2
-    assert "unknown suite" in err
+    assert err == (
+        "error: unknown suite 'does-not-exist'; choose from counts, weingarten-vs-bruteforce,"
+        " moments-vs-orbit, dual-moments, projection-laws, ergodicity, relations, frobenius,"
+        " saturation, properness\n"
+    )
+
+
+@pytest.mark.parametrize("literal", ["SN(0)", "HN(0)"])
+def test_empty_permutation_oracles_exit_2(capsys, literal):
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "saturation", "--oracle", literal, "--I", "1", "--bounds", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {literal[:2]} needs n >= 1\n"
 
 
 def test_verify_saturation_reports_strictly_larger(capsys):
@@ -158,6 +173,52 @@ def test_csv_and_pretty_formats(capsys):
     )
     assert code == 0
     assert out.startswith("1/3")
+
+
+@pytest.mark.parametrize(
+    "argv, pretty, csv",
+    [
+        (
+            ("integrate-x", "--spec", "S(4)", "--I", "1,2", "--word", "o", "--idx", "1"),
+            "1/2*2^(-1/2) = 0.3535533905932738\n",
+            "q,s,m,approx\n1/2,1,2,0.3535533905932738\n",
+        ),
+        (
+            ("relations", "--form", "hom", "--spec", "U(2)", "--I", "1", "--max-k", "1",
+             "--max-l", "1"),
+            "hom-form system for U(2) with I={1}: 2 relations\n"
+            "  [0] left=o right=o rhs=1\n  [1] left=b right=b rhs=1\n",
+            "index,left_word,right_word,rhs_q,rhs_s,rhs_m,T\n"
+            "0,o,o,1,0,1,1 0 0 1\n1,b,b,1,0,1,1 0 0 1\n",
+        ),
+        (
+            ("relations", "--form", "med", "--spec", "S(4)", "--I", "1,2", "--max-k", "1"),
+            "med-form system for S(4) with I={1,2}: 1 relations\n"
+            "  [0] left=o right=empty rhs=2*2^(-1/2)\n",
+            "index,left_word,right_word,rhs_q,rhs_s,rhs_m,T\n0,o,,2,1,2,1 1 1 1\n",
+        ),
+    ],
+)
+def test_pretty_and_csv_text_is_pinned(capsys, argv, pretty, csv):
+    # the golden corpus pins --format json only
+    assert run_cli(capsys, *argv, "--format", "pretty") == (0, pretty, "")
+    assert run_cli(capsys, *argv, "--format", "csv") == (0, csv, "")
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("saturation", "--oracle", "SN(6)", "--I", "1,2", "--bounds", "3"), "c0bbadc822d3"),
+        (("saturation", "--oracle", "HN(4)", "--I", "1,2", "--bounds", "3"), "33d50ecc7923"),
+        (("frobenius", "--oracle", "SN(4)", "--bounds", "4", "--samples", "1"), "1dedbfd84d65"),
+        (("frobenius", "--oracle", "dualZ2(4)", "--bounds", "5", "--samples", "1"), "4a1152a1a73b"),
+    ],
+)
+def test_larger_oracle_runs_keep_their_bytes(capsys, argv, prefix):
+    # sha256 of the JSON stdout, outside the golden corpus's sizes
+    code, out, _ = run_cli(capsys, "verify", "--suite", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == prefix
 
 
 def test_output_file_written_atomically(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from qhs.exact import (
     ClosureCapError,
     DomainError,
     ExactMatrix,
+    ParseError,
     ScaledScalar,
     rank_nullspace,
 )
@@ -30,6 +31,7 @@ from qhs.oracle import (
     normal_closure_compare,
     orbit_moment,
     parse_oracle,
+    tensor_power,
 )
 from qhs.opspaces import grid_cells, hom_operator_space
 from qhs.partitions import colored_words
@@ -52,9 +54,37 @@ def test_closure_of_nonclosed_generators():
     assert len(group) == 3
 
 
-def test_closure_cap_enforced():
+def test_closure_cap_enforced(monkeypatch):
+    monkeypatch.setenv("QHS_MAX_CLOSURE", "10")
     with pytest.raises(ClosureCapError):
-        OracleGroup.symmetric(4, cap=10)
+        OracleGroup.symmetric(4)
+
+
+@pytest.mark.parametrize("family", ["SN", "HN"])
+def test_empty_permutation_groups_are_rejected(family):
+    with pytest.raises(ParseError, match=f"^{family} needs n >= 1$"):
+        build_group(f"{family}(0)")
+    constructor = OracleGroup.symmetric if family == "SN" else OracleGroup.hyperoctahedral
+    with pytest.raises(ParseError, match=f"^{family} needs n >= 1$"):
+        constructor(0)
+
+
+def test_closure_keeps_breadth_first_insertion_order():
+    # element order is output: classical evaluation points are labelled by position
+    sn3 = [
+        (1, 0, 0, 0, 1, 0, 0, 0, 1),
+        (0, 1, 0, 1, 0, 0, 0, 0, 1),
+        (1, 0, 0, 0, 0, 1, 0, 1, 0),
+        (0, 0, 1, 1, 0, 0, 0, 1, 0),
+        (0, 1, 0, 0, 0, 1, 1, 0, 0),
+        (0, 0, 1, 0, 1, 0, 1, 0, 0),
+    ]
+    assert [g.entries for g in OracleGroup.symmetric(3).elements] == sn3
+    dual = dual_s3([(1, 2), (1, 3), (2, 3)])
+    assert dual.subgroup(dual.generators[:2]) == [
+        (0, 1, 2), (1, 0, 2), (2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1)
+    ]
+    assert dual.subgroup(dual.generators[2:]) == [(0, 1, 2), (0, 2, 1)]
 
 
 def test_closure_cap_env_override(monkeypatch, tmp_path):
@@ -297,14 +327,16 @@ def test_fixed_space_dimension_matches_partition_span():
             assert len(fixed_space(group, "o" * k)) == fix_basis(spec, "o" * k).dimension
 
 
-def householder_conjugated_s3():
+def householder_reflection():
     # reflection along (1,2,2) keeps entries rational but nothing monomial
     v = (1, 2, 2)
-    h_rows = [
-        [Fraction(int(r == c)) - Fraction(2 * v[r] * v[c], 9) for c in range(3)]
-        for r in range(3)
-    ]
-    h = ExactMatrix.from_rows(h_rows)
+    return ExactMatrix.from_rows(
+        [[Fraction(int(r == c)) - Fraction(2 * v[r] * v[c], 9) for c in range(3)] for r in range(3)]
+    )
+
+
+def householder_conjugated_s3():
+    h = householder_reflection()
     swap01 = ExactMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     swap12 = ExactMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     return OracleGroup.from_generators([h * swap01 * h, h * swap12 * h])
@@ -327,6 +359,20 @@ def test_generic_rational_group_uses_dense_paths():
             assert all(isinstance(x, int) for x in xi.entries)
             assert math.gcd(*xi.entries) == 1
             assert op * xi == xi
+
+
+def test_dense_moment_table_is_the_conjugated_monomial_table():
+    # the Householder group is h S_3 h with h = h^T = h^-1, so its averaged
+    # g^(tensor k) is h^(tensor k) A h^(tensor k) for SN(3)'s average A
+    group = householder_conjugated_s3()
+    h = householder_reflection()
+    assert h * h == ExactMatrix.identity(3) and h == h.transpose()
+    sn3 = OracleGroup.symmetric(3)
+    assert sn3.monomial_forms() is not None and group.monomial_forms() is None
+    for k in range(4):
+        hk = tensor_power(h, k)
+        expected = hk * averaging_operator(sn3, "o" * k) * hk
+        assert averaging_operator(group, "o" * k) == expected
 
 
 def cyclic_dual(order, generators):

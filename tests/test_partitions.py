@@ -160,7 +160,7 @@ def test_select_basis_drops_dependent_vectors_at_small_n():
 
 
 def test_select_basis_empty_input():
-    basis = select_basis([], 3, "oo")
+    basis = select_basis([], 3)
     assert basis.dimension == 0 and basis.members == ()
 
 
