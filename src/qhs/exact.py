@@ -225,9 +225,6 @@ class ExactMatrix:
     def row(self, r: int) -> tuple:
         return self.entries[r * self.cols : (r + 1) * self.cols]
 
-    def to_rows(self) -> list:
-        return [list(self.row(r)) for r in range(self.rows)]
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
             self.cols,

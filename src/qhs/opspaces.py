@@ -37,7 +37,6 @@ class OperatorSpace:
     l_word: str
     N: int
     basis: tuple
-    label: str  # hom-space | fxi-space
     equation_rows: tuple = field(default=None, compare=False, repr=False)  # if known
 
     @property
@@ -121,7 +120,7 @@ def fxi_space(real: OracleRealization, k_word: str, l_word: str) -> OperatorSpac
     system = ExactMatrix(len(rows), unknowns, [x for row in rows for x in row])
     _, null, equations = rank_nullspace(system)
     basis = tuple(ExactMatrix(n**l, cols_k, vec) for vec in null)
-    return OperatorSpace(k_word, l_word, n, basis, "fxi-space", tuple(equations))
+    return OperatorSpace(k_word, l_word, n, basis, tuple(equations))
 
 
 def hom_operator_space(source, k_word: str, l_word: str) -> OperatorSpace:
@@ -135,7 +134,7 @@ def hom_operator_space(source, k_word: str, l_word: str) -> OperatorSpace:
     else:
         fixed = fixed_space(source, fix_word)
     basis = tuple(frobenius_to_hom(xi, k_word, l_word, n) for xi in fixed)
-    return OperatorSpace(k_word, l_word, n, basis, "hom-space")
+    return OperatorSpace(k_word, l_word, n, basis)
 
 
 def _cell_order(cell) -> tuple:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import compress, permutations, product
+from operator import mul
 from types import MappingProxyType
 
 from .exact import (
@@ -162,11 +163,6 @@ class OracleGroup:
         gens.append(ExactMatrix.from_rows(flip))
         return cls.from_generators(gens, name=f"HN({n})")
 
-    def monomial_forms(self):
-        """Per element its monomial_form, or None if some element has none."""
-        forms = [monomial_form(g) for g in self.elements]
-        return None if None in forms else forms
-
     @cache
     def moment_table(self, k: int) -> dict:
         """Sparse {(flat_row, flat_col): moment} for words of length k.
@@ -177,8 +173,8 @@ class OracleGroup:
         n = self.N
         order = len(self.elements)
         counts = {}
-        forms = self.monomial_forms()
-        if forms is not None:
+        forms = [monomial_form(g) for g in self.elements]
+        if None not in forms:
             for form in forms:
                 img, sign = signed_index_map(form, n, k)
                 for f, (fi, val) in enumerate(zip(img, sign)):
@@ -366,6 +362,8 @@ def build_group(text: str) -> OracleGroup:
             raise ParseError(
                 f"{path} must hold a list of rectangular matrices of rationals"
             ) from exc
+        if not gens or any(g.rows == 0 for g in gens):
+            raise ParseError(f"{path} must hold at least one generator of size N >= 1")
         return OracleGroup.from_generators(gens, name=f"gens({path})")
     raise ParseError(f"bad group literal {text!r}; expected SN(n), HN(n) or gens(file)")
 
@@ -456,6 +454,60 @@ def _fixed_space(source, word: str) -> tuple:
         hits = [f for f, value in enumerate(values) if value == source.identity]
         basis = [(0,) * hit + (1,) + (0,) * (size - hit - 1) for hit in hits]
     return tuple(ExactMatrix(size, 1, vec) for vec in basis)
+
+
+def fixes(source, word: str, vectors) -> bool:
+    """Whether the oracle fixes every N^k x 1 column in vectors, exactly.
+
+    A vector fixed by each generator is fixed by the whole group, so a
+    classical oracle is checked on its generators.  One with a single nonzero
+    entry per column moves a vector through its signed index map, checked on
+    the vector's support only: a bijection of flat indices that maps the
+    support into itself maps it onto itself.  Any other generator is applied
+    densely, one tensor axis at a time.  A dual fixes a vector iff the word
+    value is e at every index of its support.
+    """
+    check_word(word)
+    n, k = source.N, len(word)
+    if not isinstance(source, OracleGroup):
+        return all(
+            source.word_value(word, idx) == source.identity
+            for vec in vectors
+            for idx in compress(product(range(n), repeat=k), vec.entries)
+        )
+    forms = [monomial_form(g) for g in source.generators]
+    actions = [None if form is None else signed_index_map(form, n, k) for form in forms]
+    for vec in vectors:
+        entries = vec.entries
+        support = list(compress(range(len(entries)), entries))
+        for g, action in zip(source.generators, actions):
+            if action is None:
+                if _apply_tensor_power(g, entries, n, k) != list(entries):
+                    return False
+                continue
+            img, sign = action
+            at = entries.__getitem__
+            moved = map(at, map(img.__getitem__, support))
+            if list(moved) != list(map(mul, map(sign.__getitem__, support), map(at, support))):
+                return False
+    return True
+
+
+def _apply_tensor_power(g: ExactMatrix, entries, n: int, k: int) -> list:
+    """Push a flat N^k tensor through g tensor ... tensor g, one axis at a time."""
+    columns = [[(r, g.at(r, c)) for r in range(n) if g.at(r, c)] for c in range(n)]
+    out = list(entries)
+    for axis in range(k):
+        stride = n**axis
+        moved = [0] * len(out)
+        for flat, val in enumerate(out):
+            if val:
+                c = flat // stride % n
+                base = flat - c * stride
+                for r, coeff in columns[c]:
+                    moved[base + r * stride] += coeff * val
+        out = moved
+    return out
 
 
 def hom_dimension(source, k_word: str, l_word: str):

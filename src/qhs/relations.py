@@ -12,20 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from operator import mul
 
 from .exact import (
+    Echelon,
     ExactMatrix,
     IncompatibleOracleError,
     ParseError,
     ScaledScalar,
     common_denominator,
-    multi_indices,
-    rank,
 )
 from .frobenius import frobenius_to_hom
-from .oracle import OracleRealization, monomial_form, signed_index_map
+from .oracle import OracleRealization, fixes
 from .partitions import (
     BLACK,
     CategorySpec,
@@ -153,44 +151,9 @@ def _two_sided(spec: CategorySpec, I: IndexSet, max_k: int, max_l: int) -> tuple
     return tuple(rels)
 
 
-def _apply_tensor_power(g: ExactMatrix, entries, n: int, k: int) -> list:
-    """Push a flat N^k tensor through g tensor ... tensor g, one axis at a time."""
-    columns = [[(r, g.at(r, c)) for r in range(n) if g.at(r, c)] for c in range(n)]
-    out = list(entries)
-    for axis in range(k):
-        stride = n**axis
-        moved = [0] * len(out)
-        for flat, val in enumerate(out):
-            if val:
-                c = flat // stride % n
-                base = flat - c * stride
-                for r, coeff in columns[c]:
-                    moved[base + r * stride] += coeff * val
-        out = moved
-    return out
-
-
-def _fixes(g: ExactMatrix, action, vec, support, n: int, k: int) -> bool:
-    """g tensor ... tensor g fixes the flat N^k tensor vec.  A signed index
-    map is checked on the support only: as a bijection of flat indices that
-    maps the support into itself, it maps the support onto itself."""
-    if action is None:
-        return _apply_tensor_power(g, vec, n, k) == list(vec)
-    img, sign = action
-    at = vec.__getitem__
-    moved = map(at, map(img.__getitem__, support))
-    return list(moved) == list(map(mul, map(sign.__getitem__, support), map(at, support)))
-
-
 def _check_compatible(system: RelationSystem, real: OracleRealization):
-    """The oracle must fix every category basis vector used by the system.
-
-    Checked exactly at every word length.  A vector fixed by each generator
-    is fixed by the whole group, so classical oracles are checked on their
-    generators: as signed permutations of flat indices where a generator has
-    one nonzero entry per column, densely otherwise.  Duals are checked
-    through the word values.
-    """
+    """The oracle must fix every category basis vector used by the system,
+    checked exactly at every word length (`oracle.fixes`)."""
     spec = system.spec
     if real.N != spec.N:
         raise IncompatibleOracleError(
@@ -200,36 +163,13 @@ def _check_compatible(system: RelationSystem, real: OracleRealization):
         {rel.left_word + conjugate_word(rel.right_word) for rel in system.relations},
         key=lambda w: (len(w), w),
     )
-    source = real.source
-    n = spec.N
-    if real.classical:
-        forms = [monomial_form(g) for g in source.generators]
-        actions = {}  # word length -> per generator its signed index map, or None
     for word in words:
-        k = len(word)
-        if real.classical and k not in actions:
-            actions[k] = [
-                None if form is None else signed_index_map(form, n, k) for form in forms
-            ]
-        for part in selected_partitions(spec, word):
-            vec = partition_vector(part, n).entries
-            if real.classical:
-                support = list(compress(range(len(vec)), vec))
-                fixed = all(
-                    _fixes(g, action, vec, support, n, k)
-                    for g, action in zip(source.generators, actions[k])
-                )
-            else:
-                fixed = all(
-                    source.word_value(word, idx) == source.identity
-                    for flat, idx in enumerate(multi_indices(n, k))
-                    if vec[flat]
-                )
-            if not fixed:
-                kind = "oracle" if real.classical else "dual oracle"
-                raise IncompatibleOracleError(
-                    f"{kind} does not fix the category vectors at word {word!r}"
-                )
+        vectors = (partition_vector(part, spec.N) for part in selected_partitions(spec, word))
+        if not fixes(real.source, word, vectors):
+            kind = "oracle" if real.classical else "dual oracle"
+            raise IncompatibleOracleError(
+                f"{kind} does not fix the category vectors at word {word!r}"
+            )
 
 
 def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
@@ -294,21 +234,12 @@ def med_spans_max(spec: CategorySpec, I: IndexSet, max_k: int = 3) -> dict:
         key=lambda w: (len(w), w),
     )
     for word in words:
-        med_rows = [
-            list(rel.coefficients.entries)
-            for rel in med.relations
-            if rel.left_word == word
-        ]
-        max_rows = [
-            list(rel.coefficients.entries)
-            for rel in mx.relations
-            if rel.left_word == word
-        ]
-        width = spec.N ** len(word)
-        base = ExactMatrix.from_rows(med_rows) if med_rows else ExactMatrix.zeros(0, width)
-        stacked = ExactMatrix.from_rows(med_rows + max_rows)
-        r_med = rank(base)
-        r_all = rank(stacked)
+        span = Echelon(rel.coefficients.entries for rel in med.relations if rel.left_word == word)
+        r_med = len(span.pivots)
+        for rel in mx.relations:
+            if rel.left_word == word:
+                span.add(rel.coefficients.entries)
+        r_all = len(span.pivots)
         contained = r_med == r_all
         report["words"].append(
             {"word": word, "rank_med": r_med, "rank_stacked": r_all, "contained": contained}

@@ -184,7 +184,7 @@ def _space_and_matrix(draw):
             draw(st.lists(st.lists(entry, min_size=size, max_size=size), max_size=size))
         )
     basis = tuple(ExactMatrix(n**l, n**k, row) for row in rows)
-    space = OperatorSpace("o" * k, "o" * l, n, basis, "hom-space")
+    space = OperatorSpace("o" * k, "o" * l, n, basis)
     if rows and draw(st.booleans()):  # a member: an integer combination of the basis
         coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
         x = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(size)]
@@ -220,7 +220,7 @@ def _random_grid(draw):
                               max_size=size))
             )
         basis = tuple(ExactMatrix(2 ** len(lw), 2 ** len(kw), row) for row in rows)
-        spaces[(kw, lw)] = OperatorSpace(kw, lw, 2, basis, "hom-space")
+        spaces[(kw, lw)] = OperatorSpace(kw, lw, 2, basis)
     return spaces
 
 

@@ -221,6 +221,53 @@ def test_larger_oracle_runs_keep_their_bytes(capsys, argv, prefix):
     assert hashlib.sha256(out.encode()).hexdigest()[:12] == prefix
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("counts", "--bounds", "4"), "f95f6578cc65"),
+        (("weingarten-vs-bruteforce", "--spec", "S(3)", "--max-k", "3"), "0940f32f07b3"),
+        (("moments-vs-orbit", "--spec", "S(3)", "--I", "1,2", "--max-k", "3"), "9c48dd3dfeb2"),
+        (("dual-moments", "--oracle", "dualS3(12,13,23)", "--max-k", "3"), "40e3a9fbbcdc"),
+        (("projection-laws", "--spec", "O+(3)", "--max-k", "3"), "b5ed64974e73"),
+        (("ergodicity", "--spec", "U(2)", "--I", "1", "--max-k", "3"), "6b418980b34b"),
+        (
+            ("relations", "--spec", "S(3)", "--I", "1,2", "--max-k", "2", "--max-l", "1"),
+            "2d6510aaad7b",
+        ),
+        (("frobenius", "--bounds", "3", "--samples", "1", "--oracle", "HN(2)"), "136a03fbe3e9"),
+        (
+            ("saturation", "--oracle", "dualS3(12,13,23)", "--I", "1", "--bounds", "2"),
+            "39e159eab090",
+        ),
+        (("properness", "--oracle", "dualZ2(3)", "--I", "1,2"), "a4a1d170a63e"),
+    ],
+)
+def test_every_verify_suite_keeps_its_bytes(capsys, argv, prefix):
+    # the golden corpus holds no verify run: one small run per suite
+    code, out, _ = run_cli(capsys, "verify", "--suite", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == prefix
+
+
+def _loaded_after(statement: str) -> set:
+    """The qhs modules a fresh interpreter holds after running statement."""
+    code = f"import sys\n{statement}\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'qhs'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_modules_import_only_what_they_use():
+    # the root re-exports nothing, so a module loads only its own imports
+    assert _loaded_after("import qhs") == {"qhs"}
+    assert _loaded_after("import qhs.weingarten") == {
+        "qhs", "qhs.exact", "qhs.partitions", "qhs.weingarten"
+    }
+    assert not _loaded_after("import qhs.oracle") & {"qhs.opspaces", "qhs.relations", "qhs.cli"}
+
+
 def test_output_file_written_atomically(tmp_path, capsys, monkeypatch):
     target = tmp_path / "out.json"
     argv = (
@@ -264,6 +311,7 @@ def test_output_into_missing_directory_exits_2(tmp_path, capsys):
         ("missing.json", None),
         ("invalid.json", "[[[1, 0],"),
         ("ragged.json", "[[[1, 0], [0]]]"),
+        ("empty.json", "[]"),
     ],
 )
 def test_bad_gens_file_exits_2(tmp_path, capsys, name, content):
@@ -274,6 +322,18 @@ def test_bad_gens_file_exits_2(tmp_path, capsys, name, content):
         capsys, "verify", "--suite", "saturation", "--oracle", f"gens({path})", "--I", "1"
     )
     assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_gens_file_of_an_empty_matrix_exits_2(tmp_path, capsys):
+    # a 0 x 0 generator used to pass as an N=0 group with no index to check
+    path = tmp_path / "empty.json"
+    path.write_text("[[]]", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "frobenius", "--oracle", f"gens({path})",
+        "--bounds", "1", "--samples", "0",
+    )
+    assert (code, out) == (2, "")
     assert err.startswith("error: ")
 
 

@@ -186,7 +186,7 @@ def test_dimension_zero_space_holds_only_zero():
 
 def test_dependent_basis_rejected_at_first_membership_test():
     T = ExactMatrix(2, 1, (1, 1))
-    space = OperatorSpace("", "o", 2, (T, ExactMatrix(2, 1, (2, 2))), "hom-space")
+    space = OperatorSpace("", "o", 2, (T, ExactMatrix(2, 1, (2, 2))))
     with pytest.raises(AssertionError, match="not independent"):
         space.contains(T)
 

@@ -27,7 +27,9 @@ from qhs.oracle import (
     dual_X_moment,
     dual_z2,
     fixed_space,
+    fixes,
     hom_dimension,
+    monomial_form,
     normal_closure_compare,
     orbit_moment,
     parse_oracle,
@@ -100,6 +102,16 @@ def test_gens_file_roundtrip(tmp_path):
     path.write_text(json.dumps([[["0", "1"], ["1", "0"]]]), encoding="utf-8")
     group = build_group(f"gens({path})")
     assert len(group) == 2
+
+
+@pytest.mark.parametrize("content", ["[]", "[[]]"])
+def test_gens_file_without_a_size_is_rejected(tmp_path, content):
+    # no generator, or a 0 x 0 one, fixes no N >= 1; SN(1) still closes over []
+    path = tmp_path / "empty.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ParseError):
+        build_group(f"gens({path})")
+    assert OracleGroup.from_generators([]).N == 1
 
 
 def test_non_orthogonal_generator_rejected():
@@ -345,7 +357,7 @@ def householder_conjugated_s3():
 def test_generic_rational_group_uses_dense_paths():
     group = householder_conjugated_s3()
     assert len(group) == 6
-    assert group.monomial_forms() is None
+    assert any(monomial_form(g) is None for g in group.elements)
     assert brute_integrate_G(group, "", (), ()) == 1
     op = averaging_operator(group, "oo")
     assert op * op == op
@@ -368,11 +380,27 @@ def test_dense_moment_table_is_the_conjugated_monomial_table():
     h = householder_reflection()
     assert h * h == ExactMatrix.identity(3) and h == h.transpose()
     sn3 = OracleGroup.symmetric(3)
-    assert sn3.monomial_forms() is not None and group.monomial_forms() is None
+    assert all(monomial_form(g) is not None for g in sn3.elements)
+    assert any(monomial_form(g) is None for g in group.elements)
     for k in range(4):
         hk = tensor_power(h, k)
         expected = hk * averaging_operator(sn3, "o" * k) * hk
         assert averaging_operator(group, "o" * k) == expected
+
+
+def test_fixes_reads_each_kind_of_generator():
+    # signed index maps (SN), the dense axis-by-axis product (Householder),
+    # and word values on the support (a dual), each accepting its own fixed
+    # vectors and rejecting one it moves
+    ones = ExactMatrix(3, 1, (1, 1, 1))
+    assert fixes(OracleGroup.symmetric(3), "o", [ones])
+    assert not fixes(OracleGroup.hyperoctahedral(3), "o", [ones])
+    group = householder_conjugated_s3()
+    assert fixes(group, "oo", fixed_space(group, "oo"))
+    assert not fixes(group, "o", [ones])
+    dual = dual_z2(2)
+    assert fixes(dual, "oo", fixed_space(dual, "oo"))
+    assert not fixes(dual, "oo", [ExactMatrix(4, 1, (0, 1, 0, 0))])
 
 
 def cyclic_dual(order, generators):

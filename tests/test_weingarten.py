@@ -10,7 +10,7 @@ from time import perf_counter
 import pytest
 
 import qhs
-from qhs.exact import DomainError, ScaledScalar
+from qhs.exact import DomainError, ExactMatrix, ScaledScalar
 from qhs.oracle import OracleGroup, brute_integrate_G
 from qhs.partitions import (
     CategorySpec,
@@ -37,21 +37,21 @@ I12 = IndexSet.parse("1,2", 4)
 
 def test_gram_single_pairing():
     data = gram_weingarten(O3, "oo")
-    assert data.gram.to_rows() == [[3]]
-    assert data.weingarten.to_rows() == [[Fraction(1, 3)]]
+    assert data.gram == ExactMatrix.from_rows([[3]])
+    assert data.weingarten == ExactMatrix.from_rows([[Fraction(1, 3)]])
 
 
 def test_gram_o4_three_pairings():
     data = gram_weingarten(CategorySpec("O", 4), "oooo")
-    assert data.gram.to_rows() == [[16, 4, 4], [4, 16, 4], [4, 4, 16]]
+    assert data.gram == ExactMatrix.from_rows([[16, 4, 4], [4, 16, 4], [4, 4, 16]])
     assert (data.weingarten * data.gram).is_identity()
     assert (data.gram * data.weingarten).is_identity()
 
 
 def test_gram_s4_k1():
     data = gram_weingarten(S4, "o")
-    assert data.gram.to_rows() == [[4]]
-    assert data.weingarten.to_rows() == [[Fraction(1, 4)]]
+    assert data.gram == ExactMatrix.from_rows([[4]])
+    assert data.weingarten == ExactMatrix.from_rows([[Fraction(1, 4)]])
 
 
 def test_gram_matches_entrywise_inner_products():
@@ -89,7 +89,7 @@ def test_projection_o3_k2_entry():
 
 def test_projection_empty_word():
     P = projection_P(S4, "")
-    assert P.to_rows() == [[1]]
+    assert P == ExactMatrix.from_rows([[1]])
 
 
 def test_integrate_g_examples():
