@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 a verify suite found a failing asserted check,
 2 malformed invocation, 3 domain error (its name goes to stderr), 4 internal
 error such as a failed exactness self-check (``internal-error: <message>``
-on stderr, no traceback).  Output
-is deterministic: identical invocations produce byte-identical output.
+on stderr, or the exception's type when it has no message; no traceback).
+Output is deterministic: identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .partitions import (
     CategorySpec,
     all_pairings,
     all_partitions,
+    check_dense,
     check_word,
     colored_words,
     conjugate_word,
@@ -181,6 +182,15 @@ def _scaled_text(value: dict) -> str:
     return value["q"] if value["s"] == 0 else f"{value['q']}*{value['m']}^(-{value['s']}/2)"
 
 
+def _text(value) -> str:
+    """A witness value as text: ints inside tuples 1-based, words quoted."""
+    if isinstance(value, tuple):
+        return "(" + ",".join(str(x + 1) if isinstance(x, int) else _text(x) for x in value) + ")"
+    if isinstance(value, ScaledScalar):
+        return _scaled_text(value.to_json())
+    return repr(value) if isinstance(value, str) else str(value)
+
+
 def _check(checks, name, passed, detail=""):
     entry = {"name": name, "passed": bool(passed)}
     if detail:
@@ -189,8 +199,32 @@ def _check(checks, name, passed, detail=""):
     return passed
 
 
+def _first_mismatch(cases) -> tuple:
+    """(True, "") if expected == found in each (at, expected, found) case, else
+    (False, witness) for the first that differs.  at alternates labels and
+    values, formatted only here; two ExactMatrix values of one shape are named
+    by their first differing entry."""
+    for at, expected, found in cases:
+        if expected != found:
+            matrices = isinstance(expected, ExactMatrix) and isinstance(found, ExactMatrix)
+            if matrices and (expected.rows, expected.cols) == (found.rows, found.cols):
+                pairs = enumerate(zip(expected.entries, found.entries))
+                pos = next(pos for pos, (e, f) in pairs if e != f)
+                at += ("entry", divmod(pos, expected.cols))
+                expected, found = expected.entries[pos], found.entries[pos]
+            where = ", ".join(f"{label} {_text(value)}" for label, value in zip(at[::2], at[1::2]))
+            witness = f"expected {_text(expected)}, found {_text(found)}"
+            return False, f"at {where}: {witness}" if where else witness
+    return True, ""
+
+
+def _compare(checks, name, cases):
+    """The check that every (at, expected, found) case agrees, with the first
+    mismatch as its witness."""
+    return _check(checks, name, *_first_mismatch(cases))
+
+
 def _suite_counts(args) -> dict:
-    bound = args.bounds if args.bounds is not None else 6
     nmax = 5
     checks = []
 
@@ -212,93 +246,68 @@ def _suite_counts(args) -> dict:
             row.append(sum(row[i] * row[-1 - i] for i in range(len(row))))
         return row[n]
 
-    for k in range(bound + 1):
-        _check(checks, f"bell({k})", len(all_partitions(k)) == bell(k))
-        _check(
-            checks,
-            f"pairings({k})",
-            len(all_pairings(k)) == double_factorial_pairings(k),
-        )
-        _check(
-            checks,
-            f"noncrossing({k})",
-            len(enumerate_category(CategorySpec("S+", 2), "o" * k)) == catalan(k),
-        )
-        expected = catalan(k // 2) if k % 2 == 0 else 0
-        _check(
-            checks,
-            f"noncrossing-pairings({k})",
-            len(enumerate_category(CategorySpec("O+", 2), "o" * k)) == expected,
-        )
+    for k in range(args.bounds + 1):
+        for name, expected, found in (
+            ("bell", bell(k), len(all_partitions(k))),
+            ("pairings", double_factorial_pairings(k), len(all_pairings(k))),
+            ("noncrossing", catalan(k), len(enumerate_category(CategorySpec("S+", 2), "o" * k))),
+            (
+                "noncrossing-pairings",
+                catalan(k // 2) if k % 2 == 0 else 0,
+                len(enumerate_category(CategorySpec("O+", 2), "o" * k)),
+            ),
+        ):
+            _compare(checks, f"{name}({k})", [((), expected, found)])
     for n in range(1, nmax + 1):
-        for k in range(bound + 1):
+        for k in range(args.bounds + 1):
             parts = all_partitions(k)
-            masks = []
-            for part in parts:
-                mask = 0
-                for pos, val in enumerate(partition_vector(part, n).entries):
-                    if val:
-                        mask |= 1 << pos
-                masks.append(mask)
-            ok = True
-            for a, pa in enumerate(parts):
-                for b, pb in enumerate(parts):
-                    direct = (masks[a] & masks[b]).bit_count()
-                    if direct != n ** pa.join(pb).block_count:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            _check(checks, f"gram-join(N={n},k={k})", ok)
-    return _suite_report("counts", {"bounds": bound, "N_max": nmax}, checks)
+            masks = [
+                sum(1 << pos for pos, val in enumerate(partition_vector(part, n).entries) if val)
+                for part in parts
+            ]
+            cases = (
+                (("p", pa.blocks, "q", pb.blocks), n ** pa.join(pb).block_count, (ma & mb).bit_count())
+                for pa, ma in zip(parts, masks) for pb, mb in zip(parts, masks)
+            )
+            _compare(checks, f"gram-join(N={n},k={k})", cases)
+    return _suite_report("counts", {"bounds": args.bounds, "N_max": nmax}, checks)
 
 
 def _suite_weingarten_vs_bruteforce(args) -> dict:
     spec = _symmetric_spec(args, "weingarten-vs-bruteforce")
-    max_k = args.max_k if args.max_k is not None else 4
     group = OracleGroup.symmetric(spec.N)
     checks = []
-    n = spec.N
-    for word in colored_words(max_k):
-        k = len(word)
-        table = group.moment_table(k)
-        tuples = list(multi_indices(n, k))
-        ok = True
-        for fi, row in enumerate(tuples):
-            for fj, col in enumerate(tuples):
-                if integrate_G(spec, word, row, col) != table.get((fi, fj), 0):
-                    ok = False
-                    break
-            if not ok:
-                break
-        _check(checks, f"word({word or 'empty'})", ok)
-    return _suite_report(
-        "weingarten-vs-bruteforce", {"spec": str(spec), "max_k": max_k}, checks
-    )
+    for word in colored_words(args.max_k):
+        table = group.moment_table(len(word))
+        tuples = list(multi_indices(spec.N, len(word)))
+        cases = (
+            (("row", row, "col", col), table.get((fi, fj), 0), integrate_G(spec, word, row, col))
+            for fi, row in enumerate(tuples) for fj, col in enumerate(tuples)
+        )
+        _compare(checks, f"word({word or 'empty'})", cases)
+    params = {"spec": str(spec), "max_k": args.max_k}
+    return _suite_report("weingarten-vs-bruteforce", params, checks)
 
 
 def _suite_moments_vs_orbit(args) -> dict:
     spec = _symmetric_spec(args, "moments-vs-orbit")
     I = IndexSet.parse(_require(args, "I", "--I", "moments-vs-orbit"), spec.N)
-    max_k = args.max_k if args.max_k is not None else 4
     group = OracleGroup.symmetric(spec.N)
     checks = []
-    for word in colored_words(max_k):
-        ok = all(
-            integrate_X(spec, I, word, idx) == orbit_moment(group, I, word, idx)
+    for word in colored_words(args.max_k):
+        cases = (
+            (("idx", idx), orbit_moment(group, I, word, idx), integrate_X(spec, I, word, idx))
             for idx in multi_indices(spec.N, len(word))
         )
-        _check(checks, f"word({word or 'empty'})", ok)
-    return _suite_report(
-        "moments-vs-orbit", {"spec": str(spec), "I": str(I), "max_k": max_k}, checks
-    )
+        _compare(checks, f"word({word or 'empty'})", cases)
+    params = {"spec": str(spec), "I": str(I), "max_k": args.max_k}
+    return _suite_report("moments-vs-orbit", params, checks)
 
 
 def _suite_dual_moments(args) -> dict:
     dual = parse_oracle(_require(args, "oracle", "--oracle", "dual-moments"))
     if not isinstance(dual, GroupDualData):
         raise DomainError("dual-moments needs a group-dual oracle")
-    max_k = args.max_k if args.max_k is not None else 4
     n = dual.N
     if args.I is not None:
         index_sets = [IndexSet.parse(args.I, n)]
@@ -310,51 +319,47 @@ def _suite_dual_moments(args) -> dict:
         ]
     checks = []
     for I in index_sets:
-        ok = True
-        vanish = True
-        for word in colored_words(max_k):
-            for idx in multi_indices(n, len(word)):
-                direct = dual_X_moment(dual, I, word, idx)
-                matrix = dual_matrix_moment(dual, I, word, idx)
-                if direct != matrix:
-                    ok = False
-                if any(t not in I.members for t in idx) and direct != 0:
-                    vanish = False
-        _check(checks, f"I({I})", ok)
-        _check(checks, f"vanishing-outside-I({I})", vanish)
-    return _suite_report(
-        "dual-moments", {"oracle": dual.name, "max_k": max_k}, checks
-    )
+        moments = [
+            (word, idx, dual_X_moment(dual, I, word, idx))
+            for word in colored_words(args.max_k) for idx in multi_indices(n, len(word))
+        ]
+        cases = (
+            (("word", word, "idx", idx), direct, dual_matrix_moment(dual, I, word, idx))
+            for word, idx, direct in moments
+        )
+        _compare(checks, f"I({I})", cases)
+        cases = (
+            (("word", word, "idx", idx), 0, direct)
+            for word, idx, direct in moments if any(t not in I.members for t in idx)
+        )
+        _compare(checks, f"vanishing-outside-I({I})", cases)
+    return _suite_report("dual-moments", {"oracle": dual.name, "max_k": args.max_k}, checks)
 
 
 def _suite_projection_laws(args) -> dict:
     spec = CategorySpec.parse(_require(args, "spec", "--spec", "projection-laws"))
-    max_k = args.max_k if args.max_k is not None else 3
     checks = []
-    seen = {}
-    for word in colored_words(max_k):
+    squares = {}
+    for word in colored_words(args.max_k):
         P = projection_P(spec, word)
-        if id(P) not in seen:
-            seen[id(P)] = P * P == P
-        _check(checks, f"idempotent({word or 'empty'})", seen[id(P)])
-        ok = True
-        for part in enumerate_category(spec, word):
-            xi = partition_vector(part, spec.N)
-            if P * xi != xi:
-                ok = False
-                break
-        _check(checks, f"fixes-vectors({word or 'empty'})", ok)
-    return _suite_report(
-        "projection-laws", {"spec": str(spec), "max_k": max_k}, checks
-    )
+        if id(P) not in squares:
+            # P is held beside its verdict, so its id is not reused
+            squares[id(P)] = P, _first_mismatch([((), P, P * P)])
+        _check(checks, f"idempotent({word or 'empty'})", *squares[id(P)][1])
+        cases = (
+            (("p", part.blocks), xi, P * xi)
+            for part in enumerate_category(spec, word) for xi in (partition_vector(part, spec.N),)
+        )
+        _compare(checks, f"fixes-vectors({word or 'empty'})", cases)
+    params = {"spec": str(spec), "max_k": args.max_k}
+    return _suite_report("projection-laws", params, checks)
 
 
 def _suite_ergodicity(args) -> dict:
     spec = CategorySpec.parse(_require(args, "spec", "--spec", "ergodicity"))
     I = IndexSet.parse(_require(args, "I", "--I", "ergodicity"), spec.N)
-    max_k = args.max_k if args.max_k is not None else 3
     checks = []
-    for word in colored_words(max_k):
+    for word in colored_words(args.max_k):
         report = ergodicity_check(spec, I, word)
         bad = report["counterexample"]
         detail = ""
@@ -362,16 +367,14 @@ def _suite_ergodicity(args) -> dict:
             row = ",".join(map(str, bad["row"]))
             detail = f"row ({row}): lhs {_scaled_text(bad['lhs'])}, rhs {_scaled_text(bad['rhs'])}"
         _check(checks, f"word({word or 'empty'})", report["passed"], detail)
-    return _suite_report(
-        "ergodicity", {"spec": str(spec), "I": str(I), "max_k": max_k}, checks
-    )
+    params = {"spec": str(spec), "I": str(I), "max_k": args.max_k}
+    return _suite_report("ergodicity", params, checks)
 
 
 def _suite_relations(args) -> dict:
     spec = _symmetric_spec(args, "relations")
     I = IndexSet.parse(_require(args, "I", "--I", "relations"), spec.N)
-    max_k = args.max_k if args.max_k is not None else 3
-    max_l = args.max_l if args.max_l is not None else 2
+    max_k, max_l = args.max_k, args.max_l
     real = OracleRealization(OracleGroup.symmetric(spec.N), I)
     checks = []
     for name, system in (
@@ -405,65 +408,58 @@ def _suite_relations(args) -> dict:
 
 
 def _suite_frobenius(args) -> dict:
-    bound = args.bounds if args.bounds is not None else 4
-    samples = args.samples
+    bound, samples = args.bounds, args.samples
+    if samples:
+        check_dense(4**bound, f"a frobenius sample matrix at N=4, |k|+|l|={bound}")
     rng = random.Random(20260809)
+
+    def roundtrips(n, kw, lw):
+        for sample in range(1, samples + 1):
+            entries = [Fraction(rng.randrange(-3, 4)) for _ in range(n ** (len(kw) + len(lw)))]
+            T = ExactMatrix(n ** len(lw), n ** len(kw), entries)
+            xi, word = frobenius_to_fix(T, kw, lw, n)
+            yield ("sample", sample), lw + conjugate_word(kw), word
+            yield ("sample", sample), T, frobenius_to_hom(xi, kw, lw, n)
+
     checks = []
     for n in range(1, 5):
         for k_len in range(bound + 1):
             for l_len in range(bound + 1 - k_len):
-                kw, lw = "o" * k_len, "b" * l_len
-                ok = True
-                for _ in range(samples):
-                    entries = [
-                        Fraction(rng.randrange(-3, 4)) for _ in range(n ** (k_len + l_len))
-                    ]
-                    T = ExactMatrix(n**l_len, n**k_len, entries)
-                    xi, word = frobenius_to_fix(T, kw, lw, n)
-                    if word != lw + conjugate_word(kw):
-                        ok = False
-                        break
-                    if frobenius_to_hom(xi, kw, lw, n) != T:
-                        ok = False
-                        break
-                _check(checks, f"roundtrip(N={n},k={k_len},l={l_len})", ok)
+                cases = roundtrips(n, "o" * k_len, "b" * l_len)
+                _compare(checks, f"roundtrip(N={n},k={k_len},l={l_len})", cases)
     if args.oracle is not None:
         source = parse_oracle(args.oracle)
-        dims_ok = all(
-            hom_dimension(source, kw, lw) == len(fixed_space(source, lw + conjugate_word(kw)))
+        cases = (
+            (
+                ("cell", (kw, lw)),
+                hom_dimension(source, kw, lw),
+                len(fixed_space(source, lw + conjugate_word(kw))),
+            )
             for kw, lw in grid_cells(bound)
         )
-        _check(checks, "hom-dims-match-fix-dims", dims_ok)
-    return _suite_report(
-        "frobenius",
-        {"bounds": bound, "samples": samples, "oracle": args.oracle},
-        checks,
-    )
+        _compare(checks, "hom-dims-match-fix-dims", cases)
+    params = {"bounds": bound, "samples": samples, "oracle": args.oracle}
+    return _suite_report("frobenius", params, checks)
 
 
 def _suite_saturation(args) -> dict:
     source = parse_oracle(_require(args, "oracle", "--oracle", "saturation"))
     I = IndexSet.parse(_require(args, "I", "--I", "saturation"), source.N)
-    if args.bounds is not None:
-        bound = args.bounds
-    else:
+    bound = args.bounds
+    if bound is None:
         bound = 3 if isinstance(source, OracleGroup) else 2
-    real = OracleRealization(source, I)
-    report = saturation_report(real, source, bound)
+    report = saturation_report(OracleRealization(source, I), source, bound)
     checks = []
-    _check(checks, "inclusion", all(cell["inclusion"] for cell in report["cells"]))
-    _check(checks, "unit-adjoint-frobenius", report["axioms"]["asserted_passed"])
-    _check(
-        checks,
-        "verdict",
-        True,
-        detail=report["verdict"],
+    cases = ((("cell", (c["k"], c["l"])), True, c["inclusion"]) for c in report["cells"])
+    _compare(checks, "inclusion", cases)
+    cases = (
+        ((kind, (entry["k"], entry["l"])), True, entry["passed"])
+        for kind in ("unit", "adjoint", "frobenius") for entry in report["axioms"][kind]
     )
-    out = _suite_report(
-        "saturation", {"oracle": getattr(source, "name", "?"), "I": str(I), "bounds": bound}, checks
-    )
-    out["report"] = report
-    return out
+    _compare(checks, "unit-adjoint-frobenius", cases)
+    _check(checks, "verdict", True, report["verdict"])
+    params = {"oracle": source.name, "I": str(I), "bounds": bound}
+    return {**_suite_report("saturation", params, checks), "report": report}
 
 
 def _suite_properness(args) -> dict:
@@ -472,17 +468,11 @@ def _suite_properness(args) -> dict:
         raise DomainError("properness needs a group-dual oracle")
     I = IndexSet.parse(_require(args, "I", "--I", "properness"), source.N)
     report = normal_closure_compare(source, I)
-    checks = [
-        {
-            "name": "normal-closure",
-            "passed": True,
-            "detail": f"orders {report['subgroup_order']}/{report['normal_closure_order']}"
-            f" proper={report['proper']}",
-        }
-    ]
-    out = _suite_report("properness", {"oracle": source.name, "I": str(I)}, checks)
-    out["report"] = report
-    return out
+    checks = []
+    orders = f"orders {report['subgroup_order']}/{report['normal_closure_order']}"
+    _check(checks, "normal-closure", True, f"{orders} proper={report['proper']}")
+    params = {"oracle": source.name, "I": str(I)}
+    return {**_suite_report("properness", params, checks), "report": report}
 
 
 def _suite_report(suite: str, params: dict, checks: list) -> dict:
@@ -494,31 +484,42 @@ def _suite_report(suite: str, params: dict, checks: list) -> dict:
     }
 
 
+# suite name -> (runner, defaults of the bounds it reads)
 _SUITE_RUNNERS = {
-    "counts": _suite_counts,
-    "weingarten-vs-bruteforce": _suite_weingarten_vs_bruteforce,
-    "moments-vs-orbit": _suite_moments_vs_orbit,
-    "dual-moments": _suite_dual_moments,
-    "projection-laws": _suite_projection_laws,
-    "ergodicity": _suite_ergodicity,
-    "relations": _suite_relations,
-    "frobenius": _suite_frobenius,
-    "saturation": _suite_saturation,
-    "properness": _suite_properness,
+    "counts": (_suite_counts, {"bounds": 6}),
+    "weingarten-vs-bruteforce": (_suite_weingarten_vs_bruteforce, {"max_k": 4}),
+    "moments-vs-orbit": (_suite_moments_vs_orbit, {"max_k": 4}),
+    "dual-moments": (_suite_dual_moments, {"max_k": 4}),
+    "projection-laws": (_suite_projection_laws, {"max_k": 3}),
+    "ergodicity": (_suite_ergodicity, {"max_k": 3}),
+    "relations": (_suite_relations, {"max_k": 3, "max_l": 2}),
+    "frobenius": (_suite_frobenius, {"bounds": 4}),
+    "saturation": (_suite_saturation, {}),
+    "properness": (_suite_properness, {}),
 }
 
 
 def cmd_verify(args) -> dict:
-    runner = _SUITE_RUNNERS.get(args.suite)
-    if runner is None:
+    if args.suite not in _SUITE_RUNNERS:
         raise ParseError(
             f"unknown suite {args.suite!r}; choose from {', '.join(_SUITE_RUNNERS)}"
         )
+    runner, defaults = _SUITE_RUNNERS[args.suite]
     for flag in ("max_k", "max_l", "bounds", "samples"):
         value = getattr(args, flag)
-        if value is not None and value < 0:
+        if value is None:
+            setattr(args, flag, defaults.get(flag))
+        elif value < 0:
             raise ParseError(f"--{flag.replace('_', '-')} must be nonnegative, got {value}")
     return runner(args)
+
+
+_COMMANDS = {
+    "integrate-x": cmd_integrate_x,
+    "integrate-g": cmd_integrate_g,
+    "relations": cmd_relations,
+    "verify": cmd_verify,
+}
 
 
 def _render_csv(payload: dict) -> str:
@@ -602,14 +603,7 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        if args.command == "integrate-x":
-            payload = cmd_integrate_x(args)
-        elif args.command == "integrate-g":
-            payload = cmd_integrate_g(args)
-        elif args.command == "relations":
-            payload = cmd_relations(args)
-        else:
-            payload = cmd_verify(args)
+        payload = _COMMANDS[args.command](args)
         text = render(payload, args.format)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -619,7 +613,7 @@ def main(argv=None) -> int:
         return 3
     except Exception as exc:
         # a failed self-check or a bug, never a verdict on the input
-        print(f"internal-error: {exc}", file=sys.stderr)
+        print(f"internal-error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
     if args.output:
         try:

@@ -8,7 +8,7 @@ import pytest
 
 import qhs
 from qhs.cli import main
-from qhs.exact import parse_fraction
+from qhs.exact import ExactMatrix, ScaledScalar, parse_fraction
 
 
 def run_cli(capsys, *argv):
@@ -421,7 +421,7 @@ def test_verify_failure_exit_code_is_one(capsys, monkeypatch):
     def broken(args):
         return cli_mod._suite_report("counts", {}, [{"name": "x", "passed": False}])
 
-    monkeypatch.setitem(cli_mod._SUITE_RUNNERS, "counts", broken)
+    monkeypatch.setitem(cli_mod._SUITE_RUNNERS, "counts", (broken, {}))
     code, out, _ = run_cli(capsys, "verify", "--suite", "counts")
     assert code == 1
     assert json.loads(out)["passed"] is False
@@ -502,3 +502,151 @@ def test_ergodicity_suite_reports_the_first_witness(capsys, monkeypatch, cold_ca
     assert details["word(empty)"] == "row (): lhs 2, rhs 1"
     assert details["word(o)"] == "row (1): lhs 4/3*2^(-1/2), rhs 2/3*2^(-1/2)"
     assert details["word(ob)"] == "row (1,1): lhs 2/3, rhs 1/3"
+
+
+def _flip_cell_and_axiom(real):
+    def corrupted(*args):
+        report = real(*args)
+        report["cells"][-1]["inclusion"] = False
+        report["axioms"]["adjoint"][1]["passed"] = False
+        return report
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "argv, name, corrupt, check, detail",
+    [
+        (
+            ("counts", "--bounds", "2"),
+            "partition_vector",
+            lambda real: lambda part, n: (
+                ExactMatrix(n * n, 1, (0,) + real(part, n).entries[1:])
+                if part.block_count == 2
+                else real(part, n)
+            ),
+            "gram-join(N=2,k=2)",
+            "at p ((1,2)), q ((1),(2)): expected 2, found 1",
+        ),
+        (
+            ("weingarten-vs-bruteforce", "--spec", "S(3)", "--max-k", "1"),
+            "integrate_G",
+            lambda real: lambda *args: 2 * real(*args),
+            "word(o)",
+            "at row (1), col (1): expected 1/3, found 2/3",
+        ),
+        (
+            ("moments-vs-orbit", "--spec", "S(3)", "--I", "1,2", "--max-k", "1"),
+            "integrate_X",
+            lambda real: lambda *args: 2 * real(*args),
+            "word(o)",
+            "at idx (1): expected 2/3*2^(-1/2), found 4/3*2^(-1/2)",
+        ),
+        (
+            ("dual-moments", "--oracle", "dualS3(12,13,23)", "--I", "1", "--max-k", "2"),
+            "dual_matrix_moment",
+            lambda real: lambda dual, I, word, idx: (2 if word else 1) * real(dual, I, word, idx),
+            "I(1)",
+            "at word 'oo', idx (1,1): expected 1, found 2",
+        ),
+        (
+            ("dual-moments", "--oracle", "dualS3(12,13,23)", "--I", "1", "--max-k", "2"),
+            "dual_X_moment",
+            lambda real: lambda dual, I, word, idx: ScaledScalar(1, len(word), I.m),
+            "vanishing-outside-I(1)",
+            "at word 'o', idx (2): expected 0, found 1",
+        ),
+        (
+            ("projection-laws", "--spec", "S(2)", "--max-k", "1"),
+            "projection_P",
+            lambda real: lambda *args: 2 * real(*args),
+            "idempotent(o)",
+            "at entry (1,1): expected 1, found 2",
+        ),
+        (
+            ("projection-laws", "--spec", "S(2)", "--max-k", "1"),
+            "projection_P",
+            lambda real: lambda *args: 2 * real(*args),
+            "fixes-vectors(o)",
+            "at p ((1)), entry (1,1): expected 1, found 2",
+        ),
+        (
+            ("frobenius", "--bounds", "1", "--samples", "1"),
+            "frobenius_to_hom",
+            lambda real: lambda *args: 2 * real(*args),
+            "roundtrip(N=1,k=0,l=0)",
+            "at sample 1, entry (1,1): expected -3, found -6",
+        ),
+        (
+            ("frobenius", "--bounds", "1", "--samples", "1"),
+            "frobenius_to_fix",
+            lambda real: lambda *args: (real(*args)[0], "ob"),
+            "roundtrip(N=1,k=0,l=1)",
+            "at sample 1: expected 'b', found 'ob'",
+        ),
+        (
+            ("frobenius", "--bounds", "1", "--samples", "0", "--oracle", "SN(3)"),
+            "fixed_space",
+            lambda real: lambda source, word: real(source, word)[1:],
+            "hom-dims-match-fix-dims",
+            "at cell ('',''): expected 1, found 0",
+        ),
+        (
+            ("saturation", "--oracle", "SN(3)", "--I", "1,2", "--bounds", "1"),
+            "saturation_report",
+            _flip_cell_and_axiom,
+            "inclusion",
+            "at cell ('o',''): expected True, found False",
+        ),
+        (
+            ("saturation", "--oracle", "SN(3)", "--I", "1,2", "--bounds", "1"),
+            "saturation_report",
+            _flip_cell_and_axiom,
+            "unit-adjoint-frobenius",
+            "at adjoint ('','b'): expected True, found False",
+        ),
+    ],
+)
+def test_every_comparing_check_reports_its_first_witness(
+    capsys, monkeypatch, argv, name, corrupt, check, detail
+):
+    # one cli-level name corrupted: the check names its first mismatch,
+    # indices 1-based, and a passing check still carries no detail
+    import qhs.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, name, corrupt(getattr(cli_mod, name)))
+    code, out, _ = run_cli(capsys, "verify", "--suite", *argv)
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks[check] == {"name": check, "passed": False, "detail": detail}
+    assert all("detail" not in c for c in checks.values() if c["passed"] and c["name"] != "verdict")
+
+
+def test_internal_error_without_a_message_names_its_type(capsys, monkeypatch):
+    # a MemoryError() has an empty message; stderr names the type instead
+    import qhs.cli as cli_mod
+
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli_mod, "integrate_G", exhausted)
+    code, out, err = run_cli(
+        capsys, "integrate-g", "--spec", "S(3)", "--word", "o", "--row", "1", "--col", "1"
+    )
+    assert (code, out, err) == (4, "", "internal-error: MemoryError\n")
+
+
+def test_frobenius_sample_guard_fires_before_any_sample_is_built():
+    # bound 11: a 4^11-entry sample matrix at N=4, past DENSE_GUARD = 4^10;
+    # unguarded it ran past 60 s at 1.4 GB
+    proc = subprocess.run(
+        [sys.executable, "-m", "qhs", "verify", "--suite", "frobenius", "--bounds", "11",
+         "--samples", "1"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=5,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource-guard-exceeded:")
+    assert "DENSE_GUARD" in proc.stderr
