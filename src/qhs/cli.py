@@ -43,6 +43,7 @@ from .partitions import (
     CategorySpec,
     all_pairings,
     all_partitions,
+    bell,
     check_dense,
     check_word,
     colored_words,
@@ -112,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_index_tuple(text: str, k: int, what: str) -> tuple:
+def _parse_index_tuple(text: str, k: int, n: int, what: str) -> tuple:
+    """The 1-based CLI multi-index as a 0-based tuple of k entries in 0..n-1."""
     tokens = [tok for tok in text.split(",") if tok.strip()]
     if len(tokens) != k:
         raise ParseError(f"{what} must have {k} entries, got {text!r}")
@@ -120,6 +122,8 @@ def _parse_index_tuple(text: str, k: int, what: str) -> tuple:
         idx = tuple(int(tok) - 1 for tok in tokens)
     except ValueError as exc:
         raise ParseError(f"bad {what} {text!r}") from exc
+    if not all(0 <= i < n for i in idx):
+        raise DomainError(f"{what} entries must lie in 1..{n}, got {text!r}")
     return idx
 
 
@@ -133,15 +137,15 @@ def cmd_integrate_x(args) -> dict:
     spec = CategorySpec.parse(args.spec)
     I = IndexSet.parse(args.I, spec.N)
     word = check_word(args.word)
-    idx = _parse_index_tuple(args.idx, len(word), "--idx")
+    idx = _parse_index_tuple(args.idx, len(word), spec.N, "--idx")
     return _scaled_payload(integrate_X(spec, I, word, idx))
 
 
 def cmd_integrate_g(args) -> dict:
     spec = CategorySpec.parse(args.spec)
     word = check_word(args.word)
-    row = _parse_index_tuple(args.row, len(word), "--row")
-    col = _parse_index_tuple(args.col, len(word), "--col")
+    row = _parse_index_tuple(args.row, len(word), spec.N, "--row")
+    col = _parse_index_tuple(args.col, len(word), spec.N, "--col")
     value = integrate_G(spec, word, row, col)
     return {"value": str(value), "approx": float(value)}
 
@@ -171,9 +175,7 @@ def _symmetric_spec(args, suite: str) -> CategorySpec:
     """The --spec of a suite whose brute-force oracle is the group S_N."""
     spec = CategorySpec.parse(_require(args, "spec", "--spec", suite))
     if spec.family != "S":
-        raise DomainError(
-            f"no finite classical oracle ships for family {spec.family}; use S(n)"
-        )
+        raise DomainError(f"suite {suite!r} checks against SN(n), so it needs S(n), not {spec}")
     return spec
 
 
@@ -226,16 +228,9 @@ def _compare(checks, name, cases):
 
 def _suite_counts(args) -> dict:
     nmax = 5
+    # gram-join compares every pair of partitions of k <= bounds points
+    check_dense(bell(args.bounds) ** 2, f"the gram-join table at k = {args.bounds}")
     checks = []
-
-    def bell(n):
-        row = [1]
-        for _ in range(n):
-            new = [row[-1]]
-            for x in row:
-                new.append(new[-1] + x)
-            row = new
-        return row[0]
 
     def double_factorial_pairings(k):
         return 0 if k % 2 else prod(range(k - 1, 0, -2))

@@ -336,7 +336,7 @@ def saturation_report(real: OracleRealization, hom_source, bound: int) -> dict:
     else:
         verdict = "saturated-on-grid"
     return {
-        "oracle": getattr(real.source, "name", "oracle"),
+        "oracle": real.source.name,
         "I": str(real.I),
         "bound": bound,
         "cells": cell_entries,

@@ -278,6 +278,17 @@ class GroupDualData:
             acc = self.multiply(acc, g if ch == WHITE else self.invert(g))
         return acc
 
+    def word_values(self, word: str, members=None) -> list:
+        """word_value at every index tuple over members (default: all N
+        generators), in flat order: prefix products, one multiply per node
+        of the prefix tree."""
+        gens = self.generators if members is None else [self.generators[i] for i in members]
+        values = [self.identity]
+        for ch in word:
+            steps = gens if ch == WHITE else [self.invert(g) for g in gens]
+            values = [self.multiply(acc, step) for acc in values for step in steps]
+        return values
+
     @cache
     def regular_matrix(self, el) -> ExactMatrix:
         """Left regular representation: column h maps to row el*h."""
@@ -383,7 +394,12 @@ def parse_oracle(text: str):
             )
         pairs = [(int(tok[0]), int(tok[1])) for tok in tokens]
         return dual_s3(pairs)
-    return build_group(text)
+    if re.match(r"(SN|HN|gens)\(", text):
+        return build_group(text)
+    raise ParseError(
+        f"bad oracle literal {text!r}; expected SN(n), HN(n), gens(file), dualZ2(n)"
+        " or dualS3(ab,ac,bc)"
+    )
 
 
 def brute_integrate_G(group: OracleGroup, word: str, row, col) -> Fraction:
@@ -420,8 +436,8 @@ def averaging_operator(source, word: str) -> ExactMatrix:
         for (fi, fj), val in source.moment_table(k).items():
             entries[fi * size + fj] = val
     else:
-        for flat, idx in enumerate(product(range(n), repeat=k)):
-            if source.word_value(word, idx) == source.identity:
+        for flat, value in enumerate(source.word_values(word)):
+            if value == source.identity:
                 entries[flat * size + flat] = 1
     return ExactMatrix(size, size, entries)
 
@@ -450,8 +466,7 @@ def _fixed_space(source, word: str) -> tuple:
             rows.extend((tensor_power(g, k) - ident).entries)
         _, basis, _ = rank_nullspace(ExactMatrix(len(source.generators) * size, size, rows))
     else:
-        values = (source.word_value(word, idx) for idx in product(range(source.N), repeat=k))
-        hits = [f for f, value in enumerate(values) if value == source.identity]
+        hits = [f for f, value in enumerate(source.word_values(word)) if value == source.identity]
         basis = [(0,) * hit + (1,) + (0,) * (size - hit - 1) for hit in hits]
     return tuple(ExactMatrix(size, 1, vec) for vec in basis)
 
@@ -521,22 +536,9 @@ def hom_dimension(source, k_word: str, l_word: str):
         power = len(k_word) + len(l_word)
         traces = (sum(g.entries[:: source.N + 1]) for g in source.elements)
         return Fraction(sum(t**power for t in traces), len(source.elements))
-    k_values = _word_value_counts(source, k_word)
-    l_values = _word_value_counts(source, l_word)
+    k_values = Counter(source.word_values(k_word))
+    l_values = Counter(source.word_values(l_word))
     return sum(count * l_values[value] for value, count in k_values.items())
-
-
-def _word_value_counts(dual: GroupDualData, word: str) -> Counter:
-    """How many index tuples give each word value, one letter at a time."""
-    counts = Counter({dual.identity: 1})
-    for ch in word:
-        steps = [g if ch == WHITE else dual.invert(g) for g in dual.generators]
-        grown = Counter()
-        for value, count in counts.items():
-            for step in steps:
-                grown[dual.multiply(value, step)] += count
-        counts = grown
-    return counts
 
 
 def orbit_moment(group: OracleGroup, I: IndexSet, word: str, idx) -> ScaledScalar:
@@ -675,14 +677,11 @@ class OracleRealization:
         dual = self.source
         members = self.I.sorted_members
         cols = n ** len(k_word)
-        rights = [
-            (flat_index(c, n), dual.invert(dual.word_value(k_word, c)))
-            for c in product(members, repeat=len(k_word))
-        ]
+        k_values = map(dual.invert, dual.word_values(k_word, members))
+        rights = list(zip(self.I.flat_indices(len(k_word)), k_values))
         reached = {}
-        for b in product(members, repeat=len(l_word)):
-            left = dual.word_value(l_word, b)
-            base = flat_index(b, n) * cols
+        for b, left in zip(self.I.flat_indices(len(l_word)), dual.word_values(l_word, members)):
+            base = b * cols
             for fc, right in rights:
                 reached.setdefault(dual.multiply(left, right), []).append(base + fc)
         reached.setdefault(dual.identity, [])

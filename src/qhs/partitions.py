@@ -18,6 +18,7 @@ from .exact import DomainError, Echelon, ExactMatrix, ParseError, ResourceGuardE
 WHITE = "o"
 BLACK = "b"
 COLORS = WHITE + BLACK
+_FLIP = str.maketrans(COLORS, BLACK + WHITE)
 
 FAMILIES = ("S", "O", "U", "S+", "O+", "U+")
 DENSE_GUARD = 1 << 20  # entries of one dense output: a partition vector or a projection
@@ -26,7 +27,8 @@ SELF_CONJUGATE_FAMILIES = frozenset({"S", "O", "S+", "O+"})
 
 
 def check_word(word: str) -> str:
-    if any(ch not in COLORS for ch in word):
+    # stripping the colors from both ends leaves text iff some letter is not a color
+    if word.strip(COLORS):
         raise ParseError(f"word must be over '{WHITE}'/'{BLACK}', got {word!r}")
     return word
 
@@ -40,7 +42,7 @@ def colored_words(max_len: int) -> list:
 
 def conjugate_word(word: str) -> str:
     """Reverse the word and flip every color."""
-    return "".join(WHITE if ch == BLACK else BLACK for ch in reversed(word))
+    return word[::-1].translate(_FLIP)
 
 
 @dataclass(frozen=True)
@@ -180,9 +182,21 @@ def parse_partition(text: str) -> SetPartition:
     return SetPartition.from_blocks(len(points), blocks)
 
 
+def bell(k: int) -> int:
+    """The number of partitions of k points, by the Bell triangle."""
+    row = [1]
+    for _ in range(k):
+        new = [row[-1]]
+        for x in row:
+            new.append(new[-1] + x)
+        row = new
+    return row[0]
+
+
 @cache
 def all_partitions(k: int) -> tuple:
     """All partitions of k points, restricted-growth-string lexicographic."""
+    check_dense(bell(k), f"the list of partitions of {k} points")
     if k == 0:
         return (SetPartition(0, ()),)
     result = []
@@ -308,7 +322,7 @@ class FixBasis:
     members: tuple  # (SetPartition, ...)
     independent: tuple  # indices into members
 
-    @property
+    @cached_property
     def selected(self) -> tuple:
         return tuple(self.members[i] for i in self.independent)
 
@@ -322,7 +336,9 @@ def select_basis(members, n: int) -> FixBasis:
     the rank.  The row has a 1 at each kernel with at most n blocks that the
     partition refines; kernel_ids maps onto exactly those kernels, with
     disjoint nonempty index classes, so the partition vectors (the rows read
-    through kernel_ids) have the same ranks."""
+    through kernel_ids) have the same ranks.  The selection's Gram matrix
+    may reach len(members)**2 entries, which is checked first."""
+    check_dense(len(members) ** 2, f"the Gram matrix of {len(members)} candidate partitions")
     span = Echelon()
     keep = []
     for t, part in enumerate(members):

@@ -22,7 +22,7 @@ from .exact import (
     ScaledScalar,
     common_denominator,
 )
-from .frobenius import frobenius_to_hom
+from .opspaces import hom_operator_space
 from .oracle import OracleRealization, fixes
 from .partitions import (
     BLACK,
@@ -134,7 +134,6 @@ def _two_sided(spec: CategorySpec, I: IndexSet, max_k: int, max_l: int) -> tuple
         l_words.setdefault(len(lw), []).append(lw)
     for kw in _generator_words(spec, max_k):
         k_words.setdefault(len(kw), []).append(kw)
-    n = spec.N
     for total in range(1, max_k + max_l + 1):
         for l_len in range(0, min(total, max_l) + 1):
             k_len = total - l_len
@@ -142,11 +141,11 @@ def _two_sided(spec: CategorySpec, I: IndexSet, max_k: int, max_l: int) -> tuple
                 continue
             for lw in l_words.get(l_len, []):
                 for kw in k_words.get(k_len, []):
-                    fix_word = lw + conjugate_word(kw)
-                    parts = selected_partitions(spec, fix_word)
+                    basis = hom_operator_space(spec, kw, lw).basis
+                    if not basis:
+                        continue
                     # T sums over I^l x I^k to its vector's sum over I^(l+k)
-                    for part, rhs in zip(parts, K_vector(spec, fix_word, I)):
-                        T = frobenius_to_hom(partition_vector(part, n), kw, lw, n)
+                    for T, rhs in zip(basis, K_vector(spec, lw + conjugate_word(kw), I)):
                         rels.append(Relation(lw, kw, T, rhs))
     return tuple(rels)
 
@@ -182,7 +181,7 @@ def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
     failing element, or on a dual the first failing group element in order
     of first appearance over I^l x I^k (e last when no index reaches it).
     """
-    if system.I.sorted_members != real.I.sorted_members or system.I.N != real.I.N:
+    if system.I != real.I:
         raise IncompatibleOracleError("relation system and realization use different index sets")
     _check_compatible(system, real)
     label = "element" if real.classical else "group_element"
@@ -217,7 +216,7 @@ def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
         "spec": str(system.spec),
         "I": str(system.I),
         "provenance": system.provenance,
-        "oracle": getattr(real.source, "name", "oracle"),
+        "oracle": real.source.name,
         "passed": all(entry["passed"] for entry in entries),
         "relations": entries,
     }

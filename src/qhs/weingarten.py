@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import perm
 from operator import mul
 
@@ -54,7 +54,7 @@ class IndexSet:
     def m(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def sorted_members(self) -> tuple:
         return tuple(sorted(self.members))
 
@@ -97,6 +97,8 @@ class GramData:
     basis: FixBasis
     gram: ExactMatrix
     weingarten: ExactMatrix
+    weingarten_rows: tuple  # weingarten.row(t) for each t
+    hits: tuple  # hits[a]: positions of the selected partitions that kernel a coarsens
 
 
 def _norm_word(spec: CategorySpec, word: str) -> str:
@@ -129,30 +131,18 @@ def _gram_data(family: str, n: int, word: str) -> GramData:
             entries[a * d + b] = entries[b * d + a] = n ** pi.join_block_count(parts[b])
     gram = ExactMatrix(d, d, entries)
     weingarten = invert(gram) if d else ExactMatrix(0, 0, ())
-    return GramData(basis, gram, weingarten)
+    rows = tuple(weingarten.row(r) for r in range(d))
+    hits = [[] for _ in all_partitions(len(word))]
+    for pos, part in enumerate(parts):
+        for c in coarsenings(part):
+            hits[c].append(pos)
+    return GramData(basis, gram, weingarten, rows, tuple(map(tuple, hits)))
 
 
 def gram_weingarten(spec: CategorySpec, word: str) -> GramData:
     """Gram matrix N**|join| on the selected basis and its exact inverse."""
     check_word(word)
     return _gram_data(spec.family, spec.N, _norm_word(spec, word))
-
-
-@cache
-def _kernel_hits(family: str, n: int, word: str) -> tuple:
-    """hits[a] = positions of the selected partitions that kernel a (its
-    position in all_partitions(k)) coarsens."""
-    per_kernel = [[] for _ in all_partitions(len(word))]
-    for pos, part in enumerate(_basis(family, n, word).selected):
-        for c in coarsenings(part):
-            per_kernel[c].append(pos)
-    return tuple(tuple(h) for h in per_kernel)
-
-
-@cache
-def _weingarten_rows(family: str, n: int, word: str) -> tuple:
-    data = _gram_data(family, n, word)
-    return tuple(data.weingarten.row(r) for r in range(data.weingarten.rows))
 
 
 def integrate_G(spec: CategorySpec, word: str, row, col) -> Fraction:
@@ -173,8 +163,8 @@ def integrate_G(spec: CategorySpec, word: str, row, col) -> Fraction:
 @cache
 def _kernel_moment(family: str, n: int, word: str, a: int, b: int) -> Fraction:
     """The moment at row indices of kernel a and column indices of kernel b."""
-    wrows = _weingarten_rows(family, n, word)
-    hits = _kernel_hits(family, n, word)
+    data = _gram_data(family, n, word)
+    wrows, hits = data.weingarten_rows, data.hits
     return sum((wrows[t][u] for t in hits[a] for u in hits[b]), Fraction(0))
 
 
@@ -185,8 +175,8 @@ def _projection(family: str, n: int, word: str) -> ExactMatrix:
     through kernel_ids."""
     check_dense(n ** (2 * len(word)), f"projection over N^2k = {n}^{2 * len(word)}")
     kid = kernel_ids(n, len(word))
-    wrows = _weingarten_rows(family, n, word)
-    hits = _kernel_hits(family, n, word)
+    data = _gram_data(family, n, word)
+    wrows, hits = data.weingarten_rows, data.hits
     kernels = [a for a, part in enumerate(all_partitions(len(word))) if part.block_count <= n]
     expanded = {}
     for a in kernels:
@@ -229,7 +219,7 @@ def _k_dot_weingarten(family: str, n: int, word: str, m: int) -> tuple:
     kq = [m**part.block_count for part in _basis(family, n, word).selected]
     return tuple(
         sum((w * q for w, q in zip(wrow, kq)), Fraction(0))
-        for wrow in _weingarten_rows(family, n, word)
+        for wrow in _gram_data(family, n, word).weingarten_rows
     )
 
 
@@ -251,7 +241,7 @@ def integrate_X(spec: CategorySpec, I: IndexSet, word: str, idx) -> ScaledScalar
 def _space_moment(family: str, n: int, word: str, m: int, a: int) -> Fraction:
     """The rational part of the space moment at any index of kernel a."""
     kw = _k_dot_weingarten(family, n, word, m)
-    return sum((kw[t] for t in _kernel_hits(family, n, word)[a]), Fraction(0))
+    return sum((kw[t] for t in _gram_data(family, n, word).hits[a]), Fraction(0))
 
 
 def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
@@ -274,8 +264,8 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
     n = spec.N
     k = len(word)
     norm = _norm_word(spec, word)
-    wrows = _weingarten_rows(spec.family, n, norm)
-    hits = _kernel_hits(spec.family, n, norm)
+    data = _gram_data(spec.family, n, norm)
+    wrows, hits = data.weingarten_rows, data.hits
     kernels = all_partitions(k)
     occurring = [a for a, part in enumerate(kernels) if part.block_count <= n]
     z_lhs = [Fraction(0)] * len(wrows)

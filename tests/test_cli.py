@@ -650,3 +650,63 @@ def test_frobenius_sample_guard_fires_before_any_sample_is_built():
     assert proc.returncode == 3
     assert proc.stderr.startswith("resource-guard-exceeded:")
     assert "DENSE_GUARD" in proc.stderr
+
+
+def _moment_at_ones(spec: str, k: int) -> tuple:
+    ones = ",".join("1" * k)
+    return ("integrate-g", "--spec", spec, "--word", "o" * k, "--row", ones, "--col", ones)
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        # Bell(8) = 4140 and Bell(9) = 21147 candidates in S, Catalan(8) = 1430 in S+;
+        # unguarded, these ran for minutes or exited 4 on MemoryError
+        (_moment_at_ones("S(4)", 8), "the Gram matrix of 4140 candidate partitions"),
+        (_moment_at_ones("S(4)", 9), "the Gram matrix of 21147 candidate partitions"),
+        (_moment_at_ones("S+(4)", 8), "the Gram matrix of 1430 candidate partitions"),
+        (("verify", "--suite", "counts", "--bounds", "8"), "the gram-join table at k = 8"),
+    ],
+)
+def test_gram_guard_fires_before_the_basis_is_built(argv, what):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qhs", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=5,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"resource-guard-exceeded: {what} has ")
+    assert "DENSE_GUARD" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("integrate-x", "--spec", "S(4)", "--I", "1", "--word", "o", "--idx", "0"),
+         "domain-error: --idx entries must lie in 1..4, got '0'\n"),
+        (("integrate-g", "--spec", "O(3)", "--word", "oo", "--row", "1,4", "--col", "1,1"),
+         "domain-error: --row entries must lie in 1..3, got '1,4'\n"),
+        (("integrate-g", "--spec", "O(3)", "--word", "o", "--row", "3", "--col", "-1"),
+         "domain-error: --col entries must lie in 1..3, got '-1'\n"),
+    ],
+)
+def test_index_flags_are_checked_one_based(capsys, argv, err):
+    code, out, found = run_cli(capsys, *argv)
+    assert (code, out, found) == (3, "", err)
+
+
+def test_bad_oracle_literal_names_every_accepted_form(capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", "properness", "--oracle", "dualZ3(2)", "--I", "1")
+    assert code == 2
+    assert err == (
+        "error: bad oracle literal 'dualZ3(2)'; expected SN(n), HN(n), gens(file),"
+        " dualZ2(n) or dualS3(ab,ac,bc)\n"
+    )
+
+
+def test_symmetric_suite_names_its_oracle(capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", "relations", "--spec", "O(3)", "--I", "1")
+    assert code == 3
+    assert err == "domain-error: suite 'relations' checks against SN(n), so it needs S(n), not O(3)\n"

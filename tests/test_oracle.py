@@ -2,7 +2,7 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -454,3 +454,21 @@ def test_ergodicity_identity_holds_on_pure_oracle_data():
             )
             rhs = sum(table.get((fi, fj), Fraction(0)) for fj in i_flats)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: dual_z2(3), lambda: dual_s3([(1, 2), (1, 3), (2, 3)]), lambda: cyclic_dual(4, [1, 3])],
+    ids=["dualZ2(3)", "dualS3(12,13,23)", "Z4<1,3>"],
+)
+def test_word_values_are_the_word_value_of_each_index_in_flat_order(make):
+    # over every member subset, so that member order and black inverses both show
+    dual = make()
+    subsets = [None] + [
+        members for size in range(1, dual.N + 1) for members in combinations(range(dual.N), size)
+    ]
+    for word in colored_words(3):
+        for members in subsets:
+            over = range(dual.N) if members is None else members
+            expected = [dual.word_value(word, idx) for idx in product(over, repeat=len(word))]
+            assert dual.word_values(word, members) == expected, (word, members)

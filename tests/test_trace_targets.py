@@ -31,3 +31,32 @@ def test_every_trace_target_resolves(monkeypatch):
             assert method in vars(getattr(owner, cls_name)), name
         else:
             assert callable(getattr(owner, attr, None)), name
+
+
+def test_every_hook_runs_on_a_traced_request(monkeypatch, capsys, cold_caches):
+    # a hook reads the result of its target; one that no longer fits raises
+    # inside the request, which then exits 4
+    import qhs.cli as cli
+
+    tracer_module = _load_tracer(monkeypatch)
+    tracer = tracer_module.Tracer()
+    requests = [
+        ("integrate-g", "--spec", "S(3)", "--word", "oo", "--row", "1,2", "--col", "1,2"),
+        ("integrate-x", "--spec", "S(3)", "--I", "1,2", "--word", "oo", "--idx", "1,2"),
+        ("relations", "--form", "hom", "--spec", "S(3)", "--I", "1,2", "--max-k", "1", "--max-l", "1"),
+        ("verify", "--suite", "relations", "--spec", "S(3)", "--I", "1,2", "--max-k", "2", "--max-l", "1"),
+        ("verify", "--suite", "saturation", "--oracle", "dualZ2(2)", "--I", "1", "--bounds", "2"),
+        ("verify", "--suite", "projection-laws", "--spec", "S(2)", "--max-k", "2"),
+        ("verify", "--suite", "weingarten-vs-bruteforce", "--spec", "S(2)", "--max-k", "2"),
+        ("verify", "--suite", "ergodicity", "--spec", "S(3)", "--I", "1", "--max-k", "2"),
+        ("verify", "--suite", "frobenius", "--oracle", "SN(2)", "--bounds", "2", "--samples", "1"),
+    ]
+    tracer.install()
+    try:
+        codes = [cli.main(list(argv)) for argv in requests]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0] * len(requests)
+    hooked = {name for name, _module, _attr, hook in tracer_module.TARGETS if hook is not None}
+    assert not hooked - set(tracer.calls), sorted(hooked - set(tracer.calls))
