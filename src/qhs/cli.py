@@ -5,6 +5,8 @@ Exit codes: 0 success, 1 a verify suite found a failing asserted check,
 error such as a failed exactness self-check (``internal-error: <message>``
 on stderr, or the exception's type when it has no message; no traceback).
 Output is deterministic: identical invocations produce byte-identical output.
+The oracle, opspaces, relations and frobenius modules are imported inside the
+commands that use them, so integrate-x and integrate-g start without them.
 """
 
 from __future__ import annotations
@@ -25,20 +27,6 @@ from .exact import (
     ScaledScalar,
     multi_indices,
 )
-from .frobenius import frobenius_to_fix, frobenius_to_hom
-from .opspaces import grid_cells, saturation_report
-from .oracle import (
-    GroupDualData,
-    OracleGroup,
-    OracleRealization,
-    dual_matrix_moment,
-    dual_X_moment,
-    fixed_space,
-    hom_dimension,
-    normal_closure_compare,
-    orbit_moment,
-    parse_oracle,
-)
 from .partitions import (
     CategorySpec,
     all_pairings,
@@ -50,13 +38,6 @@ from .partitions import (
     conjugate_word,
     enumerate_category,
     partition_vector,
-)
-from .relations import (
-    med_spans_max,
-    relations_hom,
-    relations_max,
-    relations_med,
-    verify_relations,
 )
 from .weingarten import (
     IndexSet,
@@ -151,6 +132,8 @@ def cmd_integrate_g(args) -> dict:
 
 
 def cmd_relations(args) -> dict:
+    from .relations import relations_hom, relations_max, relations_med
+
     spec = CategorySpec.parse(args.spec)
     I = IndexSet.parse(args.I, spec.N)
     if args.max_k < 0 or args.max_l < 0:
@@ -269,6 +252,8 @@ def _suite_counts(args) -> dict:
 
 
 def _suite_weingarten_vs_bruteforce(args) -> dict:
+    from .oracle import OracleGroup
+
     spec = _symmetric_spec(args, "weingarten-vs-bruteforce")
     group = OracleGroup.symmetric(spec.N)
     checks = []
@@ -285,6 +270,8 @@ def _suite_weingarten_vs_bruteforce(args) -> dict:
 
 
 def _suite_moments_vs_orbit(args) -> dict:
+    from .oracle import OracleGroup, orbit_moment
+
     spec = _symmetric_spec(args, "moments-vs-orbit")
     I = IndexSet.parse(_require(args, "I", "--I", "moments-vs-orbit"), spec.N)
     group = OracleGroup.symmetric(spec.N)
@@ -300,6 +287,8 @@ def _suite_moments_vs_orbit(args) -> dict:
 
 
 def _suite_dual_moments(args) -> dict:
+    from .oracle import GroupDualData, dual_matrix_moment, dual_X_moment, parse_oracle
+
     dual = parse_oracle(_require(args, "oracle", "--oracle", "dual-moments"))
     if not isinstance(dual, GroupDualData):
         raise DomainError("dual-moments needs a group-dual oracle")
@@ -367,6 +356,11 @@ def _suite_ergodicity(args) -> dict:
 
 
 def _suite_relations(args) -> dict:
+    from .oracle import OracleGroup, OracleRealization
+    from .relations import (
+        med_spans_max, relations_hom, relations_max, relations_med, verify_relations,
+    )
+
     spec = _symmetric_spec(args, "relations")
     I = IndexSet.parse(_require(args, "I", "--I", "relations"), spec.N)
     max_k, max_l = args.max_k, args.max_l
@@ -403,6 +397,10 @@ def _suite_relations(args) -> dict:
 
 
 def _suite_frobenius(args) -> dict:
+    from .frobenius import frobenius_to_fix, frobenius_to_hom
+    from .opspaces import grid_cells
+    from .oracle import fixed_space, hom_dimension, parse_oracle
+
     bound, samples = args.bounds, args.samples
     if samples:
         check_dense(4**bound, f"a frobenius sample matrix at N=4, |k|+|l|={bound}")
@@ -438,6 +436,9 @@ def _suite_frobenius(args) -> dict:
 
 
 def _suite_saturation(args) -> dict:
+    from .opspaces import saturation_report
+    from .oracle import OracleGroup, OracleRealization, parse_oracle
+
     source = parse_oracle(_require(args, "oracle", "--oracle", "saturation"))
     I = IndexSet.parse(_require(args, "I", "--I", "saturation"), source.N)
     bound = args.bounds
@@ -458,6 +459,8 @@ def _suite_saturation(args) -> dict:
 
 
 def _suite_properness(args) -> dict:
+    from .oracle import GroupDualData, normal_closure_compare, parse_oracle
+
     source = parse_oracle(_require(args, "oracle", "--oracle", "properness"))
     if not isinstance(source, GroupDualData):
         raise DomainError("properness needs a group-dual oracle")

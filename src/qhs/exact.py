@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect, bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, product
 from operator import mul
@@ -63,8 +62,30 @@ def _exact_square_root(n: int) -> int | None:
     return r if r * r == n else None
 
 
-@dataclass(frozen=True, eq=False)
-class ScaledScalar:
+class Frozen:
+    """Base of the immutable value types.  A subclass sets its fields once,
+    in __init__, through object.__setattr__; _key() returns the fields it is
+    equal and hashed by.  An instance never equals one of another type."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._key()!r}"
+
+
+class ScaledScalar(Frozen):
     """The exact real number q * m**(-s/2), with q rational.
 
     Canonical form keeps s in {0, 1}: whole powers of m are folded into q,
@@ -73,30 +94,30 @@ class ScaledScalar:
     values with s == 0 are plain rationals and compare across bases.
     """
 
-    q: Fraction
-    s: int = 0
-    m: int = 1
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise DomainError(f"scale base must be a positive integer, got {self.m}")
-        q = self.q if isinstance(self.q, Fraction) else Fraction(self.q)
-        s = self.s
+    def __init__(self, q: Fraction, s: int = 0, m: int = 1):
+        if m < 1:
+            raise DomainError(f"scale base must be a positive integer, got {m}")
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
         if q == 0:
             s = 0
         while s < 0:
-            q *= self.m
+            q *= m
             s += 2
         if s >= 2:
-            q /= Fraction(self.m) ** (s // 2)
+            q /= Fraction(m) ** (s // 2)
             s %= 2
         if s == 1:
-            root = _exact_square_root(self.m)
+            root = _exact_square_root(m)
             if root is not None:
                 q /= root
                 s = 0
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
+        object.__setattr__(self, "m", m)
+
+    def _key(self):
+        return self.q, self.s, self.m
 
     def __bool__(self) -> bool:
         return self.q != 0

@@ -15,11 +15,10 @@ them; no spanning echelon, product or Kronecker matrix is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 
-from .exact import ExactMatrix, ResourceGuardError, rank_nullspace
+from .exact import ExactMatrix, Frozen, ResourceGuardError, rank_nullspace
 from .frobenius import frobenius_map, frobenius_to_hom
 from .oracle import OracleRealization, fixed_space
 from .partitions import CategorySpec, colored_words, conjugate_word, partition_vector
@@ -29,15 +28,19 @@ FXI_GUARD = 4096  # unknowns of one solution space
 GRID_GUARD = 16384  # unknowns summed over the cells of a saturation grid
 
 
-@dataclass(frozen=True)
-class OperatorSpace:
-    """A linear space of N^l x N^k matrices with an exactly independent basis."""
+class OperatorSpace(Frozen):
+    """A linear space of N^l x N^k matrices with an exactly independent basis;
+    equation_rows, if known, are its defining equations (not compared)."""
 
-    k_word: str
-    l_word: str
-    N: int
-    basis: tuple
-    equation_rows: tuple = field(default=None, compare=False, repr=False)  # if known
+    def __init__(self, k_word: str, l_word: str, N: int, basis: tuple, equation_rows: tuple = None):
+        object.__setattr__(self, "k_word", k_word)
+        object.__setattr__(self, "l_word", l_word)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "equation_rows", equation_rows)
+
+    def _key(self):
+        return self.k_word, self.l_word, self.N, self.basis
 
     @property
     def dimension(self) -> int:

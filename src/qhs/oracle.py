@@ -13,7 +13,6 @@ import json
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import compress, permutations, product
@@ -24,6 +23,7 @@ from .exact import (
     ClosureCapError,
     DomainError,
     ExactMatrix,
+    Frozen,
     ParseError,
     ScaledScalar,
     check_index,
@@ -102,26 +102,33 @@ def signed_index_map(form, n: int, k: int) -> tuple:
     return img, sign
 
 
-@dataclass(frozen=True, repr=False)
-class OracleGroup:
+class OracleGroup(Frozen):
     """A finite group of exact orthogonal N x N matrices, fully enumerated.
 
     A value, equal and hashed by its generators: the breadth-first closure
     of from_generators makes the elements and their order a function of
-    them, so equal oracles share every cached table.
+    them, so equal oracles share every cached table.  The hash is computed
+    once, as the method caches hash the oracle on every call.
     """
 
-    generators: tuple
-    elements: tuple = field(compare=False)
-    name: str = field(default="group", compare=False)
-
-    def __post_init__(self):
-        if not self.elements:
+    def __init__(self, generators: tuple, elements: tuple, name: str = "group"):
+        if not elements:
             raise DomainError("a group needs at least the identity")
-        if any(g.rows != self.N or g.cols != self.N for g in self.elements):
+        n = elements[0].rows
+        if any(g.rows != n or g.cols != n for g in elements):
             raise DomainError("elements must be square matrices of one size")
-        if not any(g.is_identity() for g in self.elements):
+        if not any(g.is_identity() for g in elements):
             raise DomainError("identity matrix missing from element list")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(self._key()))
+
+    def _key(self):
+        return (self.generators,)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def N(self) -> int:
@@ -609,8 +616,7 @@ def normal_closure_compare(dual: GroupDualData, I: IndexSet) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class OracleRealization:
+class OracleRealization(Frozen):
     """Concrete coordinates for a homogeneous space over an oracle.
 
     Classical: x_i evaluates on each group element as (g xi_I)_i.  Dual:
@@ -619,22 +625,24 @@ class OracleRealization:
     coordinates in the dual case).
     """
 
-    source: object
-    I: IndexSet
-
-    def __post_init__(self):
-        self.I.require_N(self.source.N, "oracle")
-        if isinstance(self.source, OracleGroup):
-            m = self.I.m
+    def __init__(self, source, I: IndexSet):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "I", I)
+        I.require_N(source.N, "oracle")
+        if isinstance(source, OracleGroup):
+            m = I.m
             for _, c, _ in self.points:
                 if sum(x * x for x in c) != m:
                     raise DomainError("sphere normalisation fails on the oracle")
         else:
-            dual = self.source
-            for i in self.I.sorted_members:
+            dual = source
+            for i in I.sorted_members:
                 g = dual.generators[i]
                 if dual.multiply(g, dual.invert(g)) != dual.identity:
                     raise DomainError("sphere normalisation fails on the dual")
+
+    def _key(self):
+        return self.source, self.I
 
     @property
     def N(self) -> int:

@@ -9,11 +9,10 @@ every basis ordering downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, permutations, product
 
-from .exact import DomainError, Echelon, ExactMatrix, ParseError, ResourceGuardError
+from .exact import DomainError, Echelon, ExactMatrix, Frozen, ParseError, ResourceGuardError
 
 WHITE = "o"
 BLACK = "b"
@@ -45,18 +44,22 @@ def conjugate_word(word: str) -> str:
     return word[::-1].translate(_FLIP)
 
 
-@dataclass(frozen=True)
-class CategorySpec:
+class CategorySpec(Frozen):
     """One of the six categories S, O, U, S+, O+, U+ at a fixed size N."""
 
-    family: str
-    N: int
+    def __init__(self, family: str, N: int):
+        if family not in FAMILIES:
+            raise ParseError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if N < 1:
+            raise ParseError(f"N must be positive, got {N}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "N", N)
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ParseError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.N < 1:
-            raise ParseError(f"N must be positive, got {self.N}")
+    def _key(self):
+        return self.family, self.N
+
+    def __hash__(self):  # _key inlined, so a hash is one call
+        return hash((self.family, self.N))
 
     @property
     def self_conjugate(self) -> bool:
@@ -78,27 +81,28 @@ class CategorySpec:
         return cls(family, n)
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(Frozen):
     """Partition of {0..k-1}; blocks sorted internally and by least element."""
 
-    point_count: int
-    blocks: tuple
-
-    def __post_init__(self):
+    def __init__(self, point_count: int, blocks: tuple):
         seen = set()
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("empty block")
             if tuple(sorted(block)) != tuple(block):
                 raise ValueError("block not sorted")
             seen.update(block)
-        if seen != set(range(self.point_count)):
+        if seen != set(range(point_count)):
             raise ValueError("blocks do not cover the point set")
-        if sum(len(b) for b in self.blocks) != self.point_count:
+        if sum(len(b) for b in blocks) != point_count:
             raise ValueError("blocks overlap")
-        if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
+        if list(blocks) != sorted(blocks, key=lambda b: b[0]):
             raise ValueError("blocks not in canonical order")
+        object.__setattr__(self, "point_count", point_count)
+        object.__setattr__(self, "blocks", blocks)
+
+    def _key(self):
+        return self.point_count, self.blocks
 
     @classmethod
     def from_blocks(cls, point_count: int, blocks) -> "SetPartition":
@@ -314,13 +318,16 @@ def partition_vector(part: SetPartition, n: int) -> ExactMatrix:
     return ExactMatrix(n**k, 1, map(zeta.__getitem__, kernel_ids(n, k)))
 
 
-@dataclass(frozen=True)
-class FixBasis:
+class FixBasis(Frozen):
     """Partitions spanning an invariant-vector space through their vectors,
     with a selected linearly independent sublist (same span)."""
 
-    members: tuple  # (SetPartition, ...)
-    independent: tuple  # indices into members
+    def __init__(self, members: tuple, independent: tuple):
+        object.__setattr__(self, "members", members)  # (SetPartition, ...)
+        object.__setattr__(self, "independent", independent)  # indices into members
+
+    def _key(self):
+        return self.members, self.independent
 
     @cached_property
     def selected(self) -> tuple:

@@ -10,13 +10,13 @@ Verification evaluates relations exactly on an oracle realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .exact import (
     Echelon,
     ExactMatrix,
+    Frozen,
     IncompatibleOracleError,
     ParseError,
     ScaledScalar,
@@ -35,15 +35,18 @@ from .partitions import (
 from .weingarten import IndexSet, K_vector, projection_P, selected_partitions
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Frozen):
     """One two-sided relation; coefficients has shape N^l x N^k for the
     left (plain) and right (starred) words."""
 
-    left_word: str
-    right_word: str
-    coefficients: ExactMatrix
-    rhs: ScaledScalar
+    def __init__(self, left_word: str, right_word: str, coefficients: ExactMatrix, rhs: ScaledScalar):
+        object.__setattr__(self, "left_word", left_word)
+        object.__setattr__(self, "right_word", right_word)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "rhs", rhs)
+
+    def _key(self):
+        return self.left_word, self.right_word, self.coefficients, self.rhs
 
     def to_json(self) -> dict:
         return {
@@ -63,12 +66,15 @@ class Relation:
         )
 
 
-@dataclass(frozen=True)
-class RelationSystem:
-    spec: CategorySpec
-    I: IndexSet
-    provenance: str  # max-form | med-form | hom-form
-    relations: tuple
+class RelationSystem(Frozen):
+    def __init__(self, spec: CategorySpec, I: IndexSet, provenance: str, relations: tuple):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "I", I)
+        object.__setattr__(self, "provenance", provenance)  # max-form | med-form | hom-form
+        object.__setattr__(self, "relations", relations)
+
+    def _key(self):
+        return self.spec, self.I, self.provenance, self.relations
 
     def to_json(self) -> dict:
         return {

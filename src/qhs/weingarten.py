@@ -9,7 +9,6 @@ are deterministic and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import perm
@@ -18,6 +17,7 @@ from operator import mul
 from .exact import (
     DomainError,
     ExactMatrix,
+    Frozen,
     ParseError,
     ScaledScalar,
     check_index,
@@ -37,18 +37,22 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(Frozen):
     """Nonempty subset I of {0..N-1}; m = |I| is the scale base."""
 
-    N: int
-    members: frozenset
-
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, N: int, members: frozenset):
+        if not members:
             raise DomainError("index set must be nonempty")
-        if not all(isinstance(i, int) and 0 <= i < self.N for i in self.members):
-            raise DomainError(f"index set members must lie in 0..{self.N - 1}")
+        if not all(isinstance(i, int) and 0 <= i < N for i in members):
+            raise DomainError(f"index set members must lie in 0..{N - 1}")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "members", members)
+
+    def _key(self):
+        return self.N, self.members
+
+    def __hash__(self):  # _key inlined, so a hash is one call
+        return hash((self.N, self.members))
 
     @property
     def m(self) -> int:
@@ -90,15 +94,21 @@ class IndexSet:
         return cls(N, frozenset(members))
 
 
-@dataclass(frozen=True)
-class GramData:
-    """Selected basis with its Gram matrix and exact inverse (Weingarten)."""
+class GramData(Frozen):
+    """Selected basis with its Gram matrix and exact inverse (Weingarten).
+    weingarten_rows[t] is weingarten.row(t); hits[a] holds the positions of
+    the selected partitions that kernel a coarsens."""
 
-    basis: FixBasis
-    gram: ExactMatrix
-    weingarten: ExactMatrix
-    weingarten_rows: tuple  # weingarten.row(t) for each t
-    hits: tuple  # hits[a]: positions of the selected partitions that kernel a coarsens
+    def __init__(self, basis: FixBasis, gram: ExactMatrix, weingarten: ExactMatrix,
+                 weingarten_rows: tuple, hits: tuple):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "weingarten", weingarten)
+        object.__setattr__(self, "weingarten_rows", weingarten_rows)
+        object.__setattr__(self, "hits", hits)
+
+    def _key(self):
+        return self.basis, self.gram, self.weingarten, self.weingarten_rows, self.hits
 
 
 def _norm_word(spec: CategorySpec, word: str) -> str:

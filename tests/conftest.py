@@ -1,29 +1,40 @@
+import importlib
+import pkgutil
+
 import pytest
 
-from qhs import oracle, partitions, weingarten
+import qhs
 from qhs.exact import Echelon
 
 
 def _clear_module_caches():
-    """Clear every functools cache defined in qhs.partitions,
-    qhs.weingarten and qhs.oracle, found by introspection so a renamed or
-    new cache is included; returns how many there were."""
-    caches = [
-        value
-        for module in (partitions, weingarten, oracle)
-        for value in vars(module).values()
+    """Clear every functools cache in qhs: each cached function of each qhs
+    module, and each cached method of each class a module defines.  Found by
+    introspection so a renamed or new cache is included; returns how many
+    there were."""
+    spaces = []
+    for info in pkgutil.iter_modules(qhs.__path__, "qhs."):
+        module = importlib.import_module(info.name)
+        spaces.append(vars(module))
+        spaces.extend(
+            vars(value) for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__
+        )
+    caches = {
+        id(value): value
+        for space in spaces
+        for value in space.values()
         if callable(getattr(value, "cache_clear", None))
-    ]
-    for cached in caches:
+    }
+    for cached in caches.values():
         cached.cache_clear()
     return len(caches)
 
 
 @pytest.fixture
 def cold_caches():
-    """The test starts with the partition, Weingarten and fixed-space caches
-    empty, and nothing it computed (perhaps under a monkeypatch) is left in
-    them."""
+    """The test starts with every qhs cache empty, and nothing it computed
+    (perhaps under a monkeypatch) is left in them."""
     assert _clear_module_caches()
     yield
     _clear_module_caches()

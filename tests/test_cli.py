@@ -266,6 +266,22 @@ def test_modules_import_only_what_they_use():
         "qhs", "qhs.exact", "qhs.partitions", "qhs.weingarten"
     }
     assert not _loaded_after("import qhs.oracle") & {"qhs.opspaces", "qhs.relations", "qhs.cli"}
+    # cli.py imports oracle, opspaces, relations and frobenius per command,
+    # so integrating loads nothing past weingarten
+    integrating = {"qhs", "qhs.cli", "qhs.exact", "qhs.partitions", "qhs.weingarten"}
+    assert _loaded_after("import qhs.cli") == integrating
+    requests = (
+        ["integrate-g", "--spec", "S(3)", "--word", "ob", "--row", "1,2", "--col", "1,2"],
+        ["integrate-x", "--spec", "O+(3)", "--I", "1,2", "--word", "oo", "--idx", "1,2"],
+    )
+    run = "".join(f"assert qhs.cli.main({argv!r}) == 0\n" for argv in requests)
+    quiet = "import io\nsys.stdout = io.StringIO()\n"
+    assert _loaded_after(f"import qhs.cli\n{quiet}{run}sys.stdout = sys.__stdout__") == integrating
+    # no value type is a dataclass, so no module loads dataclasses
+    names = ("cli", "exact", "frobenius", "opspaces", "oracle", "partitions", "relations", "weingarten")
+    every = {f"qhs.{name}" for name in names}
+    statement = f"import {', '.join(sorted(every))}\nassert 'dataclasses' not in sys.modules"
+    assert _loaded_after(statement) == {"qhs", *every}
 
 
 def test_output_file_written_atomically(tmp_path, capsys, monkeypatch):
@@ -430,7 +446,6 @@ def test_verify_failure_exit_code_is_one(capsys, monkeypatch):
 def test_frobenius_suite_counts_the_hom_side_independently(capsys, monkeypatch):
     # one fixed vector dropped: a hom side derived from the fixed vectors
     # would shrink with it, an independent count does not
-    import qhs.cli as cli_mod
     import qhs.oracle as oracle_mod
 
     real = oracle_mod.fixed_space
@@ -439,7 +454,6 @@ def test_frobenius_suite_counts_the_hom_side_independently(capsys, monkeypatch):
         return real(source, word)[1:]
 
     monkeypatch.setattr(oracle_mod, "fixed_space", dropped)
-    monkeypatch.setattr(cli_mod, "fixed_space", dropped)
     for literal in ("SN(3)", "dualZ2(2)"):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "frobenius", "--oracle", literal, "--bounds", "2"
@@ -461,11 +475,11 @@ def test_internal_error_exits_4_without_traceback(capsys, cold_caches, corrupted
 def test_relations_suite_reports_the_first_witness(capsys, monkeypatch):
     # the med-form rhs doubled: the relation fails at every element, so the
     # witness is element 0 (the identity) with the true lhs beside it
-    import qhs.cli as cli_mod
+    import qhs.relations as relations_mod
     from qhs.exact import ScaledScalar
     from qhs.relations import Relation, RelationSystem
 
-    real_med = cli_mod.relations_med
+    real_med = relations_mod.relations_med
 
     def corrupted(spec, I, max_k):
         system = real_med(spec, I, max_k)
@@ -474,7 +488,7 @@ def test_relations_suite_reports_the_first_witness(capsys, monkeypatch):
         bad = Relation(rel.left_word, rel.right_word, rel.coefficients, rhs)
         return RelationSystem(system.spec, system.I, system.provenance, (bad,) + system.relations[1:])
 
-    monkeypatch.setattr(cli_mod, "relations_med", corrupted)
+    monkeypatch.setattr(relations_mod, "relations_med", corrupted)
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "relations", "--spec", "S(3)", "--I", "1,2", "--max-k", "1"
     )
@@ -610,11 +624,16 @@ def _flip_cell_and_axiom(real):
 def test_every_comparing_check_reports_its_first_witness(
     capsys, monkeypatch, argv, name, corrupt, check, detail
 ):
-    # one cli-level name corrupted: the check names its first mismatch,
-    # indices 1-based, and a passing check still carries no detail
+    # one name corrupted where cli.py reads it: at module level, or in the
+    # owning module of a per-command import.  The check names its first
+    # mismatch, indices 1-based, and a passing check still carries no detail
     import qhs.cli as cli_mod
+    import qhs.frobenius
+    import qhs.opspaces
+    import qhs.oracle
 
-    monkeypatch.setattr(cli_mod, name, corrupt(getattr(cli_mod, name)))
+    owner = next(m for m in (cli_mod, qhs.oracle, qhs.frobenius, qhs.opspaces) if name in vars(m))
+    monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
     code, out, _ = run_cli(capsys, "verify", "--suite", *argv)
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
