@@ -95,8 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_index_tuple(text: str, k: int, n: int, what: str) -> tuple:
-    """The 1-based CLI multi-index as a 0-based tuple of k entries in 0..n-1."""
-    tokens = [tok for tok in text.split(",") if tok.strip()]
+    """The 1-based CLI multi-index as a 0-based tuple of k entries in 0..n-1;
+    the empty literal is the index of the empty word."""
+    tokens = text.split(",") if text.strip() else []
+    if not all(tok.strip() for tok in tokens):
+        raise ParseError(f"{what} has an empty entry: {text!r}")
     if len(tokens) != k:
         raise ParseError(f"{what} must have {k} entries, got {text!r}")
     try:

@@ -394,7 +394,7 @@ def parse_oracle(text: str):
         return dual_z2(int(match.group(1)))
     match = re.fullmatch(r"dualS3\(([\d,]+)\)", text)
     if match:
-        tokens = [tok for tok in match.group(1).split(",") if tok]
+        tokens = match.group(1).split(",")
         if len(tokens) != 3 or any(len(tok) != 2 for tok in tokens):
             raise ParseError(
                 f"bad dualS3 literal {text!r}; expected dualS3(12,13,23)"

@@ -338,21 +338,35 @@ class FixBasis(Frozen):
         return len(self.independent)
 
 
+def _zeta_row(part: SetPartition, n: int) -> list:
+    """1 at each kernel with at most n blocks that the partition refines."""
+    kernels = all_partitions(part.point_count)
+    above = {c for c in coarsenings(part) if kernels[c].block_count <= n}
+    return [int(c in above) for c in range(len(kernels))]
+
+
 def select_basis(members, n: int) -> FixBasis:
-    """Scan in canonical order, keeping a partition iff its zeta row raises
-    the rank.  The row has a 1 at each kernel with at most n blocks that the
-    partition refines; kernel_ids maps onto exactly those kernels, with
-    disjoint nonempty index classes, so the partition vectors (the rows read
-    through kernel_ids) have the same ranks.  The selection's Gram matrix
-    may reach len(members)**2 entries, which is checked first."""
+    """Scan the members, in canonical order, keeping a partition iff its
+    zeta row raises the rank.  kernel_ids maps onto exactly the kernels with
+    at most n blocks, with disjoint nonempty index classes, so the partition
+    vectors (the rows read through kernel_ids) have the same ranks.
+
+    In canonical order every coarsening of a partition comes before it, so
+    a member with at most n blocks has a 1 in its own column, where every
+    earlier row is 0: it is kept without elimination.  The Echelon of the
+    kept rows is built only once a member with more than n blocks arrives;
+    span holds the rows of keep[:len(span.rows)].  The selection's Gram
+    matrix may reach len(members)**2 entries, which is checked first."""
     check_dense(len(members) ** 2, f"the Gram matrix of {len(members)} candidate partitions")
     span = Echelon()
     keep = []
     for t, part in enumerate(members):
-        kernels = all_partitions(part.point_count)
-        above = {c for c in coarsenings(part) if kernels[c].block_count <= n}
-        if span.add([int(c in above) for c in range(len(kernels))]):
-            keep.append(t)
+        if part.block_count > n:
+            for s in keep[len(span.rows):]:
+                span.add(_zeta_row(members[s], n))
+            if not span.add(_zeta_row(part, n)):
+                continue
+        keep.append(t)
     return FixBasis(tuple(members), tuple(keep))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from math import perm
-from operator import mul
+from operator import add, mul
 
 from .exact import (
     DomainError,
@@ -21,6 +21,7 @@ from .exact import (
     ParseError,
     ScaledScalar,
     check_index,
+    common_denominator,
     invert,
 )
 from .partitions import (
@@ -84,11 +85,9 @@ class IndexSet(Frozen):
     def parse(cls, text: str, N: int) -> "IndexSet":
         """Parse the 1-based CLI literal, e.g. ``1,2``."""
         try:
-            members = {int(tok) - 1 for tok in text.split(",") if tok.strip()}
+            members = {int(tok) - 1 for tok in text.split(",")}
         except ValueError as exc:
             raise ParseError(f"bad index set {text!r}") from exc
-        if not members:
-            raise ParseError(f"bad index set {text!r}")
         if not all(0 <= i < N for i in members):
             raise ParseError(f"index set {text!r} out of range 1..{N}")
         return cls(N, frozenset(members))
@@ -96,19 +95,22 @@ class IndexSet(Frozen):
 
 class GramData(Frozen):
     """Selected basis with its Gram matrix and exact inverse (Weingarten).
-    weingarten_rows[t] is weingarten.row(t); hits[a] holds the positions of
-    the selected partitions that kernel a coarsens."""
+    weingarten_rows[t][u] is the integer numerator of weingarten.at(t, u)
+    over the one common denominator, so sums over W run in integers; hits[a]
+    holds the positions of the selected partitions that kernel a coarsens."""
 
     def __init__(self, basis: FixBasis, gram: ExactMatrix, weingarten: ExactMatrix,
-                 weingarten_rows: tuple, hits: tuple):
+                 weingarten_rows: tuple, denominator: int, hits: tuple):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "weingarten", weingarten)
         object.__setattr__(self, "weingarten_rows", weingarten_rows)
+        object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "hits", hits)
 
     def _key(self):
-        return self.basis, self.gram, self.weingarten, self.weingarten_rows, self.hits
+        return (self.basis, self.gram, self.weingarten, self.weingarten_rows,
+                self.denominator, self.hits)
 
 
 def _norm_word(spec: CategorySpec, word: str) -> str:
@@ -141,12 +143,13 @@ def _gram_data(family: str, n: int, word: str) -> GramData:
             entries[a * d + b] = entries[b * d + a] = n ** pi.join_block_count(parts[b])
     gram = ExactMatrix(d, d, entries)
     weingarten = invert(gram) if d else ExactMatrix(0, 0, ())
-    rows = tuple(weingarten.row(r) for r in range(d))
+    numerators, den = common_denominator(weingarten.entries)
+    rows = tuple(tuple(numerators[r * d : (r + 1) * d]) for r in range(d))
     hits = [[] for _ in all_partitions(len(word))]
     for pos, part in enumerate(parts):
         for c in coarsenings(part):
             hits[c].append(pos)
-    return GramData(basis, gram, weingarten, rows, tuple(map(tuple, hits)))
+    return GramData(basis, gram, weingarten, rows, den, tuple(map(tuple, hits)))
 
 
 def gram_weingarten(spec: CategorySpec, word: str) -> GramData:
@@ -175,7 +178,7 @@ def _kernel_moment(family: str, n: int, word: str, a: int, b: int) -> Fraction:
     """The moment at row indices of kernel a and column indices of kernel b."""
     data = _gram_data(family, n, word)
     wrows, hits = data.weingarten_rows, data.hits
-    return sum((wrows[t][u] for t in hits[a] for u in hits[b]), Fraction(0))
+    return Fraction(sum(wrows[t][u] for t in hits[a] for u in hits[b]), data.denominator)
 
 
 @cache
@@ -186,14 +189,14 @@ def _projection(family: str, n: int, word: str) -> ExactMatrix:
     check_dense(n ** (2 * len(word)), f"projection over N^2k = {n}^{2 * len(word)}")
     kid = kernel_ids(n, len(word))
     data = _gram_data(family, n, word)
-    wrows, hits = data.weingarten_rows, data.hits
+    wrows, hits, den = data.weingarten_rows, data.hits, data.denominator
     kernels = [a for a, part in enumerate(all_partitions(len(word))) if part.block_count <= n]
     expanded = {}
     for a in kernels:
-        colsum = [Fraction(0)] * len(wrows)
+        colsum = [0] * len(wrows)
         for t in hits[a]:
-            colsum = [x + y for x, y in zip(colsum, wrows[t])]
-        row = {b: sum((colsum[u] for u in hits[b]), Fraction(0)) for b in kernels}
+            colsum = list(map(add, colsum, wrows[t]))
+        row = {b: Fraction(sum(colsum[u] for u in hits[b]), den) for b in kernels}
         expanded[a] = [row[b] for b in kid]
     out = []
     for a in kid:
@@ -227,27 +230,30 @@ def _k_dot_weingarten(family: str, n: int, word: str, m: int) -> tuple:
     """kw[t] = sum_u K_q(u) * W[t, u], the rational part at scale m**(-k/2);
     K_q(u) = m**|pi_u| depends on I only through m = |I|."""
     kq = [m**part.block_count for part in _basis(family, n, word).selected]
-    return tuple(
-        sum((w * q for w, q in zip(wrow, kq)), Fraction(0))
-        for wrow in _gram_data(family, n, word).weingarten_rows
-    )
+    data = _gram_data(family, n, word)
+    return tuple(Fraction(sum(map(mul, wrow, kq)), data.denominator) for wrow in data.weingarten_rows)
 
 
 def integrate_X(spec: CategorySpec, I: IndexSet, word: str, idx) -> ScaledScalar:
     """Haar moment of x_{idx[0]}^{e_1} ... x_{idx[k-1]}^{e_k} over the space.
 
     The result times m**(k/2) is always rational; the empty word gives 1.
+    Every hit on one kernel returns the same immutable value.
     """
     check_word(word)
     I.require_N(spec.N, "spec")
-    k = len(word)
     n = spec.N
-    idx = check_index(idx, k, n, "index")
-    a = kernel_position(idx)
-    return ScaledScalar(_space_moment(spec.family, n, _norm_word(spec, word), I.m, a), k, I.m)
+    idx = check_index(idx, len(word), n, "index")
+    return _space_value(spec.family, n, _norm_word(spec, word), I.m, kernel_position(idx))
 
 
 @cache
+def _space_value(family: str, n: int, word: str, m: int, a: int) -> ScaledScalar:
+    """The finished space moment at any index of kernel a: the one cache
+    per answer of integrate_X."""
+    return ScaledScalar(_space_moment(family, n, word, m, a), len(word), m)
+
+
 def _space_moment(family: str, n: int, word: str, m: int, a: int) -> Fraction:
     """The rational part of the space moment at any index of kernel a."""
     kw = _k_dot_weingarten(family, n, word, m)
@@ -278,17 +284,21 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
     wrows, hits = data.weingarten_rows, data.hits
     kernels = all_partitions(k)
     occurring = [a for a, part in enumerate(kernels) if part.block_count <= n]
-    z_lhs = [Fraction(0)] * len(wrows)
+    # the v_b over one denominator zden, so both sides below are integers over den
+    weights, zden = common_denominator(
+        [_space_moment(spec.family, n, norm, I.m, b) * perm(n, kernels[b].block_count)
+         for b in occurring]
+    )
+    den = data.denominator * zden
+    z_lhs = [0] * len(wrows)
     z_rhs = [0] * len(wrows)
-    for b in occurring:
-        size = kernels[b].block_count
-        weight = _space_moment(spec.family, n, norm, I.m, b) * perm(n, size)
-        count = perm(I.m, size)
+    for b, weight in zip(occurring, weights):
+        count = perm(I.m, kernels[b].block_count)
         for u in hits[b]:
             z_lhs[u] += weight
             z_rhs[u] += count
-    y_lhs = [sum(map(mul, wrow, z_lhs), Fraction(0)) for wrow in wrows]
-    y_rhs = [sum(map(mul, wrow, z_rhs), Fraction(0)) for wrow in wrows]
+    y_lhs = [sum(map(mul, wrow, z_lhs)) for wrow in wrows]
+    y_rhs = [sum(map(mul, wrow, z_rhs)) * zden for wrow in wrows]
     report = {
         "spec": str(spec),
         "I": str(I),
@@ -298,14 +308,14 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
     }
     # in all_partitions order the first failing kernel holds the first failing row
     for a in occurring:
-        lhs = sum((y_lhs[t] for t in hits[a]), Fraction(0))
-        rhs = sum((y_rhs[t] for t in hits[a]), Fraction(0))
+        lhs = sum(y_lhs[t] for t in hits[a])
+        rhs = sum(y_rhs[t] for t in hits[a])
         if lhs != rhs:
             report["passed"] = False
             report["counterexample"] = {
                 "row": [v + 1 for v in kernels[a].block_index],
-                "lhs": ScaledScalar(lhs, k, I.m).to_json(),
-                "rhs": ScaledScalar(rhs, k, I.m).to_json(),
+                "lhs": ScaledScalar(Fraction(lhs, den), k, I.m).to_json(),
+                "rhs": ScaledScalar(Fraction(rhs, den), k, I.m).to_json(),
             }
             break
     return report

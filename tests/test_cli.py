@@ -729,3 +729,29 @@ def test_symmetric_suite_names_its_oracle(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "relations", "--spec", "O(3)", "--I", "1")
     assert code == 3
     assert err == "domain-error: suite 'relations' checks against SN(n), so it needs S(n), not O(3)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("integrate-g", "--spec", "S(3)", "--word", "oo", "--row", "1,,1", "--col", "1,1"),
+         "error: --row has an empty entry: '1,,1'\n"),
+        (("integrate-g", "--spec", "S(3)", "--word", "o", "--row", "1", "--col", "1,"),
+         "error: --col has an empty entry: '1,'\n"),
+        (("integrate-x", "--spec", "S(4)", "--I", "1,2", "--word", "oo", "--idx", ",1"),
+         "error: --idx has an empty entry: ',1'\n"),
+        (("integrate-x", "--spec", "S(4)", "--I", "1,,2", "--word", "o", "--idx", "1"),
+         "error: bad index set '1,,2'\n"),
+        (("verify", "--suite", "properness", "--oracle", "dualS3(12,,13,23)", "--I", "1"),
+         "error: bad dualS3 literal 'dualS3(12,,13,23)'; expected dualS3(12,13,23)\n"),
+    ],
+)
+def test_empty_comma_entries_exit_2(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
+def test_empty_word_takes_the_empty_index(capsys):
+    code, out, _ = run_cli(
+        capsys, "integrate-g", "--spec", "S(3)", "--word", "", "--row", "", "--col", " "
+    )
+    assert (code, json.loads(out)["value"]) == (0, "1")

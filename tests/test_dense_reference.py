@@ -116,6 +116,10 @@ def cases(draw):
 @example(("S", 2, "ooo", {0}, [0, 5, 7]))
 @example(("S+", 3, "oooo", {0, 2}, [0, 13, 80]))
 @example(("U", 2, "obob", {1}, [0, 6, 15]))
+# members with more than N blocks, which select_basis reduces on an Echelon:
+# all 15 pairings, and 11 of the 42 noncrossing partitions
+@example(("O", 2, "oooooo", {1}, [0, 21, 63]))
+@example(("S+", 3, "ooooo", {0, 1}, [0, 46, 242]))
 def test_kernel_path_matches_dense_reference(case):
     family, n, word, members, flats = case
     spec = CategorySpec(family, n)

@@ -1,12 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qhs.exact import ParseError, flat_index
+from qhs.exact import Echelon, ParseError, flat_index
 from qhs.partitions import (
+    FAMILIES,
+    SELF_CONJUGATE_FAMILIES,
     CategorySpec,
     SetPartition,
     all_partitions,
     coarsenings,
+    colored_words,
     conjugate_word,
     enumerate_category,
     fix_basis,
@@ -157,6 +160,27 @@ def test_select_basis_drops_dependent_vectors_at_small_n():
     assert basis.dimension == 4
     # greedy scan keeps the earliest partitions that raise the rank
     assert basis.independent == (0, 1, 2, 3)
+
+
+def test_select_basis_equals_the_full_greedy_scan():
+    """The eliminating scan over every member's zeta row, which keeps a
+    member iff its row raises the rank, picks the same basis."""
+    for family in FAMILIES:
+        for word in colored_words(6):
+            if family in SELF_CONJUGATE_FAMILIES and "b" in word:
+                continue
+            members = enumerate_category(CategorySpec(family, 1), word)
+            kernels = all_partitions(len(word))
+            for n in range(1, 5):
+                span = Echelon()
+                keep = tuple(
+                    t for t, part in enumerate(members)
+                    if span.add([
+                        int(c in coarsenings(part) and kernels[c].block_count <= n)
+                        for c in range(len(kernels))
+                    ])
+                )
+                assert select_basis(members, n).independent == keep, (family, n, word)
 
 
 def test_select_basis_empty_input():

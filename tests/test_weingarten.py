@@ -4,13 +4,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
-from math import factorial, perm
+from math import factorial, gcd, perm
 from time import perf_counter
 
 import pytest
 
 import qhs
-from qhs.exact import DomainError, ExactMatrix, ScaledScalar
+from qhs.exact import DomainError, ExactMatrix, ParseError, ScaledScalar
 from qhs.oracle import OracleGroup, brute_integrate_G
 from qhs.partitions import (
     CategorySpec,
@@ -304,3 +304,50 @@ def test_point_queries_match_the_mobius_form_at_s40():
         k = len(idx)
         q = sum(_mobius_moment(n, idx, col) for col in product((0, 1), repeat=k))
         assert integrate_X(spec, I, "o" * k, idx) == ScaledScalar(q, k, I.m), idx
+
+
+@pytest.mark.parametrize(
+    "family, n, word",
+    [
+        ("S", 3, "oooo"),
+        ("O", 3, "oooooo"),
+        ("U", 3, "obob"),
+        ("U", 2, "oobbob"),
+        ("S+", 4, "ooooo"),
+        ("O+", 2, "oooooo"),
+        ("U+", 3, "obbo"),
+    ],
+)
+def test_weingarten_rows_are_integers_over_one_denominator(family, n, word):
+    data = gram_weingarten(CategorySpec(family, n), word)
+    den = data.denominator
+    assert len(data.weingarten_rows) == data.weingarten.rows > 0
+    for t, wrow in enumerate(data.weingarten_rows):
+        assert all(type(x) is int for x in wrow)
+        assert [Fraction(x, den) for x in wrow] == list(data.weingarten.row(t))
+    # the least common denominator: no factor of it divides every numerator
+    assert gcd(den, *(x for wrow in data.weingarten_rows for x in wrow)) == 1
+
+
+def test_warm_integrate_x_hits_return_one_finished_value(cold_caches, monkeypatch):
+    spec, I = CategorySpec("O", 3), IndexSet.of(3, {0, 2})
+    first = integrate_X(spec, I, "oooo", (0, 1, 0, 1))
+    built = []
+    real_init = ScaledScalar.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(ScaledScalar, "__init__", counting_init)
+    # the same kernel through other indices, and colors O cannot see
+    for word, idx in (("oooo", (0, 1, 0, 1)), ("oooo", (2, 0, 2, 0)), ("obob", (1, 2, 1, 2))):
+        assert integrate_X(spec, I, word, idx) is first
+    assert built == []
+    # a warm hit still checks its word, its index set and its index
+    with pytest.raises(ParseError):
+        integrate_X(spec, I, "oxoo", (0, 1, 0, 1))
+    with pytest.raises(DomainError):
+        integrate_X(spec, IndexSet.of(4, {0, 2}), "oooo", (0, 1, 0, 1))
+    with pytest.raises(DomainError):
+        integrate_X(spec, I, "oooo", (0, 1, 0, 3))
