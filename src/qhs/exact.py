@@ -496,6 +496,36 @@ def rank_nullspace(matrix: ExactMatrix):
     return len(span.pivots), basis, span.rows
 
 
+def _inverse_holds(rows, matrix: ExactMatrix) -> bool:
+    """Whether the reduced rows [p_c e_c | R_c] of [matrix | identity] give
+    R * matrix == D, with D = diag(p_c), exactly and in O(n^2) big-integer
+    operations.
+
+    With matrix = G / q over integers G, row l of G is packed as
+    P_l = sum_j G[l][j] 2^(B j).  Then sum_l R_c[l] P_l has the base-2^B
+    digits (R_c G)_j, and row c holds iff it equals q p_c 2^(B c).  The two
+    sides differ by digits below sum_l |R_c[l]| max|G| + q p_c in absolute
+    value; with 2^B above that bound such balanced digits are unique, so
+    equal numbers mean equal digits.
+    """
+    n = matrix.rows
+    entries, q = common_denominator(matrix.entries)
+    g_max = max(map(abs, entries), default=0)
+    bound = max(
+        (sum(map(abs, row[n:])) * g_max + q * abs(row[c]) for c, row in enumerate(rows)), default=0
+    )
+    shift = bound.bit_length()
+    packed = []
+    for l in range(n):
+        acc = 0
+        for x in reversed(entries[l * n : (l + 1) * n]):
+            acc = (acc << shift) + x
+        packed.append(acc)
+    return all(
+        sum(map(mul, row[n:], packed)) == q * row[c] << (shift * c) for c, row in enumerate(rows)
+    )
+
+
 def invert(matrix: ExactMatrix) -> ExactMatrix:
     """Exact inverse from the reduced echelon form of [matrix | identity];
     raises gram-singular with the rank.
@@ -503,7 +533,7 @@ def invert(matrix: ExactMatrix) -> ExactMatrix:
     Row c of the reduced form is [p_c * e_c | R_c], so the inverse is
     W = D^-1 R with D = diag(p_c).  Before any entry of W is built, every
     inverse is checked exactly in integers: W * matrix == I holds iff
-    R * matrix == D.
+    R * matrix == D (`_inverse_holds`).
     """
     if matrix.rows != matrix.cols:
         raise DomainError("cannot invert a non-square matrix")
@@ -515,14 +545,8 @@ def invert(matrix: ExactMatrix) -> ExactMatrix:
     if rk < n:
         raise SingularGramError(f"matrix of size {n} is singular", rk)
     span.back_substitute()
-    columns = [matrix.entries[j::n] for j in range(n)]
-    for c, row in enumerate(span.rows):
-        r_c = row[n:]
-        if any(
-            sum(map(mul, r_c, col)) != (row[c] if j == c else 0)
-            for j, col in enumerate(columns)
-        ):
-            raise AssertionError("weingarten inverse failed exactness check")
+    if not _inverse_holds(span.rows, matrix):
+        raise AssertionError("weingarten inverse failed exactness check")
     return ExactMatrix(
         n, n, (Fraction(x, row[c]) for c, row in enumerate(span.rows) for x in row[n:])
     )

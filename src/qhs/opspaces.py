@@ -158,6 +158,34 @@ def _moved_in(space, flat_map, support) -> bool:
     return space.contains_sparse([flat_map[f] for f in flats], values)
 
 
+def _shape(space) -> tuple:
+    return space.N ** len(space.l_word), space.N ** len(space.k_word)
+
+
+def _unit_holds(space) -> bool:
+    """The identity of a square space: the sum of e at stride cols + 1."""
+    rows, cols = _shape(space)
+    return space.contains_sparse(range(0, rows * cols, cols + 1), (1,) * cols)
+
+
+def _adjoint_holds(space, mirror) -> bool:
+    """Every T^T lies in the mirror: <e, T^T> = sum of T[r, c] e[c rows + r]."""
+    rows, cols = _shape(space)
+    transpose = [c * rows + r for r in range(rows) for c in range(cols)]
+    return all(_moved_in(mirror, transpose, sup) for sup in space.supports)
+
+
+def _frobenius_holds(space, target) -> bool:
+    """The reshuffle, its own inverse (`frobenius.frobenius_map`), maps each
+    space into the other and the dimensions agree."""
+    reshuffle = frobenius_map(space.N, len(space.k_word), len(space.l_word))
+    return (
+        all(_moved_in(target, reshuffle, sup) for sup in space.supports)
+        and all(_moved_in(space, reshuffle, sup) for sup in target.supports)
+        and space.dimension == target.dimension
+    )
+
+
 def _composition_fails(inner, outer, target) -> bool:
     """True when some product S T of an outer and an inner element breaks a
     target equation.  S T has support in the pairs of nonzero S[b, m] and
@@ -231,6 +259,12 @@ def axiom_report(spaces: dict) -> dict:
       pairs of nonzero entries, with the flat index of T kron S split as
       A[(b1, c1)] + B[(b2, c2)].
 
+    A verdict depends only on its operand spaces, whose shapes come from
+    their own word lengths, so it is computed once per distinct operand
+    tuple, keyed on the spaces' identities (one space may fill several
+    cells, as in `fxi_grid`), and recorded for every cell that reads it.
+    The memo lives for one call.
+
     unit/adjoint/frobenius are theorems for relation solution spaces and are
     the 'asserted' axioms.  On a grid from one realization adjoint and tensor
     closure are identities of the defining functionals: classically
@@ -240,6 +274,14 @@ def axiom_report(spaces: dict) -> dict:
     composition can really fail.  Every check is still computed, with one
     failure recorded per cell pair.
     """
+    memo = {}
+
+    def verdict(check, *operands) -> bool:
+        key = (check, *map(id, operands))
+        if key not in memo:
+            memo[key] = check(*operands)
+        return memo[key]
+
     cells = sorted(spaces, key=_cell_order)
     report = {
         "unit": [],
@@ -250,34 +292,27 @@ def axiom_report(spaces: dict) -> dict:
     }
     for kw, lw in cells:
         space = spaces[(kw, lw)]
-        n = space.N
-        rows, cols = n ** len(lw), n ** len(kw)
         if kw == lw:
-            diagonal = range(0, rows * cols, cols + 1)
-            ok = space.contains_sparse(diagonal, (1,) * cols)
-            report["unit"].append({"k": kw, "l": lw, "passed": ok})
+            report["unit"].append({"k": kw, "l": lw, "passed": verdict(_unit_holds, space)})
         mirror = spaces.get((lw, kw))
         if mirror is not None:
-            transpose = [c * rows + r for r in range(rows) for c in range(cols)]
-            ok = all(_moved_in(mirror, transpose, sup) for sup in space.supports)
+            ok = verdict(_adjoint_holds, space, mirror)
             report["adjoint"].append({"k": kw, "l": lw, "passed": ok})
         target = spaces.get(("", lw + conjugate_word(kw)))
         if target is not None:
-            reshuffle = frobenius_map(n, len(kw), len(lw))
-            forward = all(_moved_in(target, reshuffle, sup) for sup in space.supports)
-            backward = all(_moved_in(space, reshuffle, sup) for sup in target.supports)
-            ok = forward and backward and space.dimension == target.dimension
+            ok = verdict(_frobenius_holds, space, target)
             report["frobenius"].append({"k": kw, "l": lw, "passed": ok})
     for k1, l1 in cells:
         for k2, l2 in cells:
             if k2 == l1 and (k1, l2) in spaces:
-                fails = _composition_fails(spaces[(k1, l1)], spaces[(k2, l2)], spaces[(k1, l2)])
+                operands = spaces[(k1, l1)], spaces[(k2, l2)], spaces[(k1, l2)]
+                fails = verdict(_composition_fails, *operands)
                 _record(report["composition"], fails, {"inner": [k1, l1], "outer": [k2, l2]})
     for k1, l1 in cells:
         for k2, l2 in cells:
             cell = (k1 + k2, l1 + l2)
             if cell in spaces:
-                fails = _tensor_fails(spaces[(k1, l1)], spaces[(k2, l2)], spaces[cell])
+                fails = verdict(_tensor_fails, spaces[(k1, l1)], spaces[(k2, l2)], spaces[cell])
                 _record(report["tensor"], fails, {"left": [k1, l1], "right": [k2, l2]})
     report["asserted_passed"] = (
         all(entry["passed"] for entry in report["unit"])
@@ -287,12 +322,39 @@ def axiom_report(spaces: dict) -> dict:
     return report
 
 
+def _defining_system(real: OracleRealization, k_word: str, l_word: str) -> tuple:
+    """All that `fxi_space` reads of a cell besides the realization: the word
+    lengths and every point's (flats, weights, at_identity), without the
+    point labels."""
+    points = real.functionals(k_word, l_word)
+    return len(k_word), len(l_word), tuple((tuple(f), w, at) for _, f, w, at in points)
+
+
+def fxi_grid(real: OracleRealization, cells) -> dict:
+    """`fxi_space` of every cell, solved once per distinct defining system.
+
+    Equal systems give equal spaces, so cells with equal systems share one
+    `OperatorSpace`, labelled with the words of the first such cell (only
+    their lengths are read).  On a classical oracle the functionals ignore
+    colors, so e.g. the 49 cells of a bound-3 grid hold 10 systems.
+    """
+    shared = {}
+    grid = {}
+    for cell in cells:
+        key = _defining_system(real, *cell)
+        if key not in shared:
+            shared[key] = fxi_space(real, *cell)
+        grid[cell] = shared[key]
+    return grid
+
+
 def saturation_report(real: OracleRealization, hom_source, bound: int) -> dict:
     """Per grid cell: intertwiner dimension vs solution-space dimension,
     inclusion (a theorem; must hold) and equality (reported), plus the axiom
     report on the solution grid and an overall verdict.  The (t+1) 2^t cells
     with |k| + |l| == t have N^t unknowns each; their sum is checked against
-    the grid guard before any space is built.
+    the grid guard before any space is built.  Cells with equal defining
+    systems share one solution space (`fxi_grid`).
     """
     total = 0
     for t in range(bound + 1):
@@ -301,7 +363,7 @@ def saturation_report(real: OracleRealization, hom_source, bound: int) -> dict:
             msg = f"grid cells with |k|+|l| <= {t} have {total} unknowns, exceeding the guard {GRID_GUARD}"
             raise ResourceGuardError(msg)
     cells = grid_cells(bound)
-    fxi = {cell: fxi_space(real, *cell) for cell in cells}
+    fxi = fxi_grid(real, cells)
     hom = {cell: hom_operator_space(hom_source, *cell) for cell in cells}
     axioms = axiom_report(fxi)
     per_cell_axioms = {}

@@ -85,9 +85,12 @@ class IndexSet(Frozen):
     def parse(cls, text: str, N: int) -> "IndexSet":
         """Parse the 1-based CLI literal, e.g. ``1,2``."""
         try:
-            members = {int(tok) - 1 for tok in text.split(",")}
+            listed = [int(tok) - 1 for tok in text.split(",")]
         except ValueError as exc:
             raise ParseError(f"bad index set {text!r}") from exc
+        members = set(listed)
+        if len(members) < len(listed):
+            raise ParseError(f"index set {text!r} repeats a member")
         if not all(0 <= i < N for i in members):
             raise ParseError(f"index set {text!r} out of range 1..{N}")
         return cls(N, frozenset(members))

@@ -14,7 +14,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhs.exact import Echelon, ExactMatrix, flat_index, multi_indices
-from qhs.opspaces import OperatorSpace, axiom_report, fxi_space, grid_cells, hom_operator_space
+import qhs.opspaces as opspaces_mod
+from qhs.opspaces import (
+    OperatorSpace,
+    axiom_report,
+    fxi_grid,
+    fxi_space,
+    grid_cells,
+    hom_operator_space,
+    saturation_report,
+)
 from qhs.oracle import OracleGroup, OracleRealization, parse_oracle
 from qhs.partitions import CategorySpec, conjugate_word
 from qhs.weingarten import IndexSet
@@ -46,8 +55,16 @@ def _ref_reshuffle(entries, n, k, l) -> list:
     return out
 
 
-def ref_axiom_report(spaces: dict) -> dict:
-    ref = _Reference()
+class _ByEquations:
+    """Membership by the space's defining equations, as they stand."""
+
+    def contains(self, space, T):
+        return space.contains(T)
+
+
+def ref_axiom_report(spaces: dict, ref=None) -> dict:
+    """Every check of every cell pair, computed afresh from dense products."""
+    ref = ref or _Reference()
     cells = sorted(spaces, key=lambda cell: (len(cell[0]) + len(cell[1]), cell[0], cell[1]))
     report = {
         "unit": [],
@@ -160,6 +177,79 @@ def test_one_corrupted_equation_breaks_the_comparison(monkeypatch):
     report = axiom_report(spaces)
     assert report != reference
     assert not report["asserted_passed"]
+
+
+def _realization(literal, members):
+    source = _SOURCES.setdefault(literal, parse_oracle(literal))
+    return OracleRealization(source, IndexSet.parse(members, source.N))
+
+
+@pytest.mark.parametrize(
+    "literal, members, bound, systems",
+    [("SN(3)", "1,2", 3, 10), ("HN(3)", "1,2", 3, 10), ("SN(4)", "1,2", 2, 6),
+     ("dualZ2(3)", "1", 2, 6), ("dualS3(12,13,23)", "1", 2, 6)],
+)
+def test_saturation_solves_each_defining_system_once(monkeypatch, literal, members, bound,
+                                                     systems):
+    real = _realization(literal, members)
+    shared = fxi_grid(real, grid_cells(bound))
+    assert len(set(map(id, shared.values()))) == systems
+    assert axiom_report(shared) == ref_axiom_report(shared)
+    solved = []
+
+    def counted(*args):
+        solved.append(args)
+        return fxi_space(*args)
+
+    monkeypatch.setattr(opspaces_mod, "fxi_space", counted)
+    report = saturation_report(real, real.source, bound)
+    assert len(solved) == systems
+    # every cell a system of its own: the grid built cell by cell, fresh spaces
+    monkeypatch.setattr(opspaces_mod, "_defining_system", lambda real, *cell: cell)
+    solved.clear()
+    assert saturation_report(real, real.source, bound) == report
+    assert len(solved) == len(grid_cells(bound))
+
+
+def _cells_read(report) -> list:
+    """(check, cells it reads, passed) for every check of an axiom report."""
+    out = []
+    for kind, other in (("unit", lambda k, l: (k, l)), ("adjoint", lambda k, l: (l, k)),
+                        ("frobenius", lambda k, l: ("", l + conjugate_word(k)))):
+        for entry in report[kind]:
+            cell = (entry["k"], entry["l"])
+            out.append((kind, {cell, other(*cell)}, entry["passed"]))
+    for f in report["composition"]["failures"]:
+        (k1, l1), (k2, l2) = f["inner"], f["outer"]
+        out.append(("composition", {(k1, l1), (k2, l2), (k1, l2)}, False))
+    for f in report["tensor"]["failures"]:
+        (k1, l1), (k2, l2) = f["left"], f["right"]
+        out.append(("tensor", {(k1, l1), (k2, l2), (k1 + k2, l1 + l2)}, False))
+    return out
+
+
+def test_axiom_verdicts_are_keyed_on_spaces_not_cells():
+    real = _realization("SN(3)", "1,2")
+    shared = fxi_grid(real, grid_cells(3))
+    copies = {
+        (kw, lw): OperatorSpace(kw, lw, s.N, s.basis, s.equation_rows)
+        for (kw, lw), s in shared.items()
+    }
+    clean = axiom_report(shared)
+    assert axiom_report(copies) == clean
+    # a colored cell whose shared space already sits in (b, b), earlier in
+    # cell order, gets an equal but distinct copy with one equation broken
+    cell = ("o", "b")
+    assert shared[cell] is shared[("b", "b")]
+    copy = copies[cell]
+    first, *rest = copy.equations
+    copy.__dict__["equations"] = ((first[0] + 1, *first[1:]), *rest)
+    corrupted = {**shared, cell: copy}
+    report = axiom_report(corrupted)
+    assert report == ref_axiom_report(corrupted, _ByEquations())
+    changed = [c for c in _cells_read(report) if c not in _cells_read(clean)]
+    assert changed and all(cell in read and not passed for _, read, passed in changed)
+    assert axiom_report(shared) == clean
 
 
 def _independent(rows) -> list:

@@ -750,6 +750,19 @@ def test_empty_comma_entries_exit_2(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err)
 
 
+@pytest.mark.parametrize(
+    "argv, literal",
+    [
+        (("integrate-x", "--spec", "S(4)", "--I", "1,1", "--word", "o", "--idx", "1"), "1,1"),
+        (("relations", "--form", "med", "--spec", "S(3)", "--I", "2,1,2", "--max-k", "2"), "2,1,2"),
+        (("verify", "--suite", "saturation", "--oracle", "SN(3)", "--I", "1,01"), "1,01"),
+    ],
+)
+def test_repeated_index_set_member_exits_2(capsys, argv, literal):
+    # merging the repeat would change m, and with it every scaled output
+    assert run_cli(capsys, *argv) == (2, "", f"error: index set {literal!r} repeats a member\n")
+
+
 def test_empty_word_takes_the_empty_index(capsys):
     code, out, _ = run_cli(
         capsys, "integrate-g", "--spec", "S(3)", "--word", "", "--row", "", "--col", " "

@@ -1,9 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from qhs.exact import (
     DomainError,
@@ -12,6 +13,7 @@ from qhs.exact import (
     ScaleBaseError,
     ScaledScalar,
     SingularGramError,
+    _inverse_holds,
     check_index,
     common_denominator,
     invert,
@@ -149,6 +151,57 @@ def test_invert_catches_corrupted_elimination(corrupted_elimination):
     gram = ExactMatrix.from_rows([[16, 4, 4], [4, 16, 4], [4, 4, 16]])
     with pytest.raises(AssertionError, match="exactness check"):
         invert(gram)
+
+
+def _ref_inverse_holds(rows, matrix) -> bool:
+    """The column-by-column self-check `invert` ran before rows were packed:
+    R_c dotted with every column j of the matrix is p_c at j == c, else 0."""
+    n = matrix.rows
+    columns = [matrix.entries[j::n] for j in range(n)]
+    return not any(
+        sum(map(mul, row[n:], col)) != (row[c] if j == c else 0)
+        for c, row in enumerate(rows)
+        for j, col in enumerate(columns)
+    )
+
+
+_gram_entries = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-(10**12), 10**12),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+# large deltas, powers of two among them, aim at the packing's digit width
+_deltas = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**80), 2**80),
+    st.builds(lambda e, sign: sign * 2**e, st.integers(1, 200), st.sampled_from([-1, 1])),
+).filter(bool)
+
+
+@given(st.integers(1, 5), st.data())
+def test_packed_inverse_check_matches_column_check(n, data):
+    entries = data.draw(st.lists(_gram_entries, min_size=n * n, max_size=n * n))
+    matrix = ExactMatrix(n, n, entries)
+    span = Echelon(matrix.row(r) + tuple(int(r == c) for c in range(n)) for r in range(n))
+    assume(len(span.pivots) == n and span.pivots[-1] < n)
+    span.back_substitute()
+    rows = [list(row) for row in span.rows]
+    assert _inverse_holds(rows, matrix) and _ref_inverse_holds(rows, matrix)
+    c = data.draw(st.integers(0, n - 1))
+    l = data.draw(st.integers(0, n - 1))
+    rows[c][n + l] += data.draw(_deltas)
+    assert _inverse_holds(rows, matrix) == _ref_inverse_holds(rows, matrix)
+
+
+def test_packed_inverse_check_needs_its_full_digit_width():
+    # row 0 of G packs to 2^s - 2^B, which vanishes in base 2^s, so a digit
+    # width at or below log2 max|G| would miss the corruption of R_0
+    for s in range(1, 9):
+        matrix = ExactMatrix(2, 2, (2**s, -1, 0, 1))
+        rows = [[2**s, 0, 1, 1], [0, 1, 0, 1]]
+        assert _inverse_holds(rows, matrix)
+        rows[0][2] += 1
+        assert not _inverse_holds(rows, matrix) and not _ref_inverse_holds(rows, matrix)
 
 
 def test_invert_singular_reports_rank():
