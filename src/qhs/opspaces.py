@@ -158,26 +158,18 @@ def _moved_in(space, flat_map, support) -> bool:
     return space.contains_sparse([flat_map[f] for f in flats], values)
 
 
-def _shape(space) -> tuple:
-    return space.N ** len(space.l_word), space.N ** len(space.k_word)
-
-
 def _unit_holds(space) -> bool:
-    """The identity of a square space: the sum of e at stride cols + 1."""
-    rows, cols = _shape(space)
-    return space.contains_sparse(range(0, rows * cols, cols + 1), (1,) * cols)
+    cols = space.N ** len(space.k_word)
+    return space.contains_sparse(range(0, cols * cols, cols + 1), (1,) * cols)
 
 
 def _adjoint_holds(space, mirror) -> bool:
-    """Every T^T lies in the mirror: <e, T^T> = sum of T[r, c] e[c rows + r]."""
-    rows, cols = _shape(space)
+    rows, cols = space.N ** len(space.l_word), space.N ** len(space.k_word)
     transpose = [c * rows + r for r in range(rows) for c in range(cols)]
     return all(_moved_in(mirror, transpose, sup) for sup in space.supports)
 
 
 def _frobenius_holds(space, target) -> bool:
-    """The reshuffle, its own inverse (`frobenius.frobenius_map`), maps each
-    space into the other and the dimensions agree."""
     reshuffle = frobenius_map(space.N, len(space.k_word), len(space.l_word))
     return (
         all(_moved_in(target, reshuffle, sup) for sup in space.supports)
@@ -259,11 +251,11 @@ def axiom_report(spaces: dict) -> dict:
       pairs of nonzero entries, with the flat index of T kron S split as
       A[(b1, c1)] + B[(b2, c2)].
 
-    A verdict depends only on its operand spaces, whose shapes come from
-    their own word lengths, so it is computed once per distinct operand
-    tuple, keyed on the spaces' identities (one space may fill several
-    cells, as in `fxi_grid`), and recorded for every cell that reads it.
-    The memo lives for one call.
+    A verdict reads only its operand spaces (their shapes come from their
+    own word lengths), so it is computed once per distinct operand tuple,
+    keyed on the spaces' identities in a memo that lives for one call (one
+    space may fill several cells, as in `fxi_grid`), and recorded for every
+    cell pair that reads it.
 
     unit/adjoint/frobenius are theorems for relation solution spaces and are
     the 'asserted' axioms.  On a grid from one realization adjoint and tensor
@@ -336,7 +328,8 @@ def fxi_grid(real: OracleRealization, cells) -> dict:
     Equal systems give equal spaces, so cells with equal systems share one
     `OperatorSpace`, labelled with the words of the first such cell (only
     their lengths are read).  On a classical oracle the functionals ignore
-    colors, so e.g. the 49 cells of a bound-3 grid hold 10 systems.
+    colors, so a grid holds one system per pair of word lengths (10 for the
+    49 cells of bound 3).
     """
     shared = {}
     grid = {}
