@@ -421,34 +421,6 @@ def brute_integrate_G(group: OracleGroup, word: str, row, col) -> Fraction:
     return table.get((flat_index(row, group.N), flat_index(col, group.N)), Fraction(0))
 
 
-def dual_integrate_G(dual: GroupDualData, word: str, row, col) -> Fraction:
-    """Dual moments: off-diagonal entries vanish, diagonal ones reduce words."""
-    check_word(word)
-    k = len(word)
-    row = check_index(row, k, dual.N, "row index")
-    col = check_index(col, k, dual.N, "column index")
-    if row != col:
-        return Fraction(0)
-    return Fraction(int(dual.word_value(word, row) == dual.identity))
-
-
-def averaging_operator(source, word: str) -> ExactMatrix:
-    """The Haar average of the word's tensor representation, as a matrix."""
-    check_word(word)
-    k = len(word)
-    n = source.N
-    size = n**k
-    entries = [0] * (size * size)
-    if isinstance(source, OracleGroup):
-        for (fi, fj), val in source.moment_table(k).items():
-            entries[fi * size + fj] = val
-    else:
-        for flat, value in enumerate(source.word_values(word)):
-            if value == source.identity:
-                entries[flat * size + flat] = 1
-    return ExactMatrix(size, size, entries)
-
-
 def fixed_space(source, word: str) -> tuple:
     """Exact basis of the invariant vectors, as N^k x 1 columns: the
     canonical nullspace basis of (average - identity).  Classically that is

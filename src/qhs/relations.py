@@ -11,6 +11,7 @@ Verification evaluates relations exactly on an oracle realization.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
 from .exact import (
@@ -30,6 +31,7 @@ from .partitions import (
     check_word,
     colored_words,
     conjugate_word,
+    kernel_ids,
     partition_vector,
 )
 from .weingarten import IndexSet, K_vector, projection_P, selected_partitions
@@ -103,7 +105,9 @@ def relations_med(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSy
 
 
 def relations_max(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSystem:
-    """One relation per row of the Haar projection per word."""
+    """One relation per row of the Haar projection per word, in row order.
+    P[i, j] depends on i only through its kernel, so the rows of one kernel
+    share one Relation object, built from the kernel's first row."""
     I.require_N(spec.N, "spec")
     rels = []
     if max_k == 0:
@@ -112,11 +116,15 @@ def relations_max(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSy
         P = projection_P(spec, word)
         k = len(word)
         i_flats = I.flat_indices(k)
-        for r in range(P.rows):
-            row = P.row(r)
-            T = ExactMatrix(P.cols, 1, row)
-            q = sum((row[j] for j in i_flats), Fraction(0))
-            rels.append(Relation(word, "", T, ScaledScalar(q, k, I.m)))
+        by_kernel = {}
+        for r, kernel in enumerate(kernel_ids(spec.N, k)):
+            rel = by_kernel.get(kernel)
+            if rel is None:
+                row = P.row(r)
+                T = ExactMatrix(P.cols, 1, row)
+                q = sum((row[j] for j in i_flats), Fraction(0))
+                rel = by_kernel[kernel] = Relation(word, "", T, ScaledScalar(q, k, I.m))
+            rels.append(rel)
     return RelationSystem(spec, I, "max-form", tuple(rels))
 
 
@@ -158,7 +166,7 @@ def _two_sided(spec: CategorySpec, I: IndexSet, max_k: int, max_l: int) -> tuple
 
 def _check_compatible(system: RelationSystem, real: OracleRealization):
     """The oracle must fix every category basis vector used by the system,
-    checked exactly at every word length (`oracle.fixes`)."""
+    checked exactly at every word length (`_fixes_category`)."""
     spec = system.spec
     if real.N != spec.N:
         raise IncompatibleOracleError(
@@ -169,12 +177,19 @@ def _check_compatible(system: RelationSystem, real: OracleRealization):
         key=lambda w: (len(w), w),
     )
     for word in words:
-        vectors = (partition_vector(part, spec.N) for part in selected_partitions(spec, word))
-        if not fixes(real.source, word, vectors):
+        if not _fixes_category(real.source, spec, word):
             kind = "oracle" if real.classical else "dual oracle"
             raise IncompatibleOracleError(
                 f"{kind} does not fix the category vectors at word {word!r}"
             )
+
+
+@cache
+def _fixes_category(source, spec: CategorySpec, word: str) -> bool:
+    """Whether the oracle fixes the selected category vectors of the word
+    (`oracle.fixes`); the verdict depends on nothing else, so it is cached."""
+    vectors = (partition_vector(part, spec.N) for part in selected_partitions(spec, word))
+    return fixes(source, word, vectors)
 
 
 def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
@@ -186,6 +201,9 @@ def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
     witness is the first failing point in functional order: the first
     failing element, or on a dual the first failing group element in order
     of first appearance over I^l x I^k (e last when no index reaches it).
+    A relation object that repeats in the system (the max-form rows of one
+    kernel) is evaluated once per call; each occurrence gets a copy of its
+    entry under its own index.
     """
     if system.I != real.I:
         raise IncompatibleOracleError("relation system and realization use different index sets")
@@ -193,7 +211,12 @@ def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
     label = "element" if real.classical else "group_element"
     functionals = {}
     entries = []
+    verdicts = {}  # id of a relation object -> its entry; a repeat copies it
     for pos, rel in enumerate(system.relations):
+        done = verdicts.get(id(rel))
+        if done is not None:
+            entries.append({**done, "index": pos})
+            continue
         words = (rel.right_word, rel.left_word)
         if words not in functionals:
             functionals[words] = real.functionals(*words)
@@ -218,6 +241,7 @@ def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
                 entry.update(passed=False, witness=witness)
                 break
         entries.append(entry)
+        verdicts[id(rel)] = entry
     return {
         "spec": str(system.spec),
         "I": str(system.I),
@@ -241,9 +265,9 @@ def med_spans_max(spec: CategorySpec, I: IndexSet, max_k: int = 3) -> dict:
     for word in words:
         span = Echelon(rel.coefficients.entries for rel in med.relations if rel.left_word == word)
         r_med = len(span.pivots)
-        for rel in mx.relations:
-            if rel.left_word == word:
-                span.add(rel.coefficients.entries)
+        # rows of one kernel share one object, which cannot raise the rank twice
+        for rel in {id(rel): rel for rel in mx.relations if rel.left_word == word}.values():
+            span.add(rel.coefficients.entries)
         r_all = len(span.pivots)
         contained = r_med == r_all
         report["words"].append(

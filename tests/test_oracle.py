@@ -17,10 +17,8 @@ from qhs.oracle import (
     GroupDualData,
     OracleGroup,
     OracleRealization,
-    averaging_operator,
     brute_integrate_G,
     build_group,
-    dual_integrate_G,
     dual_matrix_moment,
     dual_s3,
     dual_X_moment,
@@ -37,6 +35,28 @@ from qhs.oracle import (
 from qhs.opspaces import grid_cells, hom_operator_space
 from qhs.partitions import colored_words
 from qhs.weingarten import IndexSet
+
+
+def averaging_operator(source, word: str) -> ExactMatrix:
+    """The Haar average of the word's tensor representation, as a dense
+    matrix: the definition the fixed spaces are checked against."""
+    size = source.N ** len(word)
+    entries = [0] * (size * size)
+    if isinstance(source, OracleGroup):
+        for (fi, fj), val in source.moment_table(len(word)).items():
+            entries[fi * size + fj] = val
+    else:
+        for flat, value in enumerate(source.word_values(word)):
+            if value == source.identity:
+                entries[flat * size + flat] = 1
+    return ExactMatrix(size, size, entries)
+
+
+def dual_integrate_G(dual: GroupDualData, word: str, row: tuple, col: tuple) -> Fraction:
+    """Dual moments: off-diagonal entries vanish, diagonal ones reduce words."""
+    if row != col:
+        return Fraction(0)
+    return Fraction(int(dual.word_value(word, row) == dual.identity))
 
 
 def test_symmetric_group_order():

@@ -9,9 +9,11 @@ import pytest
 from qhs.exact import DomainError, ExactMatrix, IncompatibleOracleError, ParseError, ScaledScalar
 from qhs.frobenius import frobenius_to_fix, frobenius_to_hom
 from qhs.oracle import OracleGroup, OracleRealization, dual_z2, fixed_space
-from qhs.partitions import CategorySpec, parse_partition, partition_vector
+from qhs.partitions import CategorySpec, colored_words, kernel_ids, parse_partition, partition_vector
 from qhs.relations import (
     Relation,
+    RelationSystem,
+    _fixes_category,
     med_spans_max,
     parse_relation_system,
     relations_hom,
@@ -19,7 +21,7 @@ from qhs.relations import (
     relations_med,
     verify_relations,
 )
-from qhs.weingarten import IndexSet
+from qhs.weingarten import IndexSet, projection_P
 
 S4 = CategorySpec("S", 4)
 S3 = CategorySpec("S", 3)
@@ -298,6 +300,102 @@ def test_med_spans_max():
     report = med_spans_max(S4, I12_4, 3)
     assert report["passed"]
     assert all(entry["contained"] for entry in report["words"])
+
+
+def _ref_relations_max(spec, I, max_k):
+    """relations_max row by row: T is row r of the projection, the rhs its
+    sum over I^k, one new Relation per row."""
+    words = [w for w in colored_words(max_k)[1:] if "b" not in w or not spec.self_conjugate]
+    rels = []
+    for word in words:
+        P = projection_P(spec, word)
+        i_flats = I.flat_indices(len(word))
+        for r in range(P.rows):
+            row = P.row(r)
+            q = sum((row[j] for j in i_flats), Fraction(0))
+            rels.append(Relation(word, "", ExactMatrix(P.cols, 1, row), ScaledScalar(q, len(word), I.m)))
+    return RelationSystem(spec, I, "max-form", tuple(rels))
+
+
+@pytest.mark.parametrize(
+    "spec_text, members, max_k",
+    [("S(3)", (0, 1), 3), ("S+(4)", (1, 2), 3), ("O(3)", (0,), 3), ("U(2)", (1,), 3)],
+)
+def test_max_form_rows_match_the_per_row_reference(spec_text, members, max_k):
+    # one Relation per kernel, repeated in row order: the same system, the
+    # same bytes, and every row of a kernel the very object of its first row
+    spec = CategorySpec.parse(spec_text)
+    I = IndexSet.of(spec.N, members)
+    system = relations_max(spec, I, max_k)
+    reference = _ref_relations_max(spec, I, max_k)
+    assert system == reference
+    assert json.dumps(system.to_json()) == json.dumps(reference.to_json())
+    words = list(dict.fromkeys(rel.left_word for rel in system.relations))
+    assert any("b" in w for w in words) == (not spec.self_conjugate)
+    pos = 0
+    for word in words:
+        kernels = kernel_ids(spec.N, len(word))
+        rows = system.relations[pos : pos + len(kernels)]
+        pos += len(kernels)
+        first = {}
+        for kernel, rel in zip(kernels, rows):
+            assert rel.left_word == word
+            assert rel is first.setdefault(kernel, rel)
+        assert len({id(rel) for rel in rows}) == len(set(kernels))
+    assert pos == len(system.relations)
+
+
+@pytest.mark.parametrize(
+    "source, spec_text",
+    [(OracleGroup.symmetric(3), "S(3)"), (dual_z2(3), "U(3)")],
+    ids=["SN(3)", "dualZ2(3)"],
+)
+def test_verdicts_of_distinct_copies_keep_their_bytes(source, spec_text):
+    # value-equal copies share nothing, so each is evaluated on its own
+    spec = CategorySpec.parse(spec_text)
+    I = IndexSet.of(3, (0, 1))
+    system = relations_max(spec, I, 3)
+    copies = tuple(Relation.from_json(rel.to_json()) for rel in system.relations)
+    rebuilt = RelationSystem(system.spec, system.I, system.provenance, copies)
+    assert rebuilt == system
+    assert len({id(rel) for rel in copies}) == len(copies)
+    real = OracleRealization(source, I)
+    report = verify_relations(system, real)
+    assert report["passed"]
+    assert json.dumps(verify_relations(rebuilt, real)) == json.dumps(report)
+
+
+def test_one_corrupted_occurrence_of_a_shared_row_fails_alone():
+    # the second of three occurrences of one kernel's row gets rhs + 1/3:
+    # the first and third stay the shared object and pass
+    I = IndexSet.of(3, (0, 1))
+    system = relations_max(S3, I, 3)
+    rels = system.relations
+    shared = next(rel for rel in rels if sum(other is rel for other in rels) >= 3)
+    first, bad_pos, third = [pos for pos, rel in enumerate(rels) if rel is shared][:3]
+    rhs = ScaledScalar(shared.rhs.q + Fraction(1, 3), shared.rhs.s, shared.rhs.m)
+    bad = Relation(shared.left_word, shared.right_word, shared.coefficients, rhs)
+    broken = RelationSystem(S3, I, "max-form", rels[:bad_pos] + (bad,) + rels[bad_pos + 1 :])
+    real = OracleRealization(OracleGroup.symmetric(3), I)
+    report = verify_relations(broken, real)
+    failed = [entry for entry in report["relations"] if not entry["passed"]]
+    assert [entry["index"] for entry in failed] == [bad_pos]
+    assert failed[0]["witness"] == _ref_first_failure(bad, real)
+    assert [entry["index"] for entry in report["relations"]] == list(range(len(rels)))
+    assert report["relations"][first]["passed"] and report["relations"][third]["passed"]
+    assert "witness" not in report["relations"][third]
+
+
+def test_cached_compatibility_verdict_still_refuses(cold_caches):
+    # HN(3) does not fix the all-ones vector, so S(3) is refused on it, on
+    # the second call from the cached verdict
+    I = IndexSet.of(3, (0, 1))
+    system = relations_med(S3, I, 2)
+    real = OracleRealization(OracleGroup.hyperoctahedral(3), I)
+    for _ in range(2):
+        with pytest.raises(IncompatibleOracleError, match="at word 'o'$"):
+            verify_relations(system, real)
+    assert _fixes_category.cache_info().hits >= 1
 
 
 def test_relation_system_json_roundtrip():
