@@ -9,7 +9,13 @@ import pytest
 from qhs.exact import DomainError, ExactMatrix, IncompatibleOracleError, ParseError, ScaledScalar
 from qhs.frobenius import frobenius_to_fix, frobenius_to_hom
 from qhs.oracle import OracleGroup, OracleRealization, dual_z2, fixed_space
-from qhs.partitions import CategorySpec, colored_words, kernel_ids, parse_partition, partition_vector
+from qhs.partitions import (
+    CategorySpec,
+    colored_words,
+    kernel_ids,
+    parse_partition,
+    partition_vector,
+)
 from qhs.relations import (
     Relation,
     RelationSystem,
@@ -313,7 +319,8 @@ def _ref_relations_max(spec, I, max_k):
         for r in range(P.rows):
             row = P.row(r)
             q = sum((row[j] for j in i_flats), Fraction(0))
-            rels.append(Relation(word, "", ExactMatrix(P.cols, 1, row), ScaledScalar(q, len(word), I.m)))
+            T = ExactMatrix(P.cols, 1, row)
+            rels.append(Relation(word, "", T, ScaledScalar(q, len(word), I.m)))
     return RelationSystem(spec, I, "max-form", tuple(rels))
 
 
