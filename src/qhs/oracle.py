@@ -14,7 +14,7 @@ import os
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import compress, permutations, product
 from operator import mul
 from types import MappingProxyType
@@ -68,38 +68,23 @@ def _closure(identity, generators, multiply, cap=None) -> list:
     return out
 
 
-def tensor_power(g: ExactMatrix, k: int) -> ExactMatrix:
-    """g tensor ... tensor g (k factors), dense; the 1 x 1 identity at k = 0."""
-    return reduce(ExactMatrix.kron, (g,) * k, ExactMatrix.identity(1))
-
-
 def _is_orthogonal(mat: ExactMatrix) -> bool:
     return (mat * mat.transpose()).is_identity()
 
 
-def monomial_form(g: ExactMatrix):
-    """(row_of_column, value_of_column) tuples when every column of g has
-    exactly one nonzero entry, else None."""
-    rows = []
-    vals = []
-    for c in range(g.cols):
-        nz = [(r, g.at(r, c)) for r in range(g.rows) if g.at(r, c) != 0]
-        if len(nz) != 1:
-            return None
-        rows.append(nz[0][0])
-        vals.append(nz[0][1])
-    return tuple(rows), tuple(vals)
-
-
-def signed_index_map(form, n: int, k: int) -> tuple:
-    """(img, sign) with (g tensor ... tensor g) e_f = sign[f] e_img[f] on N^k,
-    for g of monomial form (row_of_column, value_of_column)."""
-    rows, vals = form
-    img, sign = [0], [1]
+def tensor_entries(g: ExactMatrix, k: int) -> tuple:
+    """The nonzero entries of g tensor ... tensor g (k factors) as aligned
+    lists (rows, cols, vals) of flat indices, (0, 0, 1) at k = 0.  g's
+    entries are taken column by column, so a g with one per column gives
+    cols = 0, 1, ..., N^k - 1 and its signed index map in (rows, vals)."""
+    n = g.rows
+    cells = [(r, c, g.at(r, c)) for c in range(n) for r in range(n) if g.at(r, c)]
+    rows, cols, vals = [0], [0], [1]
     for _ in range(k):
-        img = [f * n + rows[c] for f in img for c in range(n)]
-        sign = [s * vals[c] for s in sign for c in range(n)]
-    return img, sign
+        rows = [f * n + r for f in rows for r, _, _ in cells]
+        cols = [f * n + c for f in cols for _, c, _ in cells]
+        vals = [x * v for x in vals for _, _, v in cells]
+    return rows, cols, vals
 
 
 class OracleGroup(Frozen):
@@ -177,21 +162,12 @@ class OracleGroup(Frozen):
         Conjugation is the identity on real rational entries, so the table
         only depends on the word length.
         """
-        n = self.N
-        order = len(self.elements)
         counts = {}
-        forms = [monomial_form(g) for g in self.elements]
-        if None not in forms:
-            for form in forms:
-                img, sign = signed_index_map(form, n, k)
-                for f, (fi, val) in enumerate(zip(img, sign)):
-                    counts[fi, f] = counts.get((fi, f), 0) + val
-        else:
-            for g in self.elements:
-                pairs = product(range(n**k), repeat=2)
-                for key, val in zip(pairs, tensor_power(g, k).entries):
-                    if val:
-                        counts[key] = counts.get(key, 0) + val
+        for g in self.elements:
+            rows, cols, vals = tensor_entries(g, k)
+            for key, val in zip(zip(rows, cols), vals):
+                counts[key] = counts.get(key, 0) + val
+        order = len(self.elements)
         return {key: Fraction(val, order) for key, val in counts.items() if val != 0}
 
     @cache
@@ -439,11 +415,15 @@ def _fixed_space(source, word: str) -> tuple:
     k = len(word)
     size = source.N**k
     if isinstance(source, OracleGroup):
-        ident = ExactMatrix.identity(size)
-        rows = []
-        for g in source.generators:
-            rows.extend((tensor_power(g, k) - ident).entries)
-        _, basis, _ = rank_nullspace(ExactMatrix(len(source.generators) * size, size, rows))
+        # generator t's rows g^(tensor k) - I start at row t * size
+        stacked = [0] * (len(source.generators) * size * size)
+        for t, g in enumerate(source.generators):
+            rows, cols, vals = tensor_entries(g, k)
+            for r, c, val in zip(rows, cols, vals):
+                stacked[(t * size + r) * size + c] = val
+            for f in range(size):
+                stacked[(t * size + f) * size + f] -= 1
+        _, basis, _ = rank_nullspace(ExactMatrix(len(source.generators) * size, size, stacked))
     else:
         hits = [f for f, value in enumerate(source.word_values(word)) if value == source.identity]
         basis = [(0,) * hit + (1,) + (0,) * (size - hit - 1) for hit in hits]
@@ -454,23 +434,25 @@ def fixes(source, word: str, vectors) -> bool:
     """Whether the oracle fixes every N^k x 1 column in vectors, exactly.
 
     A vector fixed by each generator is fixed by the whole group, so a
-    classical oracle is checked on its generators.  One with a single nonzero
-    entry per column moves a vector through its signed index map, checked on
-    the vector's support only: a bijection of flat indices that maps the
-    support into itself maps it onto itself.  Any other generator is applied
-    densely, one tensor axis at a time.  A dual fixes a vector iff the word
-    value is e at every index of its support.
+    classical oracle is checked on its generators.  A generator with one
+    entry per column (`tensor_entries` at k = 1) moves a vector through the
+    signed index map of its entries at k, checked on the vector's support
+    only: a bijection of flat indices that maps the support into itself maps
+    it onto itself.  Any other is applied one tensor axis at a time, since
+    its full expansion holds nnz(g)^k entries.  A dual fixes a vector iff
+    its word values (read once) are e at every index of the support.
     """
     check_word(word)
     n, k = source.N, len(word)
     if not isinstance(source, OracleGroup):
+        values = source.word_values(word)
         return all(
-            source.word_value(word, idx) == source.identity
+            values[f] == source.identity
             for vec in vectors
-            for idx in compress(product(range(n), repeat=k), vec.entries)
+            for f in compress(range(len(values)), vec.entries)
         )
-    forms = [monomial_form(g) for g in source.generators]
-    actions = [None if form is None else signed_index_map(form, n, k) for form in forms]
+    monomial = [tensor_entries(g, 1)[1] == list(range(n)) for g in source.generators]
+    actions = [tensor_entries(g, k) if m else None for g, m in zip(source.generators, monomial)]
     for vec in vectors:
         entries = vec.entries
         support = list(compress(range(len(entries)), entries))
@@ -479,7 +461,7 @@ def fixes(source, word: str, vectors) -> bool:
                 if _apply_tensor_power(g, entries, n, k) != list(entries):
                     return False
                 continue
-            img, sign = action
+            img, _, sign = action
             at = entries.__getitem__
             moved = map(at, map(img.__getitem__, support))
             if list(moved) != list(map(mul, map(sign.__getitem__, support), map(at, support))):

@@ -27,6 +27,7 @@ from .opspaces import hom_operator_space
 from .oracle import OracleRealization, fixes
 from .partitions import (
     BLACK,
+    WHITE,
     CategorySpec,
     check_word,
     colored_words,
@@ -166,7 +167,8 @@ def _two_sided(spec: CategorySpec, I: IndexSet, max_k: int, max_l: int) -> tuple
 
 def _check_compatible(system: RelationSystem, real: OracleRealization):
     """The oracle must fix every category basis vector used by the system,
-    checked exactly at every word length (`_fixes_category`)."""
+    checked exactly at every word length (`_fixes_category`); the verdict
+    of a classical oracle and a self-conjugate category reads only len(word)."""
     spec = system.spec
     if real.N != spec.N:
         raise IncompatibleOracleError(
@@ -176,8 +178,9 @@ def _check_compatible(system: RelationSystem, real: OracleRealization):
         {rel.left_word + conjugate_word(rel.right_word) for rel in system.relations},
         key=lambda w: (len(w), w),
     )
+    same_length = real.classical and spec.self_conjugate
     for word in words:
-        if not _fixes_category(real.source, spec, word):
+        if not _fixes_category(real.source, spec, WHITE * len(word) if same_length else word):
             kind = "oracle" if real.classical else "dual oracle"
             raise IncompatibleOracleError(
                 f"{kind} does not fix the category vectors at word {word!r}"

@@ -98,22 +98,21 @@ class IndexSet(Frozen):
 
 class GramData(Frozen):
     """Selected basis with its Gram matrix and exact inverse (Weingarten).
-    weingarten_rows[t][u] is the integer numerator of weingarten.at(t, u)
-    over the one common denominator, so sums over W run in integers; hits[a]
-    holds the positions of the selected partitions that kernel a coarsens."""
+    The inverse is held once, in integers: its entry (t, u) is
+    weingarten_rows[t][u] / denominator over the one common denominator, so
+    sums over W run in integers; hits[a] holds the positions of the
+    selected partitions that kernel a coarsens."""
 
-    def __init__(self, basis: FixBasis, gram: ExactMatrix, weingarten: ExactMatrix,
-                 weingarten_rows: tuple, denominator: int, hits: tuple):
+    def __init__(self, basis: FixBasis, gram: ExactMatrix, weingarten_rows: tuple,
+                 denominator: int, hits: tuple):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "weingarten", weingarten)
         object.__setattr__(self, "weingarten_rows", weingarten_rows)
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "hits", hits)
 
     def _key(self):
-        return (self.basis, self.gram, self.weingarten, self.weingarten_rows,
-                self.denominator, self.hits)
+        return self.basis, self.gram, self.weingarten_rows, self.denominator, self.hits
 
 
 def _norm_word(spec: CategorySpec, word: str) -> str:
@@ -145,14 +144,13 @@ def _gram_data(family: str, n: int, word: str) -> GramData:
         for b in range(a, d):
             entries[a * d + b] = entries[b * d + a] = n ** pi.join_block_count(parts[b])
     gram = ExactMatrix(d, d, entries)
-    weingarten = invert(gram) if d else ExactMatrix(0, 0, ())
-    numerators, den = common_denominator(weingarten.entries)
+    numerators, den = common_denominator(invert(gram).entries if d else ())
     rows = tuple(tuple(numerators[r * d : (r + 1) * d]) for r in range(d))
     hits = [[] for _ in all_partitions(len(word))]
     for pos, part in enumerate(parts):
         for c in coarsenings(part):
             hits[c].append(pos)
-    return GramData(basis, gram, weingarten, rows, den, tuple(map(tuple, hits)))
+    return GramData(basis, gram, rows, den, tuple(map(tuple, hits)))
 
 
 def gram_weingarten(spec: CategorySpec, word: str) -> GramData:

@@ -95,6 +95,12 @@ def test_verify_exit_codes(capsys):
         " saturation, properness\n"
     )
 
+    code, out, err = run_cli(capsys, "verify", "--suite", "ergodicity", "--spec", "S(3)")
+    assert (code, out, err) == (2, "", "error: suite 'ergodicity' requires --I\n")
+    for suite, flags in (("dual-moments", ()), ("properness", ("--I", "1"))):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--oracle", "SN(3)", *flags)
+        assert (code, out, err) == (3, "", f"domain-error: {suite} needs a group-dual oracle\n")
+
 
 @pytest.mark.parametrize("literal", ["SN(0)", "HN(0)"])
 def test_empty_permutation_oracles_exit_2(capsys, literal):
@@ -190,6 +196,16 @@ def test_csv_and_pretty_formats(capsys):
             "  [0] left=o right=o rhs=1\n  [1] left=b right=b rhs=1\n",
             "index,left_word,right_word,rhs_q,rhs_s,rhs_m,T\n"
             "0,o,o,1,0,1,1 0 0 1\n1,b,b,1,0,1,1 0 0 1\n",
+        ),
+        (
+            ("integrate-g", "--spec", "O(3)", "--word", "oo", "--row", "1,1", "--col", "1,1"),
+            "1/3 = 0.3333333333333333\n",
+            "value,approx\n1/3,0.3333333333333333\n",
+        ),
+        (
+            ("verify", "--suite", "properness", "--oracle", "dualS3(12,13,23)", "--I", "1"),
+            "suite properness: PASS\n  normal-closure: pass  (orders 2/6 proper=True)\n",
+            "check,passed,detail\nnormal-closure,1,orders 2/6 proper=True\n",
         ),
         (
             ("relations", "--form", "med", "--spec", "S(4)", "--I", "1,2", "--max-k", "1"),

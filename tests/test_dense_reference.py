@@ -133,8 +133,8 @@ def test_kernel_path_matches_dense_reference(case):
 
     selected = [vectors[t] for t in keep]
     hits = _ref_hits(selected, size)
-    wdata = gram_weingarten(spec, word).weingarten
-    wrows = [wdata.row(r) for r in range(wdata.rows)]
+    wdata = gram_weingarten(spec, word)
+    wrows = [[Fraction(x, wdata.denominator) for x in row] for row in wdata.weingarten_rows]
     I = IndexSet.of(n, members)
     kq = [_ref_I_sum(vec, I, k) for vec in selected]
     assert K_vector(spec, word, I) == [ScaledScalar(Fraction(q), k, I.m) for q in kq]

@@ -1,7 +1,8 @@
 import json
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from functools import reduce
+from itertools import combinations, compress, product
 
 import pytest
 
@@ -26,11 +27,10 @@ from qhs.oracle import (
     fixed_space,
     fixes,
     hom_dimension,
-    monomial_form,
     normal_closure_compare,
     orbit_moment,
     parse_oracle,
-    tensor_power,
+    tensor_entries,
 )
 from qhs.opspaces import grid_cells, hom_operator_space
 from qhs.partitions import colored_words
@@ -50,6 +50,25 @@ def averaging_operator(source, word: str) -> ExactMatrix:
             if value == source.identity:
                 entries[flat * size + flat] = 1
     return ExactMatrix(size, size, entries)
+
+
+def tensor_power(g: ExactMatrix, k: int) -> ExactMatrix:
+    """g tensor ... tensor g (k factors), dense; the 1 x 1 identity at k = 0."""
+    return reduce(ExactMatrix.kron, (g,) * k, ExactMatrix.identity(1))
+
+
+def monomial_form(g: ExactMatrix):
+    """(row_of_column, value_of_column) tuples when every column of g has
+    exactly one nonzero entry, else None."""
+    rows = []
+    vals = []
+    for c in range(g.cols):
+        nz = [(r, g.at(r, c)) for r in range(g.rows) if g.at(r, c) != 0]
+        if len(nz) != 1:
+            return None
+        rows.append(nz[0][0])
+        vals.append(nz[0][1])
+    return tuple(rows), tuple(vals)
 
 
 def dual_integrate_G(dual: GroupDualData, word: str, row: tuple, col: tuple) -> Fraction:
@@ -424,6 +443,23 @@ def test_dense_moment_table_is_the_conjugated_monomial_table():
         assert averaging_operator(group, "o" * k) == expected
 
 
+@pytest.mark.parametrize("literal", ["SN(3)", "HN(3)", "householder-S3"])
+def test_tensor_entries_are_the_nonzero_entries_of_the_tensor_power(literal):
+    # entry for entry against the dense Kronecker chain, each listed once;
+    # at k = 1 the columns read 0..N-1 exactly when g is monomial
+    for g in oracle_source(literal).generators:
+        n = g.rows
+        assert (tensor_entries(g, 1)[1] == list(range(n))) == (monomial_form(g) is not None)
+        for k in range(4):
+            rows, cols, vals = tensor_entries(g, k)
+            dense = tensor_power(g, k)
+            nonzero = {(f // dense.cols, f % dense.cols): x for f, x in enumerate(dense.entries) if x}
+            assert len(rows) == len(cols) == len(vals) == len(nonzero)
+            assert dict(zip(zip(rows, cols), vals)) == nonzero
+            if monomial_form(g) is not None:  # one entry per column, in column order
+                assert cols == list(range(n**k))
+
+
 def test_fixes_reads_each_kind_of_generator():
     # signed index maps (SN), the dense axis-by-axis product (Householder),
     # and word values on the support (a dual), each accepting its own fixed
@@ -508,3 +544,10 @@ def test_word_values_are_the_word_value_of_each_index_in_flat_order(make):
             over = range(dual.N) if members is None else members
             expected = [dual.word_value(word, idx) for idx in product(over, repeat=len(word))]
             assert dual.word_values(word, members) == expected, (word, members)
+        # fixes reads word_values once; the reference asks word_value per support index
+        size = dual.N ** len(word)
+        units = [ExactMatrix(size, 1, [int(f == hit) for f in range(size)]) for hit in range(size)]
+        for vec in [*units, ExactMatrix(size, 1, [1] * size), *fixed_space(dual, word)]:
+            support = compress(product(range(dual.N), repeat=len(word)), vec.entries)
+            expected = all(dual.word_value(word, idx) == dual.identity for idx in support)
+            assert fixes(dual, word, [vec]) == expected, (word, vec.entries)

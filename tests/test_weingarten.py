@@ -35,23 +35,30 @@ O3 = CategorySpec("O", 3)
 I12 = IndexSet.parse("1,2", 4)
 
 
+def weingarten_matrix(data) -> ExactMatrix:
+    """The Weingarten matrix as Fractions, rebuilt from its integer rows."""
+    return ExactMatrix.from_rows(
+        [[Fraction(x, data.denominator) for x in row] for row in data.weingarten_rows]
+    )
+
+
 def test_gram_single_pairing():
     data = gram_weingarten(O3, "oo")
     assert data.gram == ExactMatrix.from_rows([[3]])
-    assert data.weingarten == ExactMatrix.from_rows([[Fraction(1, 3)]])
+    assert weingarten_matrix(data) == ExactMatrix.from_rows([[Fraction(1, 3)]])
 
 
 def test_gram_o4_three_pairings():
     data = gram_weingarten(CategorySpec("O", 4), "oooo")
     assert data.gram == ExactMatrix.from_rows([[16, 4, 4], [4, 16, 4], [4, 4, 16]])
-    assert (data.weingarten * data.gram).is_identity()
-    assert (data.gram * data.weingarten).is_identity()
+    assert (weingarten_matrix(data) * data.gram).is_identity()
+    assert (data.gram * weingarten_matrix(data)).is_identity()
 
 
 def test_gram_s4_k1():
     data = gram_weingarten(S4, "o")
     assert data.gram == ExactMatrix.from_rows([[4]])
-    assert data.weingarten == ExactMatrix.from_rows([[Fraction(1, 4)]])
+    assert weingarten_matrix(data) == ExactMatrix.from_rows([[Fraction(1, 4)]])
 
 
 def test_gram_matches_entrywise_inner_products():
@@ -321,10 +328,11 @@ def test_point_queries_match_the_mobius_form_at_s40():
 def test_weingarten_rows_are_integers_over_one_denominator(family, n, word):
     data = gram_weingarten(CategorySpec(family, n), word)
     den = data.denominator
-    assert len(data.weingarten_rows) == data.weingarten.rows > 0
-    for t, wrow in enumerate(data.weingarten_rows):
+    assert len(data.weingarten_rows) == data.gram.rows > 0
+    for wrow in data.weingarten_rows:
         assert all(type(x) is int for x in wrow)
-        assert [Fraction(x, den) for x in wrow] == list(data.weingarten.row(t))
+    # over the denominator, the rows are the exact inverse of the Gram matrix
+    assert (weingarten_matrix(data) * data.gram).is_identity()
     # the least common denominator: no factor of it divides every numerator
     assert gcd(den, *(x for wrow in data.weingarten_rows for x in wrow)) == 1
 
