@@ -198,6 +198,12 @@ def test_csv_and_pretty_formats(capsys):
             "0,o,o,1,0,1,1 0 0 1\n1,b,b,1,0,1,1 0 0 1\n",
         ),
         (
+            ("relations", "--form", "med", "--spec", "S(4)", "--I", "1,2", "--max-k", "1"),
+            "med-form system for S(4) with I={1,2}: 1 relations\n"
+            "  [0] left=o right=empty rhs=2*2^(-1/2)\n",
+            "index,left_word,right_word,rhs_q,rhs_s,rhs_m,T\n0,o,,2,1,2,1 1 1 1\n",
+        ),
+        (
             ("integrate-g", "--spec", "O(3)", "--word", "oo", "--row", "1,1", "--col", "1,1"),
             "1/3 = 0.3333333333333333\n",
             "value,approx\n1/3,0.3333333333333333\n",
@@ -206,12 +212,6 @@ def test_csv_and_pretty_formats(capsys):
             ("verify", "--suite", "properness", "--oracle", "dualS3(12,13,23)", "--I", "1"),
             "suite properness: PASS\n  normal-closure: pass  (orders 2/6 proper=True)\n",
             "check,passed,detail\nnormal-closure,1,orders 2/6 proper=True\n",
-        ),
-        (
-            ("relations", "--form", "med", "--spec", "S(4)", "--I", "1,2", "--max-k", "1"),
-            "med-form system for S(4) with I={1,2}: 1 relations\n"
-            "  [0] left=o right=empty rhs=2*2^(-1/2)\n",
-            "index,left_word,right_word,rhs_q,rhs_s,rhs_m,T\n0,o,,2,1,2,1 1 1 1\n",
         ),
     ],
 )
