@@ -16,7 +16,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress, permutations, product
-from operator import mul
 from types import MappingProxyType
 
 from .exact import (
@@ -32,7 +31,7 @@ from .exact import (
     rank,
     rank_nullspace,
 )
-from .partitions import WHITE, check_word
+from .partitions import WHITE, check_dense, check_word
 from .weingarten import IndexSet
 
 DEFAULT_CLOSURE_CAP = 100_000
@@ -431,7 +430,8 @@ def _fixed_space(source, word: str) -> tuple:
 
 
 def fixes(source, word: str, vectors) -> bool:
-    """Whether the oracle fixes every N^k x 1 column in vectors, exactly.
+    """Whether the oracle fixes every vector over N^k in vectors, exactly;
+    each is given sparse, as aligned (flats, values) of its nonzero entries.
 
     A vector fixed by each generator is fixed by the whole group, so a
     classical oracle is checked on its generators.  A generator with one
@@ -444,27 +444,22 @@ def fixes(source, word: str, vectors) -> bool:
     """
     check_word(word)
     n, k = source.N, len(word)
+    check_dense(n**k, f"the oracle's action on N^k = {n}^{k}")  # each path reads N^k entries
     if not isinstance(source, OracleGroup):
         values = source.word_values(word)
-        return all(
-            values[f] == source.identity
-            for vec in vectors
-            for f in compress(range(len(values)), vec.entries)
-        )
+        return all(values[f] == source.identity for flats, _ in vectors for f in flats)
     monomial = [tensor_entries(g, 1)[1] == list(range(n)) for g in source.generators]
     actions = [tensor_entries(g, k) if m else None for g, m in zip(source.generators, monomial)]
-    for vec in vectors:
-        entries = vec.entries
-        support = list(compress(range(len(entries)), entries))
+    for flats, vals in vectors:
+        at = dict(zip(flats, vals))
         for g, action in zip(source.generators, actions):
             if action is None:
-                if _apply_tensor_power(g, entries, n, k) != list(entries):
+                dense = [at.get(f, 0) for f in range(n**k)]
+                if _apply_tensor_power(g, dense, n, k) != dense:
                     return False
                 continue
             img, _, sign = action
-            at = entries.__getitem__
-            moved = map(at, map(img.__getitem__, support))
-            if list(moved) != list(map(mul, map(sign.__getitem__, support), map(at, support))):
+            if {img[f]: sign[f] * v for f, v in at.items()} != at:
                 return False
     return True
 
@@ -614,6 +609,11 @@ class OracleRealization(Frozen):
         for gi, c in enumerate(self.source.coordinate_table(self.I)):
             first.setdefault(c, gi)
         return tuple((gi, c, tuple(compress(range(len(c)), c))) for c, gi in first.items())
+
+    @cache
+    def power_sums(self, size: int) -> tuple:
+        """Per entry of `points`, sum_t c[t]^size."""
+        return tuple(sum(c[t] ** size for t in support) for _, c, support in self.points)
 
     def functionals(self, k_word: str, l_word: str) -> list:
         """The relation of the words (k, l) at each evaluation point.

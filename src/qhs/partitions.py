@@ -282,11 +282,21 @@ def check_dense(entries: int, what: str) -> None:
         )
 
 
+def partition_support(part: SetPartition, n: int) -> list:
+    """The N^|part| flat indices constant on each block, unordered: one
+    value per block, times its weight sum_p N^(k-1-p)."""
+    flats = [0]
+    for block in part.blocks:
+        weight = sum(n ** (part.point_count - 1 - p) for p in block)
+        flats = [f + v * weight for f in flats for v in range(n)]
+    return flats
+
+
 @cache
 def kernel_ids(n: int, k: int) -> tuple:
     """kernel_ids[flat index] is kernel_position of that index, for every
-    index at once; only dense outputs read it.  Each index arises once,
-    from an injective assignment of values to the blocks of its kernel."""
+    index at once (dense outputs, dual relation checks).  Each index arises
+    once, from an injective assignment of values to the blocks of its kernel."""
     out = [0] * (n**k)
     for pos, part in enumerate(all_partitions(k)):
         weights = [sum(n ** (k - 1 - p) for p in block) for block in part.blocks]
@@ -312,10 +322,10 @@ def partition_vector(part: SetPartition, n: int) -> ExactMatrix:
     block, that is on the indices whose kernel part refines."""
     k = part.point_count
     check_dense(n**k, f"partition vector over N^k = {n}^{k}")
-    zeta = [0] * len(all_partitions(k))
-    for c in coarsenings(part):
-        zeta[c] = 1
-    return ExactMatrix(n**k, 1, map(zeta.__getitem__, kernel_ids(n, k)))
+    entries = [0] * n**k
+    for f in partition_support(part, n):
+        entries[f] = 1
+    return ExactMatrix(n**k, 1, entries)
 
 
 class FixBasis(Frozen):

@@ -11,7 +11,8 @@ Verification evaluates relations exactly on an oracle realization.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
+from math import prod
 from operator import mul
 
 from .exact import (
@@ -23,16 +24,18 @@ from .exact import (
     ScaledScalar,
     common_denominator,
 )
-from .opspaces import hom_operator_space
+from .frobenius import frobenius_map, frobenius_to_hom
 from .oracle import OracleRealization, fixes
 from .partitions import (
     BLACK,
     WHITE,
     CategorySpec,
     check_word,
+    coarsenings,
     colored_words,
     conjugate_word,
     kernel_ids,
+    partition_support,
     partition_vector,
 )
 from .weingarten import IndexSet, K_vector, projection_P, selected_partitions
@@ -40,13 +43,28 @@ from .weingarten import IndexSet, K_vector, projection_P, selected_partitions
 
 class Relation(Frozen):
     """One two-sided relation; coefficients has shape N^l x N^k for the
-    left (plain) and right (starred) words."""
+    left (plain) and right (starred) words.  A med/hom-form relation holds a
+    partition pi of l + conjugate(k) (`of_partition`), and T_pi on first read."""
 
     def __init__(self, left_word: str, right_word: str, coefficients: ExactMatrix, rhs: ScaledScalar):
         object.__setattr__(self, "left_word", left_word)
         object.__setattr__(self, "right_word", right_word)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "partition", None)  # a dense T
+
+    @classmethod
+    def of_partition(cls, left_word: str, right_word: str, partition, n: int, rhs) -> "Relation":
+        rel = cls.__new__(cls)
+        vars(rel).update(left_word=left_word, right_word=right_word, rhs=rhs)
+        vars(rel).update(partition=partition, N=n)
+        return rel
+
+    @cached_property
+    def coefficients(self) -> ExactMatrix:
+        """T_pi: the partition vector of pi pushed through Frobenius duality."""
+        xi = partition_vector(self.partition, self.N)
+        return frobenius_to_hom(xi, self.right_word, self.left_word, self.N)
 
     def _key(self):
         return self.left_word, self.right_word, self.coefficients, self.rhs
@@ -140,28 +158,15 @@ def relations_hom(
 def _two_sided(spec: CategorySpec, I: IndexSet, max_k: int, max_l: int) -> tuple:
     """The relations of relations_hom, by total length |k| + |l|, then |l|."""
     I.require_N(spec.N, "spec")
-    rels = []
-    if max_k == 0 and max_l == 0:
-        rels.append(_trivial_relation(I))
-    l_words = {0: [""]}
-    k_words = {0: [""]}
-    for lw in _generator_words(spec, max_l):
-        l_words.setdefault(len(lw), []).append(lw)
-    for kw in _generator_words(spec, max_k):
-        k_words.setdefault(len(kw), []).append(kw)
-    for total in range(1, max_k + max_l + 1):
-        for l_len in range(0, min(total, max_l) + 1):
-            k_len = total - l_len
-            if k_len > max_k:
-                continue
-            for lw in l_words.get(l_len, []):
-                for kw in k_words.get(k_len, []):
-                    basis = hom_operator_space(spec, kw, lw).basis
-                    if not basis:
-                        continue
-                    # T sums over I^l x I^k to its vector's sum over I^(l+k)
-                    for T, rhs in zip(basis, K_vector(spec, lw + conjugate_word(kw), I)):
-                        rels.append(Relation(lw, kw, T, rhs))
+    rels = [_trivial_relation(I)] if max_k == max_l == 0 else []
+    l_words = [""] + _generator_words(spec, max_l)
+    k_words = [""] + _generator_words(spec, max_k)
+    pairs = [(lw, kw) for lw in l_words for kw in k_words][1:]  # all but ("", "")
+    for lw, kw in sorted(pairs, key=lambda pair: (len(pair[0] + pair[1]), len(pair[0]))):
+        word = lw + conjugate_word(kw)
+        # T_pi sums over I^l x I^k to its vector's sum over I^(l+k)
+        for part, rhs in zip(selected_partitions(spec, word), K_vector(spec, word, I)):
+            rels.append(Relation.of_partition(lw, kw, part, spec.N, rhs))
     return tuple(rels)
 
 
@@ -191,13 +196,14 @@ def _check_compatible(system: RelationSystem, real: OracleRealization):
 def _fixes_category(source, spec: CategorySpec, word: str) -> bool:
     """Whether the oracle fixes the selected category vectors of the word
     (`oracle.fixes`); the verdict depends on nothing else, so it is cached."""
-    vectors = (partition_vector(part, spec.N) for part in selected_partitions(spec, word))
-    return fixes(source, word, vectors)
+    supports = (partition_support(part, spec.N) for part in selected_partitions(spec, word))
+    return fixes(source, word, ((flats, [1] * len(flats)) for flats in supports))
 
 
 def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
     """Evaluate every relation exactly on the realization, through its
-    evaluation functionals (built once per word pair).
+    evaluation functionals (built once per word pair); a classical T_pi
+    needs none, being prod_B sum_t c[t]^|B| over its blocks at a point c.
 
     Classical: the scalar identity must hold at every group element.  Dual:
     the operator identity must hold in the regular representation.  The
@@ -221,13 +227,27 @@ def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
             entries.append({**done, "index": pos})
             continue
         words = (rel.right_word, rel.left_word)
-        if words not in functionals:
-            functionals[words] = real.functionals(*words)
         rhs_q = rel.rhs.rescale(len(rel.left_word) + len(rel.right_word))
-        T = rel.coefficients.entries
-        # classical sums run in integers; dual ones read T only on I^l x I^k
-        numerators, denominator = common_denominator(T) if real.classical else (T, 1)
-        read = numerators.__getitem__
+        part, denominator = rel.partition, 1
+        if part is not None and real.classical:  # the sum over block-constant indices factorises
+            sums = [real.power_sums(len(block)) for block in part.blocks]
+            values = ((gi, prod(s[p] for s in sums), True) for p, (gi, *_) in enumerate(real.points))
+        else:
+            if words not in functionals:
+                functionals[words] = real.functionals(*words)
+            if part is None:
+                T = rel.coefficients.entries
+                # classical sums run in integers; dual ones read T only on I^l x I^k
+                numerators, denominator = common_denominator(T) if real.classical else (T, 1)
+                read = numerators.__getitem__
+            else:  # T_pi at f is 1 iff the kernel of frobenius_map[f] is at or above pi
+                kernel, above = kernel_ids(real.N, part.point_count), set(coarsenings(part))
+                reshuffle = frobenius_map(real.N, *map(len, words))
+                read = lambda f: kernel[reshuffle[f]] in above
+            values = (
+                (point, sum(map(mul, map(read, flats), weights)), at_identity)
+                for point, flats, weights, at_identity in functionals[words]
+            )
         target = rhs_q * denominator
         entry = {
             "index": pos,
@@ -235,8 +255,7 @@ def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
             "right_word": rel.right_word,
             "passed": True,
         }
-        for point, flats, weights, at_identity in functionals[words]:
-            lhs = sum(map(mul, map(read, flats), weights))
+        for point, lhs, at_identity in values:
             if lhs != (target if at_identity else 0):
                 lhs = Fraction(lhs, denominator)
                 expected = rhs_q if at_identity else 0

@@ -300,6 +300,15 @@ def test_modules_import_only_what_they_use():
     assert _loaded_after(statement) == {"qhs", *every}
 
 
+def test_relations_module_loads_no_operator_spaces():
+    # relation systems hold partitions, so neither building nor verifying
+    # them reads opspaces; the relations command loads only these
+    assert _loaded_after("import qhs.relations") == {
+        "qhs", "qhs.exact", "qhs.frobenius", "qhs.oracle", "qhs.partitions", "qhs.relations",
+        "qhs.weingarten",
+    }
+
+
 def test_output_file_written_atomically(tmp_path, capsys, monkeypatch):
     target = tmp_path / "out.json"
     argv = (

@@ -33,7 +33,7 @@ from qhs.oracle import (
     tensor_entries,
 )
 from qhs.opspaces import grid_cells, hom_operator_space
-from qhs.partitions import colored_words
+from qhs.partitions import colored_words, parse_partition, partition_vector
 from qhs.weingarten import IndexSet
 
 
@@ -460,19 +460,32 @@ def test_tensor_entries_are_the_nonzero_entries_of_the_tensor_power(literal):
                 assert cols == list(range(n**k))
 
 
+def sparse(vec: ExactMatrix) -> tuple:
+    """A dense column as the (flats, values) of its nonzero entries."""
+    flats = [f for f, x in enumerate(vec.entries) if x]
+    return flats, [vec.entries[f] for f in flats]
+
+
 def test_fixes_reads_each_kind_of_generator():
-    # signed index maps (SN), the dense axis-by-axis product (Householder),
+    # signed index maps (SN, HN), the dense axis-by-axis product (Householder),
     # and word values on the support (a dual), each accepting its own fixed
     # vectors and rejecting one it moves
-    ones = ExactMatrix(3, 1, (1, 1, 1))
+    ones = sparse(ExactMatrix(3, 1, (1, 1, 1)))
     assert fixes(OracleGroup.symmetric(3), "o", [ones])
     assert not fixes(OracleGroup.hyperoctahedral(3), "o", [ones])
     group = householder_conjugated_s3()
-    assert fixes(group, "oo", fixed_space(group, "oo"))
+    assert fixes(group, "oo", map(sparse, fixed_space(group, "oo")))
     assert not fixes(group, "o", [ones])
     dual = dual_z2(2)
-    assert fixes(dual, "oo", fixed_space(dual, "oo"))
-    assert not fixes(dual, "oo", [ExactMatrix(4, 1, (0, 1, 0, 0))])
+    assert fixes(dual, "oo", map(sparse, fixed_space(dual, "oo")))
+    assert not fixes(dual, "oo", [sparse(ExactMatrix(4, 1, (0, 1, 0, 0)))])
+    # values count, not only supports: e_1 - e_2 is moved by a swap, and
+    # the signed difference of two pairing vectors is fixed by HN(3)
+    assert not fixes(OracleGroup.symmetric(3), "o", [([0, 1], [1, -1])])
+    pairings = [partition_vector(parse_partition(text), 3).entries for text in ("12|34", "13|24")]
+    signed = ExactMatrix(81, 1, [a - b for a, b in zip(*pairings)])
+    assert {-1, 1} <= set(signed.entries)
+    assert fixes(OracleGroup.hyperoctahedral(3), "oooo", [sparse(signed)])
 
 
 def cyclic_dual(order, generators):
@@ -550,4 +563,4 @@ def test_word_values_are_the_word_value_of_each_index_in_flat_order(make):
         for vec in [*units, ExactMatrix(size, 1, [1] * size), *fixed_space(dual, word)]:
             support = compress(product(range(dual.N), repeat=len(word)), vec.entries)
             expected = all(dual.word_value(word, idx) == dual.identity for idx in support)
-            assert fixes(dual, word, [vec]) == expected, (word, vec.entries)
+            assert fixes(dual, word, [sparse(vec)]) == expected, (word, vec.entries)

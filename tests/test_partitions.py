@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,7 @@ from qhs.partitions import (
     kernel_ids,
     kernel_position,
     parse_partition,
+    partition_support,
     partition_vector,
     select_basis,
 )
@@ -108,6 +111,24 @@ def test_partition_vector_examples():
     assert free.entries == (1, 1, 1, 1)
     diag = partition_vector(parse_partition("12"), 2)
     assert diag.entries == (1, 0, 0, 1)
+
+
+def test_partition_support_lists_the_indices_constant_on_blocks():
+    # against a brute-force scan of N^k in flat (product) order, and against
+    # the support of the dense vector, for every partition of k <= 5 points
+    for k in range(6):
+        for n in range(1, 5):
+            indices = list(product(range(n), repeat=k))
+            for part in all_partitions(k):
+                constant = [
+                    f for f, idx in enumerate(indices)
+                    if all(idx[p] == idx[block[0]] for block in part.blocks for p in block)
+                ]
+                support = partition_support(part, n)
+                assert len(support) == n**part.block_count
+                assert sorted(support) == constant, (str(part), n)
+                vec = partition_vector(part, n).entries
+                assert [f for f, x in enumerate(vec) if x] == constant and set(vec) <= {0, 1}
 
 
 def test_join_examples():

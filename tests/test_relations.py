@@ -6,11 +6,20 @@ from math import prod
 
 import pytest
 
-from qhs.exact import DomainError, ExactMatrix, IncompatibleOracleError, ParseError, ScaledScalar
+from qhs import frobenius, opspaces, oracle, partitions, relations
+from qhs.exact import (
+    DomainError,
+    ExactMatrix,
+    IncompatibleOracleError,
+    ParseError,
+    ResourceGuardError,
+    ScaledScalar,
+)
 from qhs.frobenius import frobenius_to_fix, frobenius_to_hom
-from qhs.oracle import OracleGroup, OracleRealization, dual_z2, fixed_space
+from qhs.oracle import OracleGroup, OracleRealization, dual_z2, fixed_space, parse_oracle
 from qhs.partitions import (
     CategorySpec,
+    all_partitions,
     colored_words,
     kernel_ids,
     parse_partition,
@@ -424,3 +433,136 @@ def test_parse_rejects_coefficients_of_the_wrong_shape():
     del truncated["relations"][pos]["T"][-1]
     with pytest.raises(ParseError, match=rf"relation {pos}: T is 8x1, .* need 9x1"):
         parse_relation_system(truncated)
+
+
+def _householder_s3():
+    """S_3 conjugated by the rational reflection along (1, 2, 2): orthogonal,
+    so it fixes the O(3) vectors, and no generator is monomial."""
+    v = (1, 2, 2)
+    h = ExactMatrix.from_rows(
+        [[Fraction(int(r == c)) - Fraction(2 * v[r] * v[c], 9) for c in range(3)] for r in range(3)]
+    )
+    swaps = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    return OracleGroup.from_generators([h * ExactMatrix.from_rows(s) * h for s in swaps])
+
+
+# (oracle, a spec whose category vectors it fixes, I members, max-k, max-l)
+PARTITION_CASES = [
+    ("SN(3)", "S(3)", (0, 1), 2, 2),
+    ("SN(4)", "S(4)", (0, 2), 2, 1),
+    ("HN(3)", "O(3)", (0,), 2, 2),
+    ("HN(4)", "O(4)", (1, 2), 2, 2),
+    ("householder-S3", "O(3)", (0, 1), 2, 2),
+    ("dualZ2(3)", "U(3)", (0, 1), 2, 2),
+    ("dualS3(12,13,23)", "U+(3)", (0, 2), 2, 2),
+]
+
+
+@pytest.mark.parametrize("literal, spec_text, members, max_k, max_l", PARTITION_CASES)
+def test_partition_relations_verify_like_their_dense_operators(
+    literal, spec_text, members, max_k, max_l
+):
+    # every partition of each word pair of the hom system, not only the
+    # category's, with its own rhs m^|pi|, doubled, negated and + 1/3: the
+    # report equals, byte for byte and witnesses included, that of the same
+    # relations rebuilt with a dense T
+    source = _householder_s3() if literal == "householder-S3" else parse_oracle(literal)
+    spec = CategorySpec.parse(spec_text)
+    I = IndexSet.of(spec.N, members)
+    pairs = dict.fromkeys(
+        (rel.left_word, rel.right_word) for rel in relations_hom(spec, I, max_k, max_l).relations
+    )
+    rels = []
+    for lw, kw in pairs:
+        L = len(lw) + len(kw)
+        for part in all_partitions(L):
+            q = Fraction(I.m**part.block_count)
+            for value in (q, 2 * q, -q, q + Fraction(1, 3)):
+                rels.append(Relation.of_partition(lw, kw, part, spec.N, ScaledScalar(value, L, I.m)))
+    dense = [Relation(rel.left_word, rel.right_word, rel.coefficients, rel.rhs) for rel in rels]
+    real = OracleRealization(source, I)
+    system = RelationSystem(spec, I, "hom-form", tuple(rels))
+    reference = RelationSystem(spec, I, "hom-form", tuple(dense))
+    assert system == reference
+    report = verify_relations(system, real)
+    assert json.dumps(report) == json.dumps(verify_relations(reference, real))
+    failed = [entry for entry in report["relations"] if not entry["passed"]]
+    assert len(failed) >= len(rels) // 2 and len(failed) < len(rels)
+
+
+def test_a_partition_relation_equals_its_json_copy():
+    for rel in relations_hom(CategorySpec("U", 3), IndexSet.of(3, (0, 1)), 2, 1).relations:
+        copy = Relation.from_json(rel.to_json())
+        assert rel.partition is not None and copy.partition is None
+        assert copy == rel and rel == copy and hash(copy) == hash(rel)
+
+
+@pytest.fixture
+def dense_builders(monkeypatch):
+    """Every call of partition_vector, frobenius_to_hom and
+    hom_operator_space, recorded by name, through any module holding one."""
+    calls = []
+    for name, module in (
+        ("partition_vector", partitions),
+        ("frobenius_to_hom", frobenius),
+        ("hom_operator_space", opspaces),
+    ):
+        original = getattr(module, name)
+
+        def recorded(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for holder in (partitions, frobenius, opspaces, relations):
+            if getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "literal, spec_text", [("SN(3)", "S(3)"), ("HN(3)", "O(3)"), ("dualZ2(3)", "U(3)")]
+)
+def test_partition_systems_build_and_verify_without_dense_operators(
+    cold_caches, dense_builders, literal, spec_text
+):
+    spec = CategorySpec.parse(spec_text)
+    I = IndexSet.of(3, (0, 1))
+    real = OracleRealization(parse_oracle(literal), I)
+    for system in (relations_med(spec, I, 3), relations_hom(spec, I, 2, 2)):
+        assert verify_relations(system, real)["passed"]
+        assert dense_builders == []
+    system.to_json()  # printing builds each T, through the recorded builders
+    assert set(dense_builders) == {"partition_vector", "frobenius_to_hom"}
+
+
+def test_dense_guard_fires_at_verification_and_output_not_at_build(cold_caches, monkeypatch):
+    # a guard of 80 refuses N^k = 81 at N = 3, k = 4; systems with words of
+    # that length still build, and verifying or printing them is refused
+    # before any N^4 expansion: a signed index map, a dense push or a dual's
+    # word values
+    monkeypatch.setattr(partitions, "DENSE_GUARD", 80)
+    lengths = []
+    tensor_entries, push = oracle.tensor_entries, oracle._apply_tensor_power
+    word_values = oracle.GroupDualData.word_values
+    monkeypatch.setattr(oracle, "tensor_entries", lambda g, k: lengths.append(k) or tensor_entries(g, k))
+    monkeypatch.setattr(
+        oracle, "_apply_tensor_power", lambda g, v, n, k: lengths.append(k) or push(g, v, n, k)
+    )
+    monkeypatch.setattr(
+        oracle.GroupDualData,
+        "word_values",
+        lambda self, word, *members: lengths.append(len(word)) or word_values(self, word, *members),
+    )
+    I = IndexSet.of(3, (0, 1))
+    cases = (("HN(3)", "O(3)"), ("householder-S3", "O(3)"), ("dualZ2(3)", "U(3)"))
+    for literal, spec_text in cases:
+        source = _householder_s3() if literal == "householder-S3" else parse_oracle(literal)
+        spec = CategorySpec.parse(spec_text)
+        real = OracleRealization(source, I)
+        for system in (relations_med(spec, I, 4), relations_hom(spec, I, 2, 2)):
+            assert max(len(rel.left_word + rel.right_word) for rel in system.relations) == 4
+            with pytest.raises(ResourceGuardError, match=r"3\^4"):
+                verify_relations(system, real)
+            with pytest.raises(ResourceGuardError, match=r"3\^4"):
+                system.to_json()
+    assert set(lengths) == {1, 2}
