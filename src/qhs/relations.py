@@ -30,6 +30,7 @@ from .partitions import (
     BLACK,
     WHITE,
     CategorySpec,
+    check_dense,
     check_word,
     coarsenings,
     colored_words,
@@ -98,6 +99,9 @@ class RelationSystem(Frozen):
         return self.spec, self.I, self.provenance, self.relations
 
     def to_json(self) -> dict:
+        # every T is printed dense: refuse the longest before building any
+        n, L = self.spec.N, max((len(r.left_word + r.right_word) for r in self.relations), default=0)
+        check_dense(n**L, f"a printed relation T over N^(l+k) = {n}^{L}")
         return {
             "spec": str(self.spec),
             "I": [i + 1 for i in self.I.sorted_members],

@@ -565,4 +565,5 @@ def test_dense_guard_fires_at_verification_and_output_not_at_build(cold_caches, 
                 verify_relations(system, real)
             with pytest.raises(ResourceGuardError, match=r"3\^4"):
                 system.to_json()
+            assert not any("coefficients" in vars(rel) for rel in system.relations)  # no T built
     assert set(lengths) == {1, 2}
