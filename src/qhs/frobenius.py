@@ -9,6 +9,7 @@ other on the nose.
 from __future__ import annotations
 
 from functools import cache
+from operator import itemgetter
 
 from .exact import DomainError, ExactMatrix, flat_index, multi_indices
 from .partitions import check_word, conjugate_word
@@ -51,5 +52,5 @@ def frobenius_to_hom(xi: ExactMatrix, k_word: str, l_word: str, n: int) -> Exact
             f"shape mismatch: expected a {n ** (l + k)}x1 column for words "
             f"({k_word!r}, {l_word!r}), got {xi.rows}x{xi.cols}"
         )
-    entries = xi.entries
-    return ExactMatrix(n**l, n**k, [entries[f] for f in frobenius_map(n, k, l)])
+    moved = itemgetter(*frobenius_map(n, k, l))(xi.entries)  # a bare entry for N^(l+k) = 1
+    return ExactMatrix(n**l, n**k, moved if n ** (l + k) > 1 else (moved,))

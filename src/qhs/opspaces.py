@@ -21,8 +21,7 @@ from operator import mul
 from .exact import ExactMatrix, Frozen, ResourceGuardError, rank_nullspace
 from .frobenius import frobenius_map, frobenius_to_hom
 from .oracle import OracleRealization, fixed_space
-from .partitions import CategorySpec, colored_words, conjugate_word, partition_vector
-from .weingarten import selected_partitions
+from .partitions import colored_words, conjugate_word
 
 FXI_GUARD = 4096  # unknowns of one solution space
 GRID_GUARD = 16384  # unknowns summed over the cells of a saturation grid
@@ -127,15 +126,10 @@ def fxi_space(real: OracleRealization, k_word: str, l_word: str) -> OperatorSpac
 
 
 def hom_operator_space(source, k_word: str, l_word: str) -> OperatorSpace:
-    """Intertwiner space of an oracle group/dual or of a partition category:
-    the invariant vectors of l + conjugate(k) (the oracle's fixed space, or
-    the category's selected partition vectors) through Frobenius duality."""
+    """Intertwiner space of an oracle group or dual: the oracle's fixed
+    space of l + conjugate(k) through Frobenius duality."""
     n = source.N
-    fix_word = l_word + conjugate_word(k_word)
-    if isinstance(source, CategorySpec):
-        fixed = (partition_vector(part, n) for part in selected_partitions(source, fix_word))
-    else:
-        fixed = fixed_space(source, fix_word)
+    fixed = fixed_space(source, l_word + conjugate_word(k_word))
     basis = tuple(frobenius_to_hom(xi, k_word, l_word, n) for xi in fixed)
     return OperatorSpace(k_word, l_word, n, basis)
 

@@ -452,9 +452,9 @@ def fixes(source, word: str, vectors) -> bool:
     actions = [tensor_entries(g, k) if m else None for g, m in zip(source.generators, monomial)]
     for flats, vals in vectors:
         at = dict(zip(flats, vals))
+        dense = None if all(monomial) else [at.get(f, 0) for f in range(n**k)]
         for g, action in zip(source.generators, actions):
             if action is None:
-                dense = [at.get(f, 0) for f in range(n**k)]
                 if _apply_tensor_power(g, dense, n, k) != dense:
                     return False
                 continue

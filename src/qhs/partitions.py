@@ -282,14 +282,15 @@ def check_dense(entries: int, what: str) -> None:
         )
 
 
-def partition_support(part: SetPartition, n: int) -> list:
+@cache
+def partition_support(part: SetPartition, n: int) -> tuple:
     """The N^|part| flat indices constant on each block, unordered: one
     value per block, times its weight sum_p N^(k-1-p)."""
     flats = [0]
     for block in part.blocks:
         weight = sum(n ** (part.point_count - 1 - p) for p in block)
-        flats = [f + v * weight for f in flats for v in range(n)]
-    return flats
+        flats = [f + o for f in flats for o in range(0, n * weight, weight)]
+    return tuple(flats)
 
 
 @cache

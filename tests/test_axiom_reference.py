@@ -27,6 +27,7 @@ from qhs.opspaces import (
 from qhs.oracle import OracleGroup, OracleRealization, parse_oracle
 from qhs.partitions import CategorySpec, conjugate_word
 from qhs.weingarten import IndexSet
+from test_opspaces import category_hom_space
 
 
 class _Reference:
@@ -160,7 +161,8 @@ def test_fxi_axiom_report_matches_reference(literal, members, bound):
     "source,bound", [(OracleGroup.symmetric(3), 3), (CategorySpec("O", 3), 4)], ids=["SN3", "O3"]
 )
 def test_hom_axiom_report_matches_reference(source, bound):
-    spaces = {cell: hom_operator_space(source, *cell) for cell in grid_cells(bound)}
+    build = category_hom_space if isinstance(source, CategorySpec) else hom_operator_space
+    spaces = {cell: build(source, *cell) for cell in grid_cells(bound)}
     report = axiom_report(spaces)
     assert report == ref_axiom_report(spaces)
     assert report["composition"]["checked"] and report["tensor"]["checked"]

@@ -37,6 +37,7 @@ from qhs.relations import (
     verify_relations,
 )
 from qhs.weingarten import IndexSet, projection_P
+from test_oracle import householder_conjugated_s3
 
 S4 = CategorySpec("S", 4)
 S3 = CategorySpec("S", 3)
@@ -435,17 +436,6 @@ def test_parse_rejects_coefficients_of_the_wrong_shape():
         parse_relation_system(truncated)
 
 
-def _householder_s3():
-    """S_3 conjugated by the rational reflection along (1, 2, 2): orthogonal,
-    so it fixes the O(3) vectors, and no generator is monomial."""
-    v = (1, 2, 2)
-    h = ExactMatrix.from_rows(
-        [[Fraction(int(r == c)) - Fraction(2 * v[r] * v[c], 9) for c in range(3)] for r in range(3)]
-    )
-    swaps = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-    return OracleGroup.from_generators([h * ExactMatrix.from_rows(s) * h for s in swaps])
-
-
 # (oracle, a spec whose category vectors it fixes, I members, max-k, max-l)
 PARTITION_CASES = [
     ("SN(3)", "S(3)", (0, 1), 2, 2),
@@ -466,7 +456,7 @@ def test_partition_relations_verify_like_their_dense_operators(
     # category's, with its own rhs m^|pi|, doubled, negated and + 1/3: the
     # report equals, byte for byte and witnesses included, that of the same
     # relations rebuilt with a dense T
-    source = _householder_s3() if literal == "householder-S3" else parse_oracle(literal)
+    source = householder_conjugated_s3() if literal == "householder-S3" else parse_oracle(literal)
     spec = CategorySpec.parse(spec_text)
     I = IndexSet.of(spec.N, members)
     pairs = dict.fromkeys(
@@ -556,7 +546,7 @@ def test_dense_guard_fires_at_verification_and_output_not_at_build(cold_caches, 
     I = IndexSet.of(3, (0, 1))
     cases = (("HN(3)", "O(3)"), ("householder-S3", "O(3)"), ("dualZ2(3)", "U(3)"))
     for literal, spec_text in cases:
-        source = _householder_s3() if literal == "householder-S3" else parse_oracle(literal)
+        source = householder_conjugated_s3() if literal == "householder-S3" else parse_oracle(literal)
         spec = CategorySpec.parse(spec_text)
         real = OracleRealization(source, I)
         for system in (relations_med(spec, I, 4), relations_hom(spec, I, 2, 2)):
