@@ -284,8 +284,8 @@ def check_dense(entries: int, what: str) -> None:
 
 @cache
 def partition_support(part: SetPartition, n: int) -> tuple:
-    """The N^|part| flat indices constant on each block, unordered: one
-    value per block, times its weight sum_p N^(k-1-p)."""
+    """The N^|part| flat indices constant on each block, unordered: one value
+    per block, times its weight sum_p N^(k-1-p); a check and a T build share it."""
     flats = [0]
     for block in part.blocks:
         weight = sum(n ** (part.point_count - 1 - p) for p in block)
