@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import mul
 
-from .exact import ExactMatrix, Frozen, ResourceGuardError, rank_nullspace
+from .exact import ExactMatrix, Frozen, ResourceGuardError, common_denominator, rank_nullspace
 from .frobenius import frobenius_map, frobenius_to_hom
 from .oracle import OracleRealization, fixed_space
 from .partitions import colored_words, conjugate_word
@@ -60,8 +60,27 @@ class OperatorSpace(Frozen):
 
     @cached_property
     def supports(self) -> tuple:
-        """Per basis element its nonzero entries, as (flat indices, values)."""
-        return tuple(_support(T.entries) for T in self.basis)
+        """Per basis element its nonzero entries, as (flat indices, values),
+        the values as integers over the element's common denominator (a
+        positive rescale, which no membership verdict reads)."""
+        out = []
+        for T in self.basis:
+            flats, values = _support(T.entries)
+            out.append((flats, common_denominator(values)[0]))
+        return tuple(out)
+
+    @cached_property
+    def l1(self) -> int:
+        """The largest sum of absolute values over the elements of supports."""
+        return max((sum(map(abs, values)) for _, values in self.supports), default=0)
+
+    @cached_property
+    def equation_max(self) -> int:
+        """The largest absolute entry of the equations; 1 for the zero space,
+        whose test reads each entry of a vector, and for a space with none."""
+        if self.equations is None:
+            return 1
+        return max((max(map(abs, e)) for e in self.equations), default=1)
 
     def contains(self, T: ExactMatrix) -> bool:
         """Exact membership: T satisfies every defining equation."""
@@ -152,6 +171,24 @@ def _moved_in(space, flat_map, support) -> bool:
     return space.contains_sparse([flat_map[f] for f in flats], values)
 
 
+def _packed(space, target, *others) -> tuple:
+    """The support of sum_i b_i 2^(shift i) over the space's basis supports
+    b_i, for a check against target's equations E in which each b_i meets
+    one element of each other space.  Such a digit <e, x> is below
+    max|E| L1(b_i) prod L1(other) < 2^shift in absolute value, so, as in
+    `exact._inverse_holds`, the balanced digits are unique and the packed
+    vector lies in the target iff every digit's vector does."""
+    bound = target.equation_max * space.l1
+    for other in others:
+        bound *= other.l1
+    shift = bound.bit_length() + 2
+    acc = {}
+    for i, (flats, values) in enumerate(space.supports):
+        for f, v in zip(flats, values):
+            acc[f] = acc.get(f, 0) + (v << shift * i)
+    return tuple(acc), tuple(acc.values())
+
+
 def _unit_holds(space) -> bool:
     cols = space.N ** len(space.k_word)
     return space.contains_sparse(range(0, cols * cols, cols + 1), (1,) * cols)
@@ -160,62 +197,59 @@ def _unit_holds(space) -> bool:
 def _adjoint_holds(space, mirror) -> bool:
     rows, cols = space.N ** len(space.l_word), space.N ** len(space.k_word)
     transpose = [c * rows + r for r in range(rows) for c in range(cols)]
-    return all(_moved_in(mirror, transpose, sup) for sup in space.supports)
+    return _moved_in(mirror, transpose, _packed(space, mirror))
 
 
 def _frobenius_holds(space, target) -> bool:
     reshuffle = frobenius_map(space.N, len(space.k_word), len(space.l_word))
     return (
-        all(_moved_in(target, reshuffle, sup) for sup in space.supports)
-        and all(_moved_in(space, reshuffle, sup) for sup in target.supports)
-        and space.dimension == target.dimension
+        space.dimension == target.dimension
+        and _moved_in(target, reshuffle, _packed(space, target))
+        and _moved_in(space, reshuffle, _packed(target, space))
     )
 
 
 def _composition_fails(inner, outer, target) -> bool:
     """True when some product S T of an outer and an inner element breaks a
-    target equation.  S T has support in the pairs of nonzero S[b, m] and
-    T[m, c] that meet in m, each adding S[b, m] T[m, c] at flat b cols + c;
+    target equation, tested as S P with P the packed inner basis
+    (`_packed`).  S P has support in the pairs of nonzero S[b, m] and
+    P[m, c] that meet in m, each adding S[b, m] P[m, c] at flat b cols + c;
     no product is built."""
     cols = inner.N ** len(inner.k_word)
     middle = inner.N ** len(inner.l_word)
-    inner_split = [
-        [(*divmod(f, cols), t) for f, t in zip(flats, values)] for flats, values in inner.supports
-    ]
+    inner_split = [(*divmod(f, cols), t) for f, t in zip(*_packed(inner, target, outer))]
     for flats2, values2 in outer.supports:
         by_middle = [[] for _ in range(middle)]
         for f, s in zip(flats2, values2):
             b, m = divmod(f, middle)
             by_middle[m].append((b * cols, s))
-        for split in inner_split:
-            flats, values = [], []
-            for m, c, t in split:
-                for base, s in by_middle[m]:
-                    flats.append(base + c)
-                    values.append(s * t)
-            if not target.contains_sparse(flats, values):
-                return True
+        flats, values = [], []
+        for m, c, t in inner_split:
+            for base, s in by_middle[m]:
+                flats.append(base + c)
+                values.append(s * t)
+        if not target.contains_sparse(flats, values):
+            return True
     return False
 
 
 def _tensor_fails(left, right, target) -> bool:
     """True when some T kron S of a left and a right element breaks a target
-    equation.  The flat index of T kron S splits as
-    flat((b1, b2), (c1, c2)) = A[(b1, c1)] + B[(b2, c2)], so the pair's
-    support is the sum of the two supports and no kron is built."""
+    equation, tested as P kron S with P the packed left basis (`_packed`).
+    The flat index of P kron S splits as
+    flat((b1, b2), (c1, c2)) = A[(b1, c1)] + B[(b2, c2)], so its support is
+    the sum of the two supports and no kron is built."""
     rows2, cols2 = right.N ** len(right.l_word), right.N ** len(right.k_word)
     cols1 = left.N ** len(left.k_word)
     width = cols1 * cols2
-    starts = [
-        [f // cols1 * rows2 * width + f % cols1 * cols2 for f in flats] for flats, _ in left.supports
-    ]
+    flats1, values1 = _packed(left, target, right)
+    starts = [f // cols1 * rows2 * width + f % cols1 * cols2 for f in flats1]
     for flats2, values2 in right.supports:
         offsets = [f // cols2 * width + f % cols2 for f in flats2]
-        for left_starts, (_, values1) in zip(starts, left.supports):
-            flats = [a + b for a in left_starts for b in offsets]
-            values = [t * s for t in values1 for s in values2]
-            if not target.contains_sparse(flats, values):
-                return True
+        flats = [a + b for a in starts for b in offsets]
+        values = [t * s for t in values1 for s in values2]
+        if not target.contains_sparse(flats, values):
+            return True
     return False
 
 
@@ -245,11 +279,20 @@ def axiom_report(spaces: dict) -> dict:
       pairs of nonzero entries, with the flat index of T kron S split as
       A[(b1, c1)] + B[(b2, c2)].
 
+    Adjoint, Frobenius, composition and tensor test one operand's whole
+    basis at once, as the packed vector sum_i b_i 2^(shift i) (`_packed`):
+    adjoint and Frobenius make one membership test per direction,
+    composition and tensor one per element of the other operand.  The shift
+    bounds every digit, so the verdict is exact.
+
     A verdict reads only its operand spaces (their shapes come from their
     own word lengths), so it is computed once per distinct operand tuple,
     keyed on the spaces' identities in a memo that lives for one call (one
     space may fill several cells, as in `fxi_grid`), and recorded for every
-    cell pair that reads it.
+    cell pair that reads it.  Only cell pairs that can compose or tensor
+    are walked, in cell order: composition looks up the outer cells by
+    their k word, and tensor stops at the right cells too long for any
+    product cell in the grid.
 
     unit/adjoint/frobenius are theorems for relation solution spaces and are
     the 'asserted' axioms.  On a grid from one realization adjoint and tensor
@@ -288,14 +331,21 @@ def axiom_report(spaces: dict) -> dict:
         if target is not None:
             ok = verdict(_frobenius_holds, space, target)
             report["frobenius"].append({"k": kw, "l": lw, "passed": ok})
+    by_k = {}
+    for cell in cells:
+        by_k.setdefault(cell[0], []).append(cell)
     for k1, l1 in cells:
-        for k2, l2 in cells:
-            if k2 == l1 and (k1, l2) in spaces:
+        for k2, l2 in by_k.get(l1, ()):
+            if (k1, l2) in spaces:
                 operands = spaces[(k1, l1)], spaces[(k2, l2)], spaces[(k1, l2)]
                 fails = verdict(_composition_fails, *operands)
                 _record(report["composition"], fails, {"inner": [k1, l1], "outer": [k2, l2]})
+    longest = max((len(k + l) for k, l in cells), default=0)
     for k1, l1 in cells:
+        room = longest - len(k1) - len(l1)
         for k2, l2 in cells:
+            if len(k2) + len(l2) > room:
+                break
             cell = (k1 + k2, l1 + l2)
             if cell in spaces:
                 fails = verdict(_tensor_fails, spaces[(k1, l1)], spaces[(k2, l2)], spaces[cell])
@@ -310,10 +360,25 @@ def axiom_report(spaces: dict) -> dict:
 
 def _defining_system(real: OracleRealization, k_word: str, l_word: str) -> tuple:
     """All that `fxi_space` reads of a cell besides the realization: the word
-    lengths and every point's (flats, weights, at_identity), without the
-    point labels."""
+    lengths and, on a dual, every point's (flats, weights, at_identity),
+    without the point labels.  Classical functionals read only the lengths."""
+    if real.classical:
+        return len(k_word), len(l_word)
     points = real.functionals(k_word, l_word)
     return len(k_word), len(l_word), tuple((tuple(f), w, at) for _, f, w, at in points)
+
+
+def _share(source, cells, key, build) -> dict:
+    """build(source, *cell) for every cell, once per distinct key(source,
+    *cell): cells with equal keys share the space built for the first."""
+    shared = {}
+    grid = {}
+    for cell in cells:
+        k = key(source, *cell)
+        if k not in shared:
+            shared[k] = build(source, *cell)
+        grid[cell] = shared[k]
+    return grid
 
 
 def fxi_grid(real: OracleRealization, cells) -> dict:
@@ -322,17 +387,18 @@ def fxi_grid(real: OracleRealization, cells) -> dict:
     Equal systems give equal spaces, so cells with equal systems share one
     `OperatorSpace`, labelled with the words of the first such cell (only
     their lengths are read).  On a classical oracle the functionals ignore
-    colors, so a grid holds one system per pair of word lengths (10 for the
-    49 cells of bound 3).
+    colors, so a cell is keyed on its word lengths alone and no functional
+    is built for the key: a grid holds one system per pair of word lengths
+    (10 for the 49 cells of bound 3).
     """
-    shared = {}
-    grid = {}
-    for cell in cells:
-        key = _defining_system(real, *cell)
-        if key not in shared:
-            shared[key] = fxi_space(real, *cell)
-        grid[cell] = shared[key]
-    return grid
+    return _share(real, cells, _defining_system, fxi_space)
+
+
+def _hom_key(source, k_word: str, l_word: str) -> tuple:
+    """All that `hom_operator_space` reads of a cell besides the source: the
+    cached fixed-space tuple of l + conjugate(k), by identity (classically
+    one per length), and the word lengths."""
+    return id(fixed_space(source, l_word + conjugate_word(k_word))), len(k_word), len(l_word)
 
 
 def saturation_report(real: OracleRealization, hom_source, bound: int) -> dict:
@@ -341,7 +407,10 @@ def saturation_report(real: OracleRealization, hom_source, bound: int) -> dict:
     report on the solution grid and an overall verdict.  The (t+1) 2^t cells
     with |k| + |l| == t have N^t unknowns each; their sum is checked against
     the grid guard before any space is built.  Cells with equal defining
-    systems share one solution space (`fxi_grid`).
+    systems share one solution space (`fxi_grid`), cells with the same
+    cached fixed space and word lengths share one hom space (`_hom_key`:
+    classically one per pair of lengths), and inclusion is decided once per
+    pair of shared spaces.
     """
     total = 0
     for t in range(bound + 1):
@@ -351,7 +420,7 @@ def saturation_report(real: OracleRealization, hom_source, bound: int) -> dict:
             raise ResourceGuardError(msg)
     cells = grid_cells(bound)
     fxi = fxi_grid(real, cells)
-    hom = {cell: hom_operator_space(hom_source, *cell) for cell in cells}
+    hom = _share(hom_source, cells, _hom_key, hom_operator_space)
     axioms = axiom_report(fxi)
     per_cell_axioms = {}
     for kind in ("unit", "adjoint", "frobenius"):
@@ -362,9 +431,13 @@ def saturation_report(real: OracleRealization, hom_source, bound: int) -> dict:
     cell_entries = []
     inclusion_ok = True
     equality_ok = True
+    inclusion = {}
     for kw, lw in cells:
         h, f = hom[(kw, lw)], fxi[(kw, lw)]
-        included = all(f.contains(T) for T in h.basis)
+        pair = id(h), id(f)
+        if pair not in inclusion:
+            inclusion[pair] = all(f.contains(T) for T in h.basis)
+        included = inclusion[pair]
         equal = included and h.dimension == f.dimension
         inclusion_ok &= included
         equality_ok &= equal

@@ -10,7 +10,7 @@ every basis ordering downstream.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from .exact import DomainError, Echelon, ExactMatrix, Frozen, ParseError, ResourceGuardError
 
@@ -296,13 +296,17 @@ def partition_support(part: SetPartition, n: int) -> tuple:
 @cache
 def kernel_ids(n: int, k: int) -> tuple:
     """kernel_ids[flat index] is kernel_position of that index, for every
-    index at once (dense outputs, dual relation checks).  Each index arises
-    once, from an injective assignment of values to the blocks of its kernel."""
+    index at once (dense outputs, dual relation checks).  The support of a
+    partition holds the indices whose kernel it refines, and in
+    all_partitions(k) a kernel comes before its refinements; so writing the
+    support of each partition with at most n blocks, last to first, leaves
+    every index at its own kernel."""
     out = [0] * (n**k)
-    for pos, part in enumerate(all_partitions(k)):
-        weights = [sum(n ** (k - 1 - p) for p in block) for block in part.blocks]
-        for values in permutations(range(n), len(weights)):
-            out[sum(v * w for v, w in zip(values, weights))] = pos
+    parts = all_partitions(k)
+    for pos in reversed(range(len(parts))):
+        if parts[pos].block_count <= n:
+            for f in partition_support(parts[pos], n):
+                out[f] = pos
     return tuple(out)
 
 

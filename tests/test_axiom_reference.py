@@ -8,6 +8,7 @@ saturation grid the oracle-checks benchmark can draw and on hom-space grids,
 whose equations are computed lazily from the basis.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -213,6 +214,32 @@ def test_saturation_solves_each_defining_system_once(monkeypatch, literal, membe
     assert len(solved) == len(grid_cells(bound))
 
 
+@pytest.mark.parametrize(
+    "literal, members, bound, builds",
+    [("SN(3)", "1,2", 3, 10), ("HN(3)", "1,2", 3, 10), ("SN(4)", "1,2", 2, 6),
+     ("dualZ2(3)", "1", 2, 15), ("dualS3(12,13,23)", "1", 2, 15)],
+)
+def test_saturation_builds_each_hom_space_once(monkeypatch, literal, members, bound, builds):
+    real = _realization(literal, members)
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return hom_operator_space(*args)
+
+    monkeypatch.setattr(opspaces_mod, "hom_operator_space", counted)
+    report = saturation_report(real, real.source, bound)
+    # classically one per length pair; on a dual one per cell, but for the
+    # cells of one shape whose fixed space is the same empty tuple
+    assert len(built) == builds
+    # every cell a hom space and a system of its own: the report cell by cell
+    monkeypatch.setattr(opspaces_mod, "_hom_key", lambda source, *cell: cell)
+    monkeypatch.setattr(opspaces_mod, "_defining_system", lambda real, *cell: cell)
+    built.clear()
+    assert saturation_report(real, real.source, bound) == report
+    assert len(built) == len(grid_cells(bound))
+
+
 def _cells_read(report) -> list:
     """(check, cells it reads, passed) for every check of an axiom report."""
     out = []
@@ -320,3 +347,143 @@ def _random_grid(draw):
 @given(_random_grid())
 def test_arbitrary_grid_axiom_report_matches_reference(spaces):
     assert axiom_report(spaces) == ref_axiom_report(spaces)
+
+
+# Packed checks at their width bound.  A check tests sum_i b_i 2^(shift i)
+# over one operand's basis at once; the tests below scale bases far past
+# machine words and build digit vectors that would cancel at one given
+# shift, so a shift narrower than the digit bound reads a failing check as
+# passing.
+_SCALES = [Fraction(2 ** (82 + i) + 1, 2 * i + 3) for i in range(16)]  # >= 2^80, unlike denominators
+
+
+def _scaled(space, kw=None, lw=None):
+    """space on cell (kw, lw) with basis element i times _SCALES[i]; the
+    span, and so the equations, stay the same."""
+    basis = tuple(
+        ExactMatrix(T.rows, T.cols, [x * c for x in T.entries]) for T, c in zip(space.basis, _SCALES)
+    )
+    kw = space.k_word if kw is None else kw
+    lw = space.l_word if lw is None else lw
+    return OperatorSpace(kw, lw, space.N, basis, space.equation_rows)
+
+
+def _scaled_grid(spaces) -> dict:
+    """Every distinct space of the grid scaled once, so cells keep sharing."""
+    copies = {}
+    return {cell: copies.setdefault(id(s), _scaled(s)) for cell, s in spaces.items()}
+
+
+def _off_by_one(space, flat) -> OperatorSpace:
+    """space with entry flat of its first basis element off by 1."""
+    first, *rest = space.basis
+    entries = list(first.entries)
+    entries[flat] += 1
+    bumped = ExactMatrix(first.rows, first.cols, entries)
+    return OperatorSpace(space.k_word, space.l_word, space.N, (bumped, *rest))
+
+
+def test_scaled_grids_keep_their_verdicts():
+    real = _realization("SN(3)", "1,2")
+    clean = fxi_grid(real, grid_cells(2))
+    scaled = _scaled_grid(clean)
+    assert any(isinstance(x, Fraction) for T in scaled[("o", "o")].basis for x in T.entries)
+    report = axiom_report(scaled)
+    assert report == axiom_report(clean) == ref_axiom_report(scaled)
+    # composition fails on some cell pairs of this grid and holds on others
+    assert report["asserted_passed"] and report["tensor"]["passed"]
+    assert 0 < len(report["composition"]["failures"]) < report["composition"]["checked"]
+    # one entry off by 1 at that scale flips verdicts, and exactly as the reference
+    bumped = {**scaled, ("o", "o"): _off_by_one(scaled[("o", "o")], 0)}
+    flipped = axiom_report(bumped)
+    assert flipped == ref_axiom_report(bumped)
+    assert not flipped["asserted_passed"] and not flipped["tensor"]["passed"]
+    hom = {cell: _scaled(hom_operator_space(OracleGroup.symmetric(3), *cell)) for cell in grid_cells(3)}
+    assert axiom_report(hom) == ref_axiom_report(hom)
+
+
+def _space(kw, lw, rows, equations=None) -> OperatorSpace:
+    """An N = 2 space on (kw, lw) spanned by integer rows."""
+    rows_, cols = 2 ** len(lw), 2 ** len(kw)
+    return OperatorSpace(kw, lw, 2, tuple(ExactMatrix(rows_, cols, r) for r in rows), equations)
+
+
+def _adjoint_grid(a, b) -> dict:
+    """Packed (o, b) = [-2^b E00, E10] against the mirror's equation
+    2^a x00 + x01: the digits are -2^(a+b) and 1."""
+    return {
+        ("o", "b"): _space("o", "b", [[-(2**b), 0, 0, 0], [0, 0, 1, 0]]),
+        ("b", "o"): _space("b", "o", [[1, -(2**a), 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                           ((2**a, 1, 0, 0),)),
+    }
+
+
+def _composition_grid(u) -> dict:
+    """Packed inner (o, b) = [E01 - E00, E11 + E10] times the outer
+    [[2^u, 1], [0, 0]], in span{E01}: the digits on x00 are -2^u and 1."""
+    return {
+        ("o", "b"): _space("o", "b", [[-1, 1, 0, 0], [0, 0, 1, 1]]),
+        ("b", "o"): _space("b", "o", [[2**u, 1, 0, 0]]),
+        ("o", "o"): _space("o", "o", [[0, 1, 0, 0]]),
+    }
+
+
+def _tensor_grid(u) -> dict:
+    """Packed left ("", o) = [-e0, e1] kron the right (2^u, 1), against the
+    equation x0 + x3: the digits are -2^u and 1."""
+    return {
+        ("", "o"): _space("", "o", [[-1, 0], [0, 1]]),
+        ("", "b"): _space("", "b", [[2**u, 1]]),
+        ("", "ob"): _space("", "ob", [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]], ((1, 0, 0, 1),)),
+    }
+
+
+def _zero_target_grid(u) -> dict:
+    """Packed inner (o, b) = [E11 - 2^u E00, E00] times the outer E00, into
+    the zero space: the digit vectors are -2^u E00 and E00."""
+    return {
+        ("o", "b"): _space("o", "b", [[-(2**u), 0, 0, 1], [1, 0, 0, 0]]),
+        ("b", "o"): _space("b", "o", [[1, 0, 0, 0]]),
+        ("o", "o"): _space("o", "o", []),
+    }
+
+
+def test_packed_digits_that_cancel_at_a_narrow_shift_still_fail():
+    # each grid fails one check, through two digits that cancel at shift u;
+    # the width bound the digits need is above u, whichever factor of it
+    # (the target's equations, the packed operand, the other operand) is big
+    for u in range(1, 200):
+        for grid in (_adjoint_grid(u, 0), _adjoint_grid(0, u)):
+            assert not axiom_report(grid)["adjoint"][0]["passed"], u
+        for grid in (_composition_grid(u), _zero_target_grid(u)):
+            failures = axiom_report(grid)["composition"]["failures"]
+            assert {"inner": ["o", "b"], "outer": ["b", "o"]} in failures, u
+        report = axiom_report(_tensor_grid(u))
+        assert {"left": ["", "o"], "right": ["", "b"]} in report["tensor"]["failures"], u
+    for u in (1, 3, 64, 199):
+        for grid in (_adjoint_grid(u, 0), _adjoint_grid(0, u), _composition_grid(u),
+                     _zero_target_grid(u), _tensor_grid(u)):
+            assert axiom_report(grid) == ref_axiom_report(grid)
+
+
+@pytest.mark.parametrize("target", ["zero", "full"])
+def test_packed_checks_into_zero_and_full_targets(target):
+    # scaled operands against a target of dimension 0 (X == 0) and one with
+    # no equations at all
+    hom = {cell: _scaled(hom_operator_space(OracleGroup.symmetric(3), *cell))
+           for cell in [("o", "b"), ("b", "o"), ("b", "b")]}
+    for kw, lw in [("o", "o"), ("ob", "bb")]:
+        size = 3 ** len(kw + lw)
+        rows = [] if target == "zero" else [[int(i == j) for j in range(size)] for i in range(size)]
+        hom[(kw, lw)] = _space3(kw, lw, rows)
+    report = axiom_report(hom)
+    assert report == ref_axiom_report(hom)
+    into_target = [
+        ({"inner": ["o", "b"], "outer": ["b", "o"]}, report["composition"]["failures"]),
+        ({"left": ["o", "b"], "right": ["b", "b"]}, report["tensor"]["failures"]),
+    ]
+    assert all((pair in failures) == (target == "zero") for pair, failures in into_target)
+
+
+def _space3(kw, lw, rows) -> OperatorSpace:
+    return OperatorSpace(kw, lw, 3, tuple(ExactMatrix(3 ** len(lw), 3 ** len(kw), r) for r in rows))

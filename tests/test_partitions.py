@@ -54,6 +54,13 @@ def test_kernel_position_matches_the_dense_table(case):
     assert kernel_position(idx) == kernel_ids(n, len(idx))[flat_index(idx, n)]
 
 
+@pytest.mark.parametrize("n, k", [(2, 8), (4, 5), (40, 3)])
+def test_kernel_ids_is_the_kernel_of_every_index(n, k):
+    # flat order is product order; the unmemoised lookup leaves the memo as it was
+    position = kernel_position.__wrapped__
+    assert kernel_ids(n, k) == tuple(map(position, product(range(n), repeat=k)))
+
+
 def test_kernel_position_is_the_first_appearance_order():
     assert all_partitions(3)[kernel_position((7, 2, 7))] == parse_partition("13|2")
     assert all_partitions(4)[kernel_position((5, 5, 1, 0))] == parse_partition("12|3|4")
