@@ -357,15 +357,13 @@ def test_arbitrary_grid_axiom_report_matches_reference(spaces):
 _SCALES = [Fraction(2 ** (82 + i) + 1, 2 * i + 3) for i in range(16)]  # >= 2^80, unlike denominators
 
 
-def _scaled(space, kw=None, lw=None):
-    """space on cell (kw, lw) with basis element i times _SCALES[i]; the
-    span, and so the equations, stay the same."""
+def _scaled(space):
+    """space with basis element i times _SCALES[i]; the span, and so the
+    equations, stay the same."""
     basis = tuple(
         ExactMatrix(T.rows, T.cols, [x * c for x in T.entries]) for T, c in zip(space.basis, _SCALES)
     )
-    kw = space.k_word if kw is None else kw
-    lw = space.l_word if lw is None else lw
-    return OperatorSpace(kw, lw, space.N, basis, space.equation_rows)
+    return OperatorSpace(space.k_word, space.l_word, space.N, basis, space.equation_rows)
 
 
 def _scaled_grid(spaces) -> dict:
@@ -402,10 +400,10 @@ def test_scaled_grids_keep_their_verdicts():
     assert axiom_report(hom) == ref_axiom_report(hom)
 
 
-def _space(kw, lw, rows, equations=None) -> OperatorSpace:
-    """An N = 2 space on (kw, lw) spanned by integer rows."""
-    rows_, cols = 2 ** len(lw), 2 ** len(kw)
-    return OperatorSpace(kw, lw, 2, tuple(ExactMatrix(rows_, cols, r) for r in rows), equations)
+def _space(kw, lw, rows, equations=None, n=2) -> OperatorSpace:
+    """A space on (kw, lw) spanned by integer rows."""
+    shape = n ** len(lw), n ** len(kw)
+    return OperatorSpace(kw, lw, n, tuple(ExactMatrix(*shape, r) for r in rows), equations)
 
 
 def _adjoint_grid(a, b) -> dict:
@@ -475,7 +473,7 @@ def test_packed_checks_into_zero_and_full_targets(target):
     for kw, lw in [("o", "o"), ("ob", "bb")]:
         size = 3 ** len(kw + lw)
         rows = [] if target == "zero" else [[int(i == j) for j in range(size)] for i in range(size)]
-        hom[(kw, lw)] = _space3(kw, lw, rows)
+        hom[(kw, lw)] = _space(kw, lw, rows, n=3)
     report = axiom_report(hom)
     assert report == ref_axiom_report(hom)
     into_target = [
@@ -483,7 +481,3 @@ def test_packed_checks_into_zero_and_full_targets(target):
         ({"left": ["o", "b"], "right": ["b", "b"]}, report["tensor"]["failures"]),
     ]
     assert all((pair in failures) == (target == "zero") for pair, failures in into_target)
-
-
-def _space3(kw, lw, rows) -> OperatorSpace:
-    return OperatorSpace(kw, lw, 3, tuple(ExactMatrix(3 ** len(lw), 3 ** len(kw), r) for r in rows))
