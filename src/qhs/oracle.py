@@ -16,6 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress, permutations, product
+from math import prod
 from types import MappingProxyType
 
 from .exact import (
@@ -31,7 +32,7 @@ from .exact import (
     rank,
     rank_nullspace,
 )
-from .partitions import WHITE, check_dense, check_word
+from .partitions import WHITE, check_dense, check_word, partition_support
 from .weingarten import IndexSet
 
 DEFAULT_CLOSURE_CAP = 100_000
@@ -464,6 +465,32 @@ def fixes(source, word: str, vectors) -> bool:
     return True
 
 
+def fixes_partitions(source, word: str, parts) -> bool:
+    """Whether the oracle fixes the vector xi_pi of each partition in parts.
+    A monomial g, g e_c = v(c) e_sigma(c), maps each index to one of the
+    same kernel, so it maps the support of xi_pi onto itself, with sign
+    prod_B v(x_B)^|B| at the index of value x_B on block B.  The factors
+    are nonzero, so g fixes xi_pi iff each v^|B| is one constant over [N]
+    and the constants multiply to 1 (-I: iff k is even); a classical oracle
+    of monomial generators is decided so, exactly, in O(N |pi|) per
+    generator and partition.  Any other pushes the supports (`fixes`)."""
+    check_word(word)
+    n, k = source.N, len(word)
+    check_dense(n**k, f"the oracle's action on N^k = {n}^{k}")  # as fixes, on either path
+    if isinstance(source, OracleGroup):
+        entries = [tensor_entries(g, 1) for g in source.generators]
+        if all(cols == list(range(n)) for _, cols, _ in entries):
+            return all(_block_signs_fix(signs, part) for _, _, signs in entries for part in parts)
+    supports = (partition_support(part, n) for part in parts)
+    return fixes(source, word, ((flats, [1] * len(flats)) for flats in supports))
+
+
+def _block_signs_fix(signs, part) -> bool:
+    """Whether prod_B v(x_B)^|B| is 1 at every choice of the x_B (v: signs)."""
+    powers = [{v ** len(block) for v in signs} for block in part.blocks]
+    return all(len(p) == 1 for p in powers) and prod(p.pop() for p in powers) == 1
+
+
 def _apply_tensor_power(g: ExactMatrix, entries, n: int, k: int) -> list:
     """Push a flat N^k tensor through g tensor ... tensor g, one axis at a time."""
     columns = [[(r, g.at(r, c)) for r in range(n) if g.at(r, c)] for c in range(n)]
@@ -611,9 +638,13 @@ class OracleRealization(Frozen):
         return tuple((gi, c, tuple(compress(range(len(c)), c))) for c, gi in first.items())
 
     @cache
-    def power_sums(self, size: int) -> tuple:
-        """Per entry of `points`, sum_t c[t]^size."""
-        return tuple(sum(c[t] ** size for t in support) for _, c, support in self.points)
+    def partition_sums(self, part) -> tuple:
+        """Per entry of `points`, sum_i xi_pi[i] c[i_1]..c[i_k]: over the
+        indices constant on each block it factorises into prod_B sum_t c[t]^|B|."""
+        return tuple(
+            prod(sum(c[t] ** len(block) for t in support) for block in part.blocks)
+            for _, c, support in self.points
+        )
 
     def functionals(self, k_word: str, l_word: str) -> list:
         """The relation of the words (k, l) at each evaluation point.

@@ -4,15 +4,15 @@ A Relation states sum_{i,j} T[i,j] x_{i_1}^{e_1}..x_{i_l}^{e_l}
 (x_{j_1}^{f_1}..x_{j_k}^{f_k})^* = rhs, with the exponents read off the two
 colored words.  Three generators ship: max-form (rows of the Haar
 projection), med-form (one relation per selected invariant vector), and
-hom-form (vectors pushed through Frobenius duality into operators).
-Verification evaluates relations exactly on an oracle realization.
+hom-form (vectors pushed through Frobenius duality into operators).  All
+three hold their relations as combinations of partition vectors, and
+verification evaluates them exactly on an oracle realization.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from math import prod
 from operator import mul
 
 from .exact import (
@@ -25,47 +25,76 @@ from .exact import (
     common_denominator,
 )
 from .frobenius import frobenius_map, frobenius_to_hom
-from .oracle import OracleRealization, fixes
+from .oracle import OracleRealization, fixes_partitions
 from .partitions import (
     BLACK,
     WHITE,
     CategorySpec,
+    all_partitions,
     check_dense,
     check_word,
     coarsenings,
     colored_words,
     conjugate_word,
     kernel_ids,
-    partition_support,
     partition_vector,
 )
-from .weingarten import IndexSet, K_vector, projection_P, selected_partitions
+from .weingarten import IndexSet, K_vector, gram_weingarten, selected_partitions
 
 
 class Relation(Frozen):
     """One two-sided relation; coefficients has shape N^l x N^k for the
-    left (plain) and right (starred) words.  A med/hom-form relation holds a
-    partition pi of l + conjugate(k) (`of_partition`), and T_pi on first read."""
+    left (plain) and right (starred) words.  A relation from `from_json` or
+    built by hand holds T.  The generators hold partition terms instead,
+    (pi_u, y_u) over a denominator, with T = sum_u y_u T_(pi_u) / den: a
+    med/hom relation one partition of l + conjugate(k) (`of_partition`), a
+    max-form row the word's selected partitions (`of_weights`).  So
+    verify_relations reads no N^k object; T is built on first read, with
+    the dense form's entries, for equality, hashing and to_json."""
 
     def __init__(self, left_word: str, right_word: str, coefficients: ExactMatrix, rhs: ScaledScalar):
         object.__setattr__(self, "left_word", left_word)
         object.__setattr__(self, "right_word", right_word)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "partition", None)  # a dense T
+        object.__setattr__(self, "partition", None)
+        object.__setattr__(self, "terms", None)  # a dense T
 
     @classmethod
     def of_partition(cls, left_word: str, right_word: str, partition, n: int, rhs) -> "Relation":
+        rel = cls.of_weights(left_word, right_word, (partition,), (1,), 1, n, rhs)
+        vars(rel).update(partition=partition)
+        return rel
+
+    @classmethod
+    def of_weights(cls, left_word, right_word, partitions, weights, denominator, n, rhs):
         rel = cls.__new__(cls)
-        vars(rel).update(left_word=left_word, right_word=right_word, rhs=rhs)
-        vars(rel).update(partition=partition, N=n)
+        terms = tuple((part, y) for part, y in zip(partitions, weights) if y)
+        vars(rel).update(left_word=left_word, right_word=right_word, rhs=rhs, partition=None)
+        vars(rel).update(terms=terms, denominator=denominator, N=n)
         return rel
 
     @cached_property
+    def kernel_weights(self) -> list:
+        """Per kernel a of the l + k points, the sum of the y_u of the pi_u
+        that a coarsens: the numerator of xi at every index of kernel a."""
+        out = [0] * len(all_partitions(len(self.left_word + self.right_word)))
+        for part, y in self.terms:
+            for a in coarsenings(part):
+                out[a] += y
+        return out
+
+    @cached_property
     def coefficients(self) -> ExactMatrix:
-        """T_pi: the partition vector of pi pushed through Frobenius duality."""
-        xi = partition_vector(self.partition, self.N)
-        return frobenius_to_hom(xi, self.right_word, self.left_word, self.N)
+        """T: xi over l + conjugate(k) pushed through Frobenius duality, which
+        is the identity when there is no right word."""
+        if self.partition is not None:
+            xi = partition_vector(self.partition, self.N)
+        else:
+            kid = kernel_ids(self.N, len(self.left_word + self.right_word))
+            values = [Fraction(w, self.denominator) for w in self.kernel_weights]
+            xi = ExactMatrix(len(kid), 1, [values[a] for a in kid])
+        return frobenius_to_hom(xi, self.right_word, self.left_word, self.N) if self.right_word else xi
 
     def _key(self):
         return self.left_word, self.right_word, self.coefficients, self.rhs
@@ -129,24 +158,30 @@ def relations_med(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSy
 
 def relations_max(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSystem:
     """One relation per row of the Haar projection per word, in row order.
-    P[i, j] depends on i only through its kernel, so the rows of one kernel
-    share one Relation object, built from the kernel's first row."""
+    By the Weingarten formula the rows of kernel a are sum_u y_u xi_(pi_u)
+    / den, y the sum of W's integer rows hits[a]: one Relation of those
+    weights per kernel, shared by its rows, with rhs sum_u y_u m^|pi_u| /
+    den.  No projection is built, but the printed system holds N^k rows of
+    N^k entries, so a longer word is refused first."""
     I.require_N(spec.N, "spec")
+    n = spec.N
     rels = []
     if max_k == 0:
         rels.append(_trivial_relation(I))
     for word in _generator_words(spec, max_k):
-        P = projection_P(spec, word)
         k = len(word)
-        i_flats = I.flat_indices(k)
+        check_dense(n ** (2 * k), f"projection over N^2k = {n}^{2 * k}")
+        data = gram_weingarten(spec, word)
+        parts, wrows = data.basis.selected, data.weingarten_rows
+        sizes = [I.m**part.block_count for part in parts]
         by_kernel = {}
-        for r, kernel in enumerate(kernel_ids(spec.N, k)):
+        for kernel in kernel_ids(n, k):
             rel = by_kernel.get(kernel)
             if rel is None:
-                row = P.row(r)
-                T = ExactMatrix(P.cols, 1, row)
-                q = sum((row[j] for j in i_flats), Fraction(0))
-                rel = by_kernel[kernel] = Relation(word, "", T, ScaledScalar(q, k, I.m))
+                y = [sum(col) for col in zip(*(wrows[t] for t in data.hits[kernel]))]
+                rhs = ScaledScalar(Fraction(sum(map(mul, y, sizes)), data.denominator), k, I.m)
+                rel = Relation.of_weights(word, "", parts, y, data.denominator, n, rhs)
+                by_kernel[kernel] = rel
             rels.append(rel)
     return RelationSystem(spec, I, "max-form", tuple(rels))
 
@@ -198,16 +233,20 @@ def _check_compatible(system: RelationSystem, real: OracleRealization):
 
 @cache
 def _fixes_category(source, spec: CategorySpec, word: str) -> bool:
-    """Whether the oracle fixes the selected category vectors of the word
-    (`oracle.fixes`); the verdict depends on nothing else, so it is cached."""
-    supports = (partition_support(part, spec.N) for part in selected_partitions(spec, word))
-    return fixes(source, word, ((flats, [1] * len(flats)) for flats in supports))
+    """Whether the oracle fixes the selected category vectors of the word,
+    cached as nothing else decides it: by the blocks of each partition on a
+    classical oracle of monomial generators, where a generator moves each
+    support onto itself with a sign that factorises over the blocks, so the
+    verdict is exact; by the supports otherwise (`oracle.fixes_partitions`)."""
+    return fixes_partitions(source, word, selected_partitions(spec, word))
 
 
 def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
-    """Evaluate every relation exactly on the realization, through its
-    evaluation functionals (built once per word pair); a classical T_pi
-    needs none, being prod_B sum_t c[t]^|B| over its blocks at a point c.
+    """Evaluate every relation exactly on the realization.  Partition terms
+    (pi_u, y_u) over den need no T: at a classical point c the lhs is
+    sum_u y_u prod_B sum_t c[t]^|B| / den (`partition_sums`), and on a dual
+    T at f is the kernel weight of frobenius_map[f] over den, read through
+    the evaluation functionals (built once per word pair) as a dense T is.
 
     Classical: the scalar identity must hold at every group element.  Dual:
     the operator identity must hold in the regular representation.  The
@@ -232,22 +271,24 @@ def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
             continue
         words = (rel.right_word, rel.left_word)
         rhs_q = rel.rhs.rescale(len(rel.left_word) + len(rel.right_word))
-        part, denominator = rel.partition, 1
-        if part is not None and real.classical:  # the sum over block-constant indices factorises
-            sums = [real.power_sums(len(block)) for block in part.blocks]
-            values = ((gi, prod(s[p] for s in sums), True) for p, (gi, *_) in enumerate(real.points))
+        if rel.terms is not None and real.classical:  # the sum over block-constant indices factorises
+            sums = [(y, real.partition_sums(part)) for part, y in rel.terms]
+            values = (
+                (gi, sum(y * s[p] for y, s in sums), True) for p, (gi, *_) in enumerate(real.points)
+            )
+            denominator = rel.denominator
         else:
             if words not in functionals:
                 functionals[words] = real.functionals(*words)
-            if part is None:
+            if rel.terms is None:
                 T = rel.coefficients.entries
                 # classical sums run in integers; dual ones read T only on I^l x I^k
                 numerators, denominator = common_denominator(T) if real.classical else (T, 1)
                 read = numerators.__getitem__
-            else:  # T_pi at f is 1 iff the kernel of frobenius_map[f] is at or above pi
-                kernel, above = kernel_ids(real.N, part.point_count), set(coarsenings(part))
-                reshuffle = frobenius_map(real.N, *map(len, words))
-                read = lambda f: kernel[reshuffle[f]] in above
+            else:
+                kernel, table = kernel_ids(real.N, sum(map(len, words))), rel.kernel_weights
+                reshuffle, denominator = frobenius_map(real.N, *map(len, words)), rel.denominator
+                read = lambda f: table[kernel[reshuffle[f]]]
             values = (
                 (point, sum(map(mul, map(read, flats), weights)), at_identity)
                 for point, flats, weights, at_identity in functionals[words]
