@@ -449,11 +449,10 @@ def fixes(source, word: str, vectors) -> bool:
     if not isinstance(source, OracleGroup):
         values = source.word_values(word)
         return all(values[f] == source.identity for flats, _ in vectors for f in flats)
-    monomial = [tensor_entries(g, 1)[1] == list(range(n)) for g in source.generators]
-    actions = [tensor_entries(g, k) if m else None for g, m in zip(source.generators, monomial)]
+    actions = [tensor_entries(g, k) if _monomial(g) else None for g in source.generators]
     for flats, vals in vectors:
         at = dict(zip(flats, vals))
-        dense = None if all(monomial) else [at.get(f, 0) for f in range(n**k)]
+        dense = None if all(actions) else [at.get(f, 0) for f in range(n**k)]
         for g, action in zip(source.generators, actions):
             if action is None:
                 if _apply_tensor_power(g, dense, n, k) != dense:
@@ -477,12 +476,17 @@ def fixes_partitions(source, word: str, parts) -> bool:
     check_word(word)
     n, k = source.N, len(word)
     check_dense(n**k, f"the oracle's action on N^k = {n}^{k}")  # as fixes, on either path
-    if isinstance(source, OracleGroup):
-        entries = [tensor_entries(g, 1) for g in source.generators]
-        if all(cols == list(range(n)) for _, cols, _ in entries):
-            return all(_block_signs_fix(signs, part) for _, _, signs in entries for part in parts)
+    if isinstance(source, OracleGroup) and all(map(_monomial, source.generators)):
+        signs = [tensor_entries(g, 1)[2] for g in source.generators]
+        return all(_block_signs_fix(v, part) for v in signs for part in parts)
     supports = (partition_support(part, n) for part in parts)
     return fixes(source, word, ((flats, [1] * len(flats)) for flats in supports))
+
+
+def _monomial(g: ExactMatrix) -> bool:
+    """Whether g e_c = v(c) e_sigma(c), one entry per column: the one monomial
+    test; `tensor_entries(g, 1)`'s vals are then the v(c) in column order."""
+    return tensor_entries(g, 1)[1] == list(range(g.rows))
 
 
 def _block_signs_fix(signs, part) -> bool:

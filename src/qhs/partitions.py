@@ -258,19 +258,16 @@ def enumerate_category(spec: CategorySpec, word: str) -> list:
 
 
 @cache
-def _positions(k: int) -> dict:
-    """Position in all_partitions(k), keyed by restricted growth string."""
-    return {part.block_index: pos for pos, part in enumerate(all_partitions(k))}
-
-
-@cache
-def kernel_position(idx: tuple) -> int:
-    """Position in all_partitions(len(idx)) of the kernel of one index (its
-    classes of equal entries): the index's restricted growth string, each
-    value replaced by the order of its first appearance, is the kernel's
-    block_index.  O(k); the memo holds only the indices queried."""
+def kernel_position(idx: tuple) -> bytes:
+    """The kernel of one index (its classes of equal entries), named by its
+    restricted growth string: each value replaced by the order of its first
+    appearance, as bytes, which is the kernel's block_index.  Every kernel
+    of qhs is named so.  O(k); the memo holds only the indices queried."""
     first = {}
-    return _positions(len(idx))[tuple(first.setdefault(v, len(first)) for v in idx)]
+    rgs = [first.setdefault(v, len(first)) for v in idx]
+    if len(first) > 256:  # a byte each; all_partitions refuses such words long before
+        raise ResourceGuardError(f"an index with {len(first)} distinct values has no kernel name")
+    return bytes(rgs)
 
 
 def check_dense(entries: int, what: str) -> None:
@@ -296,29 +293,28 @@ def partition_support(part: SetPartition, n: int) -> tuple:
 @cache
 def kernel_ids(n: int, k: int) -> tuple:
     """kernel_ids[flat index] is kernel_position of that index, for every
-    index at once (dense outputs, dual relation checks).  The support of a
-    partition holds the indices whose kernel it refines, and in
-    all_partitions(k) a kernel comes before its refinements; so writing the
-    support of each partition with at most n blocks, last to first, leaves
-    every index at its own kernel."""
-    out = [0] * (n**k)
-    parts = all_partitions(k)
-    for pos in reversed(range(len(parts))):
-        if parts[pos].block_count <= n:
-            for f in partition_support(parts[pos], n):
-                out[f] = pos
+    index at once, one bytes object per kernel.  The support of a partition
+    holds the indices whose kernel it refines, and in all_partitions(k) a
+    kernel comes before its refinements; so writing the support (uncached:
+    this is the cache) of each partition with at most n blocks, last to
+    first, leaves every index at its own kernel."""
+    out = [b""] * (n**k)
+    for part in reversed(all_partitions(k)):
+        if part.block_count <= n:
+            name = bytes(part.block_index)
+            for f in partition_support.__wrapped__(part, n):
+                out[f] = name
     return tuple(out)
 
 
 @cache
 def coarsenings(part: SetPartition) -> tuple:
-    """Positions in all_partitions(k) of the partitions that part refines,
-    one per partition of its blocks, in that order."""
-    positions = _positions(part.point_count)
+    """The kernels (restricted growth strings, as bytes) of the partitions
+    that part refines, one per partition of its blocks, in that order; only
+    all_partitions(part.block_count) is read."""
     bi = part.block_index
     return tuple(
-        positions[tuple(merge.block_index[b] for b in bi)]
-        for merge in all_partitions(part.block_count)
+        bytes(map(merge.block_index.__getitem__, bi)) for merge in all_partitions(part.block_count)
     )
 
 
@@ -353,18 +349,20 @@ class FixBasis(Frozen):
         return len(self.independent)
 
 
-def _zeta_row(part: SetPartition, n: int) -> list:
-    """1 at each kernel with at most n blocks that the partition refines."""
-    kernels = all_partitions(part.point_count)
-    above = {c for c in coarsenings(part) if kernels[c].block_count <= n}
-    return [int(c in above) for c in range(len(kernels))]
+def _zeta_row(part: SetPartition, n: int, columns: dict) -> list:
+    """1 at each kernel with at most n blocks that the partition refines, over
+    the kernels numbered in columns; a new one gets the next column."""
+    above = {columns.setdefault(c, len(columns)) for c in coarsenings(part) if max(c) < n}
+    return [int(c in above) for c in range(len(columns))]
 
 
 def select_basis(members, n: int) -> FixBasis:
     """Scan the members, in canonical order, keeping a partition iff its
     zeta row raises the rank.  kernel_ids maps onto exactly the kernels with
     at most n blocks, with disjoint nonempty index classes, so the partition
-    vectors (the rows read through kernel_ids) have the same ranks.
+    vectors (the rows read through kernel_ids) have the same ranks.  Rows
+    run over the kernels that occur, in order of first appearance: no rank
+    depends on the column order or on a column of zeros.
 
     In canonical order every coarsening of a partition comes before it, so
     a member with at most n blocks has a 1 in its own column, where every
@@ -374,12 +372,13 @@ def select_basis(members, n: int) -> FixBasis:
     matrix may reach len(members)**2 entries, which is checked first."""
     check_dense(len(members) ** 2, f"the Gram matrix of {len(members)} candidate partitions")
     span = Echelon()
+    columns = {}
     keep = []
     for t, part in enumerate(members):
         if part.block_count > n:
             for s in keep[len(span.rows):]:
-                span.add(_zeta_row(members[s], n))
-            if not span.add(_zeta_row(part, n)):
+                span.add(_zeta_row(members[s], n, columns))
+            if not span.add(_zeta_row(part, n, columns)):
                 continue
         keep.append(t)
     return FixBasis(tuple(members), tuple(keep))

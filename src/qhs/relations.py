@@ -30,7 +30,6 @@ from .partitions import (
     BLACK,
     WHITE,
     CategorySpec,
-    all_partitions,
     check_dense,
     check_word,
     coarsenings,
@@ -75,13 +74,13 @@ class Relation(Frozen):
         return rel
 
     @cached_property
-    def kernel_weights(self) -> list:
-        """Per kernel a of the l + k points, the sum of the y_u of the pi_u
-        that a coarsens: the numerator of xi at every index of kernel a."""
-        out = [0] * len(all_partitions(len(self.left_word + self.right_word)))
+    def kernel_weights(self) -> dict:
+        """Per kernel a of the l + k points above some pi_u, the sum of the
+        y_u of the pi_u that a coarsens: the numerator of xi at kernel a."""
+        out = {}
         for part, y in self.terms:
             for a in coarsenings(part):
-                out[a] += y
+                out[a] = out.get(a, 0) + y
         return out
 
     @cached_property
@@ -92,8 +91,8 @@ class Relation(Frozen):
             xi = partition_vector(self.partition, self.N)
         else:
             kid = kernel_ids(self.N, len(self.left_word + self.right_word))
-            values = [Fraction(w, self.denominator) for w in self.kernel_weights]
-            xi = ExactMatrix(len(kid), 1, [values[a] for a in kid])
+            values = {a: Fraction(w, self.denominator) for a, w in self.kernel_weights.items()}
+            xi = ExactMatrix(len(kid), 1, [values.get(a, 0) for a in kid])
         return frobenius_to_hom(xi, self.right_word, self.left_word, self.N) if self.right_word else xi
 
     def _key(self):
@@ -178,7 +177,7 @@ def relations_max(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSy
         for kernel in kernel_ids(n, k):
             rel = by_kernel.get(kernel)
             if rel is None:
-                y = [sum(col) for col in zip(*(wrows[t] for t in data.hits[kernel]))]
+                y = [sum(col) for col in zip(*(wrows[t] for t in data.hits.get(kernel, ())))]
                 rhs = ScaledScalar(Fraction(sum(map(mul, y, sizes)), data.denominator), k, I.m)
                 rel = Relation.of_weights(word, "", parts, y, data.denominator, n, rhs)
                 by_kernel[kernel] = rel
@@ -288,7 +287,7 @@ def verify_relations(system: RelationSystem, real: OracleRealization) -> dict:
             else:
                 kernel, table = kernel_ids(real.N, sum(map(len, words))), rel.kernel_weights
                 reshuffle, denominator = frobenius_map(real.N, *map(len, words)), rel.denominator
-                read = lambda f: table[kernel[reshuffle[f]]]
+                read = lambda f: table.get(kernel[reshuffle[f]], 0)
             values = (
                 (point, sum(map(mul, map(read, flats), weights)), at_identity)
                 for point, flats, weights, at_identity in functionals[words]

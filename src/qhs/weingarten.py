@@ -100,11 +100,11 @@ class GramData(Frozen):
     """Selected basis with its Gram matrix and exact inverse (Weingarten).
     The inverse is held once, in integers: its entry (t, u) is
     weingarten_rows[t][u] / denominator over the one common denominator, so
-    sums over W run in integers; hits[a] holds the positions of the
-    selected partitions that kernel a coarsens."""
+    sums over W run in integers; hits maps a kernel (its restricted growth
+    string, as bytes) to the positions of the selected partitions it coarsens."""
 
     def __init__(self, basis: FixBasis, gram: ExactMatrix, weingarten_rows: tuple,
-                 denominator: int, hits: tuple):
+                 denominator: int, hits: dict):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "weingarten_rows", weingarten_rows)
@@ -112,7 +112,7 @@ class GramData(Frozen):
         object.__setattr__(self, "hits", hits)
 
     def _key(self):
-        return self.basis, self.gram, self.weingarten_rows, self.denominator, self.hits
+        return self.basis, self.gram, self.weingarten_rows, self.denominator, tuple(self.hits.items())
 
 
 def _norm_word(spec: CategorySpec, word: str) -> str:
@@ -146,11 +146,11 @@ def _gram_data(family: str, n: int, word: str) -> GramData:
     gram = ExactMatrix(d, d, entries)
     numerators, den = common_denominator(invert(gram).entries if d else ())
     rows = tuple(tuple(numerators[r * d : (r + 1) * d]) for r in range(d))
-    hits = [[] for _ in all_partitions(len(word))]
+    hits = {}
     for pos, part in enumerate(parts):
         for c in coarsenings(part):
-            hits[c].append(pos)
-    return GramData(basis, gram, rows, den, tuple(map(tuple, hits)))
+            hits.setdefault(c, []).append(pos)
+    return GramData(basis, gram, rows, den, {a: tuple(ts) for a, ts in hits.items()})
 
 
 def gram_weingarten(spec: CategorySpec, word: str) -> GramData:
@@ -175,29 +175,28 @@ def integrate_G(spec: CategorySpec, word: str, row, col) -> Fraction:
 
 
 @cache
-def _kernel_moment(family: str, n: int, word: str, a: int, b: int) -> Fraction:
+def _kernel_moment(family: str, n: int, word: str, a: bytes, b: bytes) -> Fraction:
     """The moment at row indices of kernel a and column indices of kernel b."""
     data = _gram_data(family, n, word)
-    wrows, hits = data.weingarten_rows, data.hits
-    return Fraction(sum(wrows[t][u] for t in hits[a] for u in hits[b]), data.denominator)
+    wrows, rows, cols = data.weingarten_rows, data.hits.get(a, ()), data.hits.get(b, ())
+    return Fraction(sum(wrows[t][u] for t in rows for u in cols), data.denominator)
 
 
 @cache
 def _projection(family: str, n: int, word: str) -> ExactMatrix:
     """P[i, j] depends on i and j only through their kernels: one sum per
-    pair of kernels with at most n blocks (the ones that occur), read back
-    through kernel_ids."""
+    pair of kernels that occur in kernel_ids, read back through it."""
     check_dense(n ** (2 * len(word)), f"projection over N^2k = {n}^{2 * len(word)}")
     kid = kernel_ids(n, len(word))
     data = _gram_data(family, n, word)
     wrows, hits, den = data.weingarten_rows, data.hits, data.denominator
-    kernels = [a for a, part in enumerate(all_partitions(len(word))) if part.block_count <= n]
+    kernels = set(kid)
     expanded = {}
     for a in kernels:
         colsum = [0] * len(wrows)
-        for t in hits[a]:
+        for t in hits.get(a, ()):
             colsum = list(map(add, colsum, wrows[t]))
-        row = {b: Fraction(sum(colsum[u] for u in hits[b]), den) for b in kernels}
+        row = {b: Fraction(sum(colsum[u] for u in hits.get(b, ())), den) for b in kernels}
         expanded[a] = [row[b] for b in kid]
     out = []
     for a in kid:
@@ -249,16 +248,16 @@ def integrate_X(spec: CategorySpec, I: IndexSet, word: str, idx) -> ScaledScalar
 
 
 @cache
-def _space_value(family: str, n: int, word: str, m: int, a: int) -> ScaledScalar:
+def _space_value(family: str, n: int, word: str, m: int, a: bytes) -> ScaledScalar:
     """The finished space moment at any index of kernel a: the one cache
     per answer of integrate_X."""
     return ScaledScalar(_space_moment(family, n, word, m, a), len(word), m)
 
 
-def _space_moment(family: str, n: int, word: str, m: int, a: int) -> Fraction:
+def _space_moment(family: str, n: int, word: str, m: int, a: bytes) -> Fraction:
     """The rational part of the space moment at any index of kernel a."""
     kw = _k_dot_weingarten(family, n, word, m)
-    return sum((kw[t] for t in _gram_data(family, n, word).hits[a]), Fraction(0))
+    return sum((kw[t] for t in _gram_data(family, n, word).hits.get(a, ())), Fraction(0))
 
 
 def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
@@ -283,19 +282,18 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
     norm = _norm_word(spec, word)
     data = _gram_data(spec.family, n, norm)
     wrows, hits = data.weingarten_rows, data.hits
-    kernels = all_partitions(k)
-    occurring = [a for a, part in enumerate(kernels) if part.block_count <= n]
+    # the kernels that occur, named, with their block counts, in the order of their first rows
+    kernels = [(bytes(p.block_index), p.block_count) for p in all_partitions(k) if p.block_count <= n]
     # the v_b over one denominator zden, so both sides below are integers over den
     weights, zden = common_denominator(
-        [_space_moment(spec.family, n, norm, I.m, b) * perm(n, kernels[b].block_count)
-         for b in occurring]
+        [_space_moment(spec.family, n, norm, I.m, b) * perm(n, size) for b, size in kernels]
     )
     den = data.denominator * zden
     z_lhs = [0] * len(wrows)
     z_rhs = [0] * len(wrows)
-    for b, weight in zip(occurring, weights):
-        count = perm(I.m, kernels[b].block_count)
-        for u in hits[b]:
+    for (b, size), weight in zip(kernels, weights):
+        count = perm(I.m, size)
+        for u in hits.get(b, ()):
             z_lhs[u] += weight
             z_rhs[u] += count
     y_lhs = [sum(map(mul, wrow, z_lhs)) for wrow in wrows]
@@ -307,14 +305,14 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
         "passed": True,
         "counterexample": None,
     }
-    # in all_partitions order the first failing kernel holds the first failing row
-    for a in occurring:
-        lhs = sum(y_lhs[t] for t in hits[a])
-        rhs = sum(y_rhs[t] for t in hits[a])
+    # the first failing kernel holds the first failing row
+    for a, _ in kernels:
+        lhs = sum(y_lhs[t] for t in hits.get(a, ()))
+        rhs = sum(y_rhs[t] for t in hits.get(a, ()))
         if lhs != rhs:
             report["passed"] = False
             report["counterexample"] = {
-                "row": [v + 1 for v in kernels[a].block_index],
+                "row": [v + 1 for v in a],
                 "lhs": ScaledScalar(Fraction(lhs, den), k, I.m).to_json(),
                 "rhs": ScaledScalar(Fraction(rhs, den), k, I.m).to_json(),
             }

@@ -3,13 +3,14 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from qhs.exact import Echelon, ParseError, flat_index
+from qhs.exact import Echelon, ParseError, ResourceGuardError, flat_index
 from qhs.partitions import (
     FAMILIES,
     SELF_CONJUGATE_FAMILIES,
     CategorySpec,
     SetPartition,
     all_partitions,
+    bell,
     coarsenings,
     colored_words,
     conjugate_word,
@@ -62,9 +63,35 @@ def test_kernel_ids_is_the_kernel_of_every_index(n, k):
 
 
 def test_kernel_position_is_the_first_appearance_order():
-    assert all_partitions(3)[kernel_position((7, 2, 7))] == parse_partition("13|2")
-    assert all_partitions(4)[kernel_position((5, 5, 1, 0))] == parse_partition("12|3|4")
-    assert kernel_position(()) == 0
+    assert kernel_position((7, 2, 7)) == bytes(parse_partition("13|2").block_index)
+    assert kernel_position((5, 5, 1, 0)) == bytes(parse_partition("12|3|4").block_index)
+    assert kernel_position(()) == b""
+
+
+def test_kernel_names_list_no_partitions_of_the_word():
+    # all_partitions(12) is past the guard; a kernel is named by its string alone
+    with pytest.raises(ResourceGuardError):
+        all_partitions(12)
+    assert kernel_position(tuple(range(12))) == bytes(range(12))
+    assert kernel_position((3,) * 12) == bytes(12)
+    pairing = SetPartition.from_blocks(12, [(p, p + 1) for p in range(0, 12, 2)])
+    above = coarsenings(pairing)
+    assert len(above) == len(set(above)) == bell(6)
+    assert above[0] == bytes(12) and above[-1] == bytes(pairing.block_index)
+    # a name is one byte per point, so 256 distinct values is the most a name holds
+    assert kernel_position(tuple(range(256))) == bytes(range(256))
+    with pytest.raises(ResourceGuardError):
+        kernel_position(tuple(range(257)))
+
+
+def test_kernel_ids_leaves_the_support_cache_empty():
+    # kernel_ids is itself the cache of the supports it writes
+    kernel_ids.cache_clear()
+    partition_support.cache_clear()
+    kid = kernel_ids(4, 5)
+    assert partition_support.cache_info().currsize == 0
+    # one shared name per kernel
+    assert len({id(a) for a in kid}) == len(set(kid)) == 51
 
 
 def test_partition_literals_roundtrip():
@@ -168,7 +195,7 @@ def test_join_lattice_properties(k, data):
     assert a.join(a) == a
     assert a.join(b).join(c) == a.join(b.join(c))
     assert a.join(b).block_count <= min(a.block_count, b.block_count)
-    assert all_partitions(a.point_count).index(a.join(b)) in coarsenings(a)
+    assert bytes(a.join(b).block_index) in coarsenings(a)
 
 
 def test_select_basis_keeps_all_when_n_large():
@@ -191,8 +218,8 @@ def test_select_basis_drops_dependent_vectors_at_small_n():
 
 
 def test_select_basis_equals_the_full_greedy_scan():
-    """The eliminating scan over every member's zeta row, which keeps a
-    member iff its row raises the rank, picks the same basis."""
+    """The eliminating scan over every member's zeta row, Bell(k) wide,
+    which keeps a member iff its row raises the rank, picks the same basis."""
     for family in FAMILIES:
         for word in colored_words(6):
             if family in SELF_CONJUGATE_FAMILIES and "b" in word:
@@ -204,8 +231,8 @@ def test_select_basis_equals_the_full_greedy_scan():
                 keep = tuple(
                     t for t, part in enumerate(members)
                     if span.add([
-                        int(c in coarsenings(part) and kernels[c].block_count <= n)
-                        for c in range(len(kernels))
+                        int(bytes(c.block_index) in coarsenings(part) and c.block_count <= n)
+                        for c in kernels
                     ])
                 )
                 assert select_basis(members, n).independent == keep, (family, n, word)

@@ -37,7 +37,7 @@ VALUES = [
     (IndexSet, lambda: IndexSet(3, frozenset({0, 2})), ("N", "members")),
     (
         GramData,
-        lambda: GramData(FixBasis((_partition(),), (0,)), _one(), ((1,),), 1, ((0,),)),
+        lambda: GramData(FixBasis((_partition(),), (0,)), _one(), ((1,),), 1, {b"\x00\x01": (0,)}),
         ("basis", "gram", "weingarten_rows", "denominator", "hits"),
     ),
     (OracleGroup, lambda: OracleGroup.symmetric(2), ("generators",)),

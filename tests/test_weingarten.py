@@ -13,9 +13,13 @@ import qhs
 from qhs.exact import DomainError, ExactMatrix, ParseError, ScaledScalar
 from qhs.oracle import OracleGroup, brute_integrate_G
 from qhs.partitions import (
+    FAMILIES,
+    SELF_CONJUGATE_FAMILIES,
     CategorySpec,
     SetPartition,
     all_partitions,
+    bell,
+    colored_words,
     enumerate_category,
     kernel_ids,
     partition_vector,
@@ -254,6 +258,29 @@ def _kernel(idx) -> SetPartition:
 def _refines(fine: SetPartition, coarse: SetPartition) -> bool:
     bi = coarse.block_index
     return all(bi[p] == bi[block[0]] for block in fine.blocks for p in block)
+
+
+def test_hits_are_the_selected_partitions_below_each_kernel():
+    # brute force: t is in hits[a] iff pi_t refines a, and no other kernel is a key
+    for family in FAMILIES:
+        for word in colored_words(6):
+            if family in SELF_CONJUGATE_FAMILIES and "b" in word:
+                continue
+            kernels = all_partitions(len(word))
+            for n in range(1, 5):
+                data = gram_weingarten(CategorySpec(family, n), word)
+                for a in kernels:
+                    below = tuple(t for t, pi in enumerate(data.basis.selected) if _refines(pi, a))
+                    assert data.hits.get(bytes(a.block_index), ()) == below, (family, n, word, a)
+                assert all(data.hits.values())
+                assert set(data.hits) <= {bytes(a.block_index) for a in kernels}
+
+
+@pytest.mark.parametrize("spec, word", [("O+(3)", "o" * 8), ("U+(2)", "ob" * 4)])
+def test_hits_of_a_pairing_family_are_far_fewer_than_the_partitions(spec, word):
+    data = gram_weingarten(CategorySpec.parse(spec), word)
+    assert data.basis.dimension > 0
+    assert len(data.hits) < bell(8) // 10
 
 
 def _mobius(fine: SetPartition, coarse: SetPartition) -> int:
