@@ -309,9 +309,8 @@ def kernel_ids(n: int, k: int) -> tuple:
 
 @cache
 def coarsenings(part: SetPartition) -> tuple:
-    """The kernels (restricted growth strings, as bytes) of the partitions
-    that part refines, one per partition of its blocks, in that order; only
-    all_partitions(part.block_count) is read."""
+    """The kernels of the partitions that part refines, one per partition of
+    its blocks, in that order; reads only all_partitions(part.block_count)."""
     bi = part.block_index
     return tuple(
         bytes(map(merge.block_index.__getitem__, bi)) for merge in all_partitions(part.block_count)
@@ -361,8 +360,9 @@ def select_basis(members, n: int) -> FixBasis:
     zeta row raises the rank.  kernel_ids maps onto exactly the kernels with
     at most n blocks, with disjoint nonempty index classes, so the partition
     vectors (the rows read through kernel_ids) have the same ranks.  Rows
-    run over the kernels that occur, in order of first appearance: no rank
-    depends on the column order or on a column of zeros.
+    run over the kernels that occur, in order of first appearance (no rank
+    depends on the column order or on a column of zeros), so no row is
+    shorter than an earlier one, and Echelon reads those as 0 past their end.
 
     In canonical order every coarsening of a partition comes before it, so
     a member with at most n blocks has a 1 in its own column, where every
