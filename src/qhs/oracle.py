@@ -127,7 +127,15 @@ class OracleGroup(Frozen):
 
     @classmethod
     def from_generators(cls, generators, name: str = "group"):
-        """Breadth-first closure from the generators; insertion element order."""
+        """Breadth-first closure from the generators; insertion element order.
+
+        When every generator is monomial with int entries (SN and HN build
+        them so), the closure runs over their signed column maps
+        s[c] = v(c) (sigma(c) + 1), composed as the matrix product, and each
+        element's matrix is built once at the end: the same elements, in the
+        same order, with the same int entries.  Any other generator set
+        (a gens(file) literal's Fraction entries among them) closes under
+        the matrix product."""
         cap = closure_cap()
         generators = [g if isinstance(g, ExactMatrix) else ExactMatrix.from_rows(g) for g in generators]
         n = generators[0].rows if generators else 1
@@ -139,7 +147,11 @@ class OracleGroup(Frozen):
                 if rank(g) < n:
                     raise DomainError("non-invertible generator")
                 raise DomainError("generator is not orthogonal")
-        elements = _closure(ExactMatrix.identity(n), generators, ExactMatrix.__mul__, cap)
+        maps = [_signed_map(g) for g in generators]
+        if all(maps):
+            elements = map(_map_matrix, _closure(tuple(range(1, n + 1)), maps, _compose, cap))
+        else:
+            elements = _closure(ExactMatrix.identity(n), generators, ExactMatrix.__mul__, cap)
         return cls(tuple(generators), tuple(elements), name)
 
     @classmethod
@@ -179,6 +191,30 @@ class OracleGroup(Frozen):
         return tuple(
             tuple(sum(g.at(i, j) for j in cols) for i in range(self.N)) for g in self.elements
         )
+
+
+def _signed_map(g: ExactMatrix):
+    """g e_c = v(c) e_sigma(c) as the tuple s[c] = v(c) (sigma(c) + 1), when
+    g is monomial with int entries; None otherwise."""
+    if not _monomial(g):
+        return None
+    rows, _, vals = tensor_entries(g, 1)
+    if any(type(v) is not int for v in vals):
+        return None
+    return tuple(v * (r + 1) for r, v in zip(rows, vals))
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """The signed map of the matrix product a b."""
+    return tuple(a[s - 1] if s > 0 else -a[-s - 1] for s in b)
+
+
+def _map_matrix(s: tuple) -> ExactMatrix:
+    n = len(s)
+    entries = [0] * (n * n)
+    for c, x in enumerate(s):
+        entries[(abs(x) - 1) * n + c] = 1 if x > 0 else -1
+    return ExactMatrix(n, n, entries)
 
 
 def _adjacent_swaps(n: int, family: str) -> list:
@@ -400,10 +436,12 @@ def brute_integrate_G(group: OracleGroup, word: str, row, col) -> Fraction:
 def fixed_space(source, word: str) -> tuple:
     """Exact basis of the invariant vectors, as N^k x 1 columns: the
     canonical nullspace basis of (average - identity).  Classically that is
-    the nullspace of the generators' stacked rows g^(tensor k) - I, with no
-    |G| factor; a dual's average is diagonal, so its basis is the unit
-    vectors at the indices whose word value is e, in flat order.  Cached by
-    the oracle and the word (only its length, classically)."""
+    the common solution space of x = g^(tensor k) x over the generators,
+    with no |G| factor: by signed orbits when every generator is monomial,
+    by the nullspace of the stacked rows g^(tensor k) - I otherwise.  A
+    dual's average is diagonal, so its basis is the unit vectors at the
+    indices whose word value is e, in flat order.  Cached by the oracle and
+    the word (only its length, classically)."""
     check_word(word)
     if isinstance(source, OracleGroup):
         word = WHITE * len(word)
@@ -412,22 +450,80 @@ def fixed_space(source, word: str) -> tuple:
 
 @cache
 def _fixed_space(source, word: str) -> tuple:
+    """`fixed_space` of a checked word: `_orbit_basis` when every generator
+    is monomial (`_monomial`), `_stacked_basis` for any other classical
+    generator set, each guarded before it allocates; a dual's unit vectors."""
     k = len(word)
     size = source.N**k
     if isinstance(source, OracleGroup):
-        # generator t's rows g^(tensor k) - I start at row t * size
-        stacked = [0] * (len(source.generators) * size * size)
-        for t, g in enumerate(source.generators):
-            rows, cols, vals = tensor_entries(g, k)
-            for r, c, val in zip(rows, cols, vals):
-                stacked[(t * size + r) * size + c] = val
-            for f in range(size):
-                stacked[(t * size + f) * size + f] -= 1
-        _, basis, _ = rank_nullspace(ExactMatrix(len(source.generators) * size, size, stacked))
+        solve = _orbit_basis if all(map(_monomial, source.generators)) else _stacked_basis
+        basis = solve(source.generators, source.N, k)
     else:
         hits = [f for f, value in enumerate(source.word_values(word)) if value == source.identity]
         basis = [(0,) * hit + (1,) + (0,) * (size - hit - 1) for hit in hits]
     return tuple(ExactMatrix(size, 1, vec) for vec in basis)
+
+
+def _orbit_basis(generators, n: int, k: int) -> list:
+    """The canonical nullspace basis of x = g^(tensor k) x over monomial
+    generators, by signed orbits; the same vectors as `_stacked_basis`.
+
+    The flat indices are walked in ascending order.  Each orbit, seeded at
+    its smallest index with +1, grows breadth-first by x[img[h]] = val[h] x[h]
+    over every generator's `tensor_entries`, so every constraint is visited
+    once: an orbit whose signs conflict gives no vector, and every other one
+    +-1 vector.  They are listed by the orbit's largest index, which is the
+    canonical nullspace order.  Guarded on N^k before the pass and on the
+    basis' dense entries before any column is built."""
+    size = n**k
+    check_dense(size, f"the signed orbits on N^k = {n}^{k}")
+    actions = [tensor_entries(g, k) for g in generators]
+    sign = [0] * size  # 0 until the index is reached
+    orbits = []
+    for seed in range(size):
+        if sign[seed]:
+            continue
+        sign[seed] = 1
+        orbit = [seed]
+        consistent = True
+        for h in orbit:  # the list is its own queue
+            for img, _, vals in actions:
+                t = img[h]
+                x = -sign[h] if vals[h] < 0 else sign[h]
+                if not sign[t]:
+                    sign[t] = x
+                    orbit.append(t)
+                elif sign[t] != x:
+                    consistent = False
+        if consistent:
+            orbits.append(orbit)
+    orbits.sort(key=max)
+    check_dense(len(orbits) * size, f"a basis of {len(orbits)} vectors on N^k = {n}^{k}")
+    basis = []
+    for orbit in orbits:
+        vec = [0] * size
+        for flat in orbit:
+            vec[flat] = sign[flat]
+        basis.append(vec)
+    return basis
+
+
+def _stacked_basis(generators, n: int, k: int) -> list:
+    """The canonical nullspace basis of the generators' stacked rows
+    g^(tensor k) - I: any generator set, and the reference `_orbit_basis`
+    is checked against.  Guarded on its |gens| N^2k entries before they
+    exist."""
+    size = n**k
+    check_dense(len(generators) * size * size, f"the stacked generator rows on N^k = {n}^{k}")
+    # generator t's rows g^(tensor k) - I start at row t * size
+    stacked = [0] * (len(generators) * size * size)
+    for t, g in enumerate(generators):
+        rows, cols, vals = tensor_entries(g, k)
+        for r, c, val in zip(rows, cols, vals):
+            stacked[(t * size + r) * size + c] = val
+        for f in range(size):
+            stacked[(t * size + f) * size + f] -= 1
+    return rank_nullspace(ExactMatrix(len(generators) * size, size, stacked))[1]
 
 
 def fixes(source, word: str, vectors) -> bool:
