@@ -128,14 +128,10 @@ class OracleGroup(Frozen):
     @classmethod
     def from_generators(cls, generators, name: str = "group"):
         """Breadth-first closure from the generators; insertion element order.
-
-        When every generator is monomial with int entries (SN and HN build
-        them so), the closure runs over their signed column maps
-        s[c] = v(c) (sigma(c) + 1), composed as the matrix product, and each
-        element's matrix is built once at the end: the same elements, in the
-        same order, with the same int entries.  Any other generator set
-        (a gens(file) literal's Fraction entries among them) closes under
-        the matrix product."""
+        Monomial generators with int entries (as SN and HN build them) close
+        over their signed column maps, composed as the matrix product, and
+        each element's matrix is built once at the end; any other set (a
+        gens(file) literal's Fraction entries too) over matrix products."""
         cap = closure_cap()
         generators = [g if isinstance(g, ExactMatrix) else ExactMatrix.from_rows(g) for g in generators]
         n = generators[0].rows if generators else 1
@@ -148,8 +144,9 @@ class OracleGroup(Frozen):
                     raise DomainError("non-invertible generator")
                 raise DomainError("generator is not orthogonal")
         maps = [_signed_map(g) for g in generators]
-        if all(maps):
-            elements = map(_map_matrix, _closure(tuple(range(1, n + 1)), maps, _compose, cap))
+        if all(maps):  # compose(a, b) is the signed map of the matrix product a b
+            compose = lambda a, b: tuple(a[s - 1] if s > 0 else -a[-s - 1] for s in b)
+            elements = map(_map_matrix, _closure(tuple(range(1, n + 1)), maps, compose, cap))
         else:
             elements = _closure(ExactMatrix.identity(n), generators, ExactMatrix.__mul__, cap)
         return cls(tuple(generators), tuple(elements), name)
@@ -194,22 +191,16 @@ class OracleGroup(Frozen):
 
 
 def _signed_map(g: ExactMatrix):
-    """g e_c = v(c) e_sigma(c) as the tuple s[c] = v(c) (sigma(c) + 1), when
-    g is monomial with int entries; None otherwise."""
-    if not _monomial(g):
-        return None
+    """g e_c = v(c) e_sigma(c) as s[c] = v(c) (sigma(c) + 1), when g is
+    monomial with int entries; None otherwise."""
     rows, _, vals = tensor_entries(g, 1)
-    if any(type(v) is not int for v in vals):
-        return None
-    return tuple(v * (r + 1) for r, v in zip(rows, vals))
-
-
-def _compose(a: tuple, b: tuple) -> tuple:
-    """The signed map of the matrix product a b."""
-    return tuple(a[s - 1] if s > 0 else -a[-s - 1] for s in b)
+    if _monomial(g) and all(type(v) is int for v in vals):
+        return tuple(v * (r + 1) for r, v in zip(rows, vals))
+    return None
 
 
 def _map_matrix(s: tuple) -> ExactMatrix:
+    """The int matrix of a signed column map."""
     n = len(s)
     entries = [0] * (n * n)
     for c, x in enumerate(s):
@@ -465,16 +456,12 @@ def _fixed_space(source, word: str) -> tuple:
 
 
 def _orbit_basis(generators, n: int, k: int) -> list:
-    """The canonical nullspace basis of x = g^(tensor k) x over monomial
-    generators, by signed orbits; the same vectors as `_stacked_basis`.
-
-    The flat indices are walked in ascending order.  Each orbit, seeded at
-    its smallest index with +1, grows breadth-first by x[img[h]] = val[h] x[h]
-    over every generator's `tensor_entries`, so every constraint is visited
-    once: an orbit whose signs conflict gives no vector, and every other one
-    +-1 vector.  They are listed by the orbit's largest index, which is the
-    canonical nullspace order.  Guarded on N^k before the pass and on the
-    basis' dense entries before any column is built."""
+    """`_stacked_basis` of monomial generators, by signed orbits.  Each orbit
+    of the flat indices, seeded at its smallest index with +1, grows
+    breadth-first by x[img[h]] = val[h] x[h] over every generator, each
+    constraint visited once: a sign conflict gives no vector, any other
+    orbit one +-1 vector.  Listed by the orbit's largest index, the
+    canonical nullspace order.  Guarded on N^k, then on the dense basis."""
     size = n**k
     check_dense(size, f"the signed orbits on N^k = {n}^{k}")
     actions = [tensor_entries(g, k) for g in generators]

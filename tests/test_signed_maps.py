@@ -109,7 +109,8 @@ def test_orbit_basis_reads_fraction_signs_as_ints(tmp_path):
     # a gens(file) literal parses its entries as Fraction; the orbit path
     # still returns int vectors, as the nullspace does
     path = tmp_path / "signed.json"
-    path.write_text(json.dumps([[["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]]), encoding="utf-8")
+    quarter_turn = [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+    path.write_text(json.dumps([quarter_turn]), encoding="utf-8")
     group = build_group(f"gens({path})")
     assert any(isinstance(x, Fraction) for x in group.generators[0].entries)
     for k in range(5):
@@ -150,13 +151,15 @@ def test_closure_cap_stops_both_closures_at_one_count(monkeypatch, literal):
 
 
 def test_fraction_and_householder_groups_close_by_matrices(tmp_path):
+    # a gens(file) literal's Fraction entries stay Fraction in every element
+    # the products build, as the matrix closure makes them
     path = tmp_path / "signed.json"
     path.write_text(json.dumps([[["0", "-1"], ["1", "0"]]]), encoding="utf-8")
     for group in (build_group(f"gens({path})"), householder_conjugated_s3()):
         reference = matrix_closure(group.N, list(group.generators))
         assert list(group.elements) == reference
         assert entry_types(group.elements) == entry_types(reference)
-    assert any(isinstance(x, Fraction) for g in group.elements for x in g.entries)
+        assert any(isinstance(x, Fraction) for g in group.elements for x in g.entries)
 
 
 def test_stacked_rows_guard_fires_before_they_exist():
@@ -181,7 +184,7 @@ def test_large_non_monomial_request_exits_3(tmp_path, capsys):
     # a rational reflection on N = 33: its stacked rows at 2 letters hold
     # 33^4 = 1,185,921 entries, past DENSE_GUARD
     n, v = 33, (1, 2, 2) + (0,) * 30
-    rows = [[str(Fraction(int(r == c)) - Fraction(2 * v[r] * v[c], 9)) for c in range(n)] for r in range(n)]
+    rows = [[str(int(r == c) - Fraction(2 * v[r] * v[c], 9)) for c in range(n)] for r in range(n)]
     path = tmp_path / "reflection.json"
     path.write_text(json.dumps([rows]), encoding="utf-8")
     code = main(["verify", "--suite", "frobenius", "--samples", "0", "--bounds", "2",
