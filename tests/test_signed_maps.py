@@ -1,6 +1,6 @@
 """Monomial oracles through their signed index maps: the closure over the
 generators' signed column maps and the fixed spaces by signed orbits, each
-against the dense matrix path it replaces."""
+against the matrix path that other generator sets keep."""
 
 import json
 import random
