@@ -32,6 +32,7 @@ from .partitions import (
     all_pairings,
     all_partitions,
     bell,
+    catalan,
     check_dense,
     check_word,
     colored_words,
@@ -220,12 +221,6 @@ def _suite_counts(args) -> dict:
 
     def double_factorial_pairings(k):
         return 0 if k % 2 else prod(range(k - 1, 0, -2))
-
-    def catalan(n):
-        row = [1]
-        for _ in range(n):
-            row.append(sum(row[i] * row[-1 - i] for i in range(len(row))))
-        return row[n]
 
     for k in range(args.bounds + 1):
         for name, expected, found in (

@@ -184,9 +184,12 @@ class OracleGroup(Frozen):
         """Per element g the vector c with c_i = sum_{j in I} g_{ij};
         the space coordinate is x_i(g) = c_i / sqrt(m)."""
         I.require_N(self.N, "group")
-        cols = I.sorted_members
+        n, m = self.N, I.m
+        # the flat positions of the entries (i, j), j in I, row by row
+        flats = [i * n + j for i in range(n) for j in I.sorted_members]
+        # one iterator zipped with itself m times yields each row's m entries
         return tuple(
-            tuple(sum(g.at(i, j) for j in cols) for i in range(self.N)) for g in self.elements
+            tuple(map(sum, zip(*[map(g.entries.__getitem__, flats)] * m))) for g in self.elements
         )
 
 

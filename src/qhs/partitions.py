@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from itertools import combinations, product
+from math import comb, factorial, prod
 
 from .exact import DomainError, Echelon, ExactMatrix, Frozen, ParseError, ResourceGuardError
 
@@ -223,38 +224,105 @@ def all_partitions(k: int) -> tuple:
 
 @cache
 def all_pairings(k: int) -> tuple:
-    return tuple(p for p in all_partitions(k) if p.is_pairing())
+    return tuple(_pairings(WHITE * k, noncrossing=False, colored=False))
 
 
-def _color_matched(part: SetPartition, word: str) -> bool:
-    return all(word[a] != word[b] for a, b in part.blocks)
+def _pairings(word: str, noncrossing: bool, colored: bool) -> list:
+    """The pairings of the word's points, built in restricted-growth order:
+    each point closes an open block, those in label order first, or opens
+    the next one.  Under noncrossing only the last block opened that is
+    still open may close; colored, only a block opened by the other color.
+    A block opens only while every open block can still find a closer."""
+    k = len(word)
+    out = []
+    if k % 2 or (colored and 2 * word.count(WHITE) != k):
+        return out
+    blocks = []  # per label: [opener], then [opener, closer]
+    open_ = []  # the labels of the open blocks, in opening order
+
+    def extend(p):
+        if p == k:
+            out.append(_pairing(k, tuple(map(tuple, blocks))))
+            return
+        for i in range(len(open_) - 1 if noncrossing and open_ else 0, len(open_)):
+            label = open_[i]
+            if colored and word[blocks[label][0]] == word[p]:
+                continue
+            del open_[i]
+            blocks[label].append(p)
+            extend(p + 1)
+            blocks[label].pop()
+            open_.insert(i, label)
+        if len(open_) + 2 <= k - p:
+            open_.append(len(blocks))
+            blocks.append([p])
+            extend(p + 1)
+            blocks.pop()
+            open_.pop()
+
+    extend(0)
+    return out
+
+
+@cache
+def _pairing(k: int, blocks: tuple) -> SetPartition:
+    """One shared object per pairing, as all_partitions(k) shares its
+    members: the caches keyed by a partition then match it by identity."""
+    return SetPartition(k, blocks)
+
+
+def catalan(n: int) -> int:
+    """The noncrossing partitions of n points, and pairings of 2n."""
+    return comb(2 * n, n) // (n + 1)
+
+
+@cache
+def _noncrossing_matched(word: str) -> int:
+    """The noncrossing pairings of the word joining opposite colors, by the
+    partner m of its first point, which splits the rest in two."""
+    if not word:
+        return 1
+    return sum(
+        _noncrossing_matched(word[1:m]) * _noncrossing_matched(word[m + 1 :])
+        for m in range(1, len(word), 2)
+        if word[m] != word[0]
+    )
+
+
+def category_size(spec: CategorySpec, word: str) -> int:
+    """The number of the category's partitions of the word, counted without
+    listing them: Bell(k) for S, Catalan(k) for S+, (k-1)!! for O,
+    Catalan(k/2) for O+, and on a word with as many of each color, (k/2)!
+    for U and the recursion above for U+."""
+    k = len(word)
+    family = spec.family
+    if family == "S":
+        return bell(k)
+    if family == "S+":
+        return catalan(k)
+    if k % 2 or (family[0] == "U" and 2 * word.count(WHITE) != k):
+        return 0
+    if family == "O":
+        return prod(range(k - 1, 0, -2))
+    if family == "O+":
+        return catalan(k // 2)
+    return factorial(k // 2) if family == "U" else _noncrossing_matched(word)
 
 
 def enumerate_category(spec: CategorySpec, word: str) -> list:
     """The category's partitions for a colored word, in canonical order.
 
-    S: all partitions; O: all pairings; U: pairings joining opposite colors;
-    the '+' families keep only the noncrossing ones.  An odd-length word in
-    a pairing family yields the empty list.
+    S: all partitions; S+: the noncrossing ones; the other four are built
+    as pairings (O), joining opposite colors (U), and noncrossing (O+, U+).
+    An odd-length word in a pairing family yields the empty list.
     """
     check_word(word)
-    k = len(word)
     family = spec.family
     if family == "S":
-        parts = all_partitions(k)
-    elif family == "S+":
-        parts = tuple(p for p in all_partitions(k) if p.is_noncrossing())
-    elif family == "O":
-        parts = all_pairings(k)
-    elif family == "O+":
-        parts = tuple(p for p in all_pairings(k) if p.is_noncrossing())
-    elif family == "U":
-        parts = tuple(p for p in all_pairings(k) if _color_matched(p, word))
-    else:  # U+
-        parts = tuple(
-            p for p in all_pairings(k) if p.is_noncrossing() and _color_matched(p, word)
-        )
-    return list(parts)
+        return list(all_partitions(len(word)))
+    if family == "S+":
+        return [p for p in all_partitions(len(word)) if p.is_noncrossing()]
+    return _pairings(word, noncrossing=family.endswith("+"), colored=family[0] == "U")
 
 
 @cache
@@ -265,7 +333,7 @@ def kernel_position(idx: tuple) -> bytes:
     of qhs is named so.  O(k); the memo holds only the indices queried."""
     first = {}
     rgs = [first.setdefault(v, len(first)) for v in idx]
-    if len(first) > 256:  # a byte each; all_partitions refuses such words long before
+    if len(first) > 256:  # a byte each
         raise ResourceGuardError(f"an index with {len(first)} distinct values has no kernel name")
     return bytes(rgs)
 
@@ -369,8 +437,7 @@ def select_basis(members, n: int) -> FixBasis:
     earlier row is 0: it is kept without elimination.  The Echelon of the
     kept rows is built only once a member with more than n blocks arrives;
     span holds the rows of keep[:len(span.rows)].  The selection's Gram
-    matrix may reach len(members)**2 entries, which is checked first."""
-    check_dense(len(members) ** 2, f"the Gram matrix of {len(members)} candidate partitions")
+    matrix may reach len(members)**2 entries, which fix_basis checks first."""
     span = Echelon()
     columns = {}
     keep = []
@@ -385,5 +452,8 @@ def select_basis(members, n: int) -> FixBasis:
 
 
 def fix_basis(spec: CategorySpec, word: str) -> FixBasis:
-    """Enumerate the category and select a basis of its partitions."""
+    """Count the category, refuse it past the guard on its Gram matrix,
+    then enumerate it and select a basis of its partitions."""
+    count = category_size(spec, word)
+    check_dense(count**2, f"the Gram matrix of {count} candidate partitions")
     return select_basis(enumerate_category(spec, word), spec.N)

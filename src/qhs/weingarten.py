@@ -175,8 +175,39 @@ def integrate_G(spec: CategorySpec, word: str, row, col) -> Fraction:
 
 
 @cache
+def _letter_class(family: str, word: str) -> tuple:
+    """The representative of the word's letter-order class and the positions
+    of the word it reads.  The Haar state of a closed G in U_N^+ is a trace,
+    so a U+ moment is unchanged when its letters, rows and columns rotate
+    together: the representative is the least rotation.  U's coordinates
+    also commute, so its letters are sorted, all WHITE first, by a stable
+    sort of positions.  A U+ word is never sorted: on U+(2), obob at the
+    all-ones row and column is 1/3, but oobb is 1/4."""
+    k = len(word)
+    if family == "U":
+        order = sorted(range(k), key=lambda p: word[p] != WHITE)
+    elif family == "U+":
+        r = min(range(k), key=lambda r: word[r:] + word[:r], default=0)
+        order = [*range(r, k), *range(r)]
+    else:
+        return word, None
+    return "".join(word[p] for p in order), order
+
+
+def _moved(a: bytes, order) -> bytes:
+    """The kernel of a, its positions read in the given order; unmemoised,
+    so kernel_position's memo holds only the indices callers query."""
+    return kernel_position.__wrapped__(tuple(a[p] for p in order))
+
+
+@cache
 def _kernel_moment(family: str, n: int, word: str, a: bytes, b: bytes) -> Fraction:
-    """The moment at row indices of kernel a and column indices of kernel b."""
+    """The moment at row indices of kernel a and column indices of kernel b;
+    a word outside its letter-order class's representative reads the
+    representative's moment."""
+    rep, order = _letter_class(family, word)
+    if rep != word:
+        return _kernel_moment(family, n, rep, _moved(a, order), _moved(b, order))
     data = _gram_data(family, n, word)
     wrows, rows, cols = data.weingarten_rows, data.hits.get(a, ()), data.hits.get(b, ())
     return Fraction(sum(wrows[t][u] for t in rows for u in cols), data.denominator)
@@ -250,7 +281,11 @@ def integrate_X(spec: CategorySpec, I: IndexSet, word: str, idx) -> ScaledScalar
 @cache
 def _space_value(family: str, n: int, word: str, m: int, a: bytes) -> ScaledScalar:
     """The finished space moment at any index of kernel a: the one cache
-    per answer of integrate_X."""
+    per answer of integrate_X.  I^k is closed under the position maps of
+    _letter_class, so a word reads its representative's moment."""
+    rep, order = _letter_class(family, word)
+    if rep != word:
+        return _space_value(family, n, rep, m, _moved(a, order))
     return ScaledScalar(_space_moment(family, n, word, m, a), len(word), m)
 
 
