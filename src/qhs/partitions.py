@@ -222,21 +222,21 @@ def all_partitions(k: int) -> tuple:
     return tuple(result)
 
 
-@cache
 def all_pairings(k: int) -> tuple:
-    return tuple(_pairings(WHITE * k, noncrossing=False, colored=False))
+    return _pairings(WHITE * k, False, False)
 
 
-def _pairings(word: str, noncrossing: bool, colored: bool) -> list:
+@cache
+def _pairings(word: str, noncrossing: bool, colored: bool) -> tuple:
     """The pairings of the word's points, built in restricted-growth order:
     each point closes an open block, those in label order first, or opens
     the next one.  Under noncrossing only the last block opened that is
     still open may close; colored, only a block opened by the other color.
     A block opens only while every open block can still find a closer."""
     k = len(word)
-    out = []
     if k % 2 or (colored and 2 * word.count(WHITE) != k):
-        return out
+        return ()
+    out = []
     blocks = []  # per label: [opener], then [opener, closer]
     open_ = []  # the labels of the open blocks, in opening order
 
@@ -261,7 +261,7 @@ def _pairings(word: str, noncrossing: bool, colored: bool) -> list:
             open_.pop()
 
     extend(0)
-    return out
+    return tuple(out)
 
 
 @cache
@@ -322,7 +322,9 @@ def enumerate_category(spec: CategorySpec, word: str) -> list:
         return list(all_partitions(len(word)))
     if family == "S+":
         return [p for p in all_partitions(len(word)) if p.is_noncrossing()]
-    return _pairings(word, noncrossing=family.endswith("+"), colored=family[0] == "U")
+    colored = family[0] == "U"
+    # colors are invisible to O and O+: one cached list per length
+    return list(_pairings(word if colored else WHITE * len(word), family.endswith("+"), colored))
 
 
 @cache

@@ -28,7 +28,6 @@ from .partitions import (
     CategorySpec,
     FixBasis,
     WHITE,
-    all_partitions,
     check_dense,
     check_word,
     coarsenings,
@@ -317,8 +316,9 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
     norm = _norm_word(spec, word)
     data = _gram_data(spec.family, n, norm)
     wrows, hits = data.weingarten_rows, data.hits
-    # the kernels that occur, named, with their block counts, in the order of their first rows
-    kernels = [(bytes(p.block_index), p.block_count) for p in all_partitions(k) if p.block_count <= n]
+    # the kernels that occur, with their block counts, in the order of their first rows: a
+    # kernel outside hits adds 0 to both sides, and equal-length names sort in all_partitions order
+    kernels = [(a, size) for a in sorted(hits) if (size := len(set(a))) <= n]
     # the v_b over one denominator zden, so both sides below are integers over den
     weights, zden = common_denominator(
         [_space_moment(spec.family, n, norm, I.m, b) * perm(n, size) for b, size in kernels]

@@ -644,6 +644,13 @@ def _flip_cell_and_axiom(real):
             "unit-adjoint-frobenius",
             "at adjoint ('','b'): expected True, found False",
         ),
+        (
+            ("counts", "--bounds", "4"),
+            "category_size",
+            lambda real: lambda spec, word: real(spec, word) + (spec.family == "O"),
+            "pairings(4)",
+            "expected 4, found 3",
+        ),
     ],
 )
 def test_every_comparing_check_reports_its_first_witness(

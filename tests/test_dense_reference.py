@@ -180,6 +180,7 @@ def _perturbed(real):
         ("O", 3, "oooo", {0}),
         ("U", 2, "obob", {1}),
         ("U+", 3, "obob", {0, 1}),
+        ("O+", 2, "oooooo", {0}),
     ],
 )
 def test_ergodicity_counterexample_matches_dense_reference(

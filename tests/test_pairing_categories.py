@@ -25,7 +25,7 @@ from qhs.partitions import (
     fix_basis,
 )
 from qhs.relations import relations_med
-from qhs.weingarten import IndexSet, integrate_G, integrate_X
+from qhs.weingarten import IndexSet, ergodicity_check, integrate_G, integrate_X
 
 PAIRING_FAMILIES = ("O", "O+", "U", "U+")
 
@@ -84,7 +84,6 @@ def bell_lists_refused(monkeypatch):
         return real(k)
 
     monkeypatch.setattr(partitions, "all_partitions", refused)
-    monkeypatch.setattr(weingarten, "all_partitions", refused)
 
 
 @pytest.mark.usefixtures("cold_caches", "bell_lists_refused")
@@ -107,6 +106,10 @@ def test_pairing_moments_and_relations_list_no_bell_sized_object():
     system = relations_med(o3, IndexSet.of(3, (0, 1)), max_k=10)
     assert len(system.relations) == 64
     assert max(len(rel.left_word) for rel in system.relations) == 10
+    # ergodicity walks the kernels in hits, not the Bell(k) list
+    for spec, words in ((o3, ("o" * 10, "o" * 12)), (u2, ("ob" * 5, "ob" * 6))):
+        for word in words:
+            assert ergodicity_check(spec, IndexSet.of(spec.N, (0, 1)), word)["passed"], (spec, word)
 
 
 @pytest.mark.parametrize(
