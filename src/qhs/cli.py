@@ -231,7 +231,7 @@ def _suite_counts(args) -> dict:
                 for part in parts
             ]
             cases = (
-                (("p", pa.blocks, "q", pb.blocks), n ** pa.join(pb).block_count, (ma & mb).bit_count())
+                (("p", pa.blocks, "q", pb.blocks), n ** pa.join_block_count(pb), (ma & mb).bit_count())
                 for pa, ma in zip(parts, masks) for pb, mb in zip(parts, masks)
             )
             _compare(checks, f"gram-join(N={n},k={k})", cases)

@@ -83,45 +83,54 @@ class CategorySpec(Frozen):
 
 
 class SetPartition(Frozen):
-    """Partition of {0..k-1}; blocks sorted internally and by least element."""
+    """Partition of {0..k-1}, held as its restricted growth string:
+    block_index[p] is the label of the block of point p, as bytes, the
+    blocks labelled in order of their least points.  That string is also
+    the kernel name of kernel_position."""
 
-    def __init__(self, point_count: int, blocks: tuple):
-        seen = set()
-        for block in blocks:
-            if not block:
-                raise ValueError("empty block")
-            if tuple(sorted(block)) != tuple(block):
-                raise ValueError("block not sorted")
-            seen.update(block)
-        if seen != set(range(point_count)):
-            raise ValueError("blocks do not cover the point set")
-        if sum(len(b) for b in blocks) != point_count:
-            raise ValueError("blocks overlap")
-        if list(blocks) != sorted(blocks, key=lambda b: b[0]):
-            raise ValueError("blocks not in canonical order")
-        object.__setattr__(self, "point_count", point_count)
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, block_index: bytes):
+        block_index = bytes(block_index)
+        top = -1
+        for label in block_index:
+            if label > top:
+                if label != top + 1:
+                    raise ValueError("not a restricted growth string")
+                top = label
+        object.__setattr__(self, "block_index", block_index)
 
     def _key(self):
-        return self.point_count, self.blocks
+        return (self.block_index,)
+
+    def __hash__(self):  # bytes caches its own hash
+        return hash(self.block_index)
 
     @classmethod
     def from_blocks(cls, point_count: int, blocks) -> "SetPartition":
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        return cls(point_count, canon)
-
-    @cached_property
-    def block_index(self) -> tuple:
-        """block_index[p] is the position of the block containing point p."""
-        out = [0] * self.point_count
-        for i, block in enumerate(self.blocks):
+        """The partition with these blocks, labelled by their least points."""
+        blocks = list(blocks)
+        if sorted(p for block in blocks for p in block) != list(range(point_count)):
+            raise ValueError("blocks do not partition the point set")
+        owner = [0] * point_count
+        for label, block in enumerate(blocks):
             for p in block:
-                out[p] = i
-        return tuple(out)
+                owner[p] = label
+        return cls(kernel_position.__wrapped__(owner))
 
     @property
+    def point_count(self) -> int:
+        return len(self.block_index)
+
+    @cached_property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return max(self.block_index, default=-1) + 1
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The blocks in label order, each sorted."""
+        out = [[] for _ in range(self.block_count)]
+        for p, label in enumerate(self.block_index):
+            out[label].append(p)
+        return tuple(map(tuple, out))
 
     def is_pairing(self) -> bool:
         return all(len(b) == 2 for b in self.blocks)
@@ -135,9 +144,9 @@ class SetPartition(Frozen):
 
     def _join_roots(self, other: "SetPartition") -> list:
         """Per point, its union-find root over the blocks of self joined by other's."""
-        if other.point_count != self.point_count:
-            raise DomainError("point count mismatch in join")
         bi = self.block_index
+        if len(other.block_index) != len(bi):
+            raise DomainError("point count mismatch in join")
         parent = list(range(self.block_count))
 
         def find(x):
@@ -157,10 +166,7 @@ class SetPartition(Frozen):
 
     def join(self, other: "SetPartition") -> "SetPartition":
         """Finest partition coarser than both (transitive closure of the union)."""
-        groups = {}
-        for p, root in enumerate(self._join_roots(other)):
-            groups.setdefault(root, []).append(p)
-        return SetPartition.from_blocks(self.point_count, groups.values())
+        return SetPartition(kernel_position.__wrapped__(self._join_roots(other)))
 
     def __str__(self):
         return format_partition(self)
@@ -175,7 +181,7 @@ def format_partition(part: SetPartition) -> str:
 def parse_partition(text: str) -> SetPartition:
     text = text.strip()
     if not text:
-        return SetPartition(0, ())
+        return SetPartition(b"")
     blocks = []
     for chunk in text.split("|"):
         if not chunk.isdigit():
@@ -200,75 +206,54 @@ def bell(k: int) -> int:
 
 @cache
 def all_partitions(k: int) -> tuple:
-    """All partitions of k points, restricted-growth-string lexicographic."""
+    """All partitions of k points, restricted-growth-string lexicographic:
+    the S case of _category, cached here alone."""
     check_dense(bell(k), f"the list of partitions of {k} points")
-    if k == 0:
-        return (SetPartition(0, ()),)
-    result = []
-
-    def extend(rgs, top):
-        if len(rgs) == k:
-            blocks = [[] for _ in range(top + 1)]
-            for p, label in enumerate(rgs):
-                blocks[label].append(p)
-            result.append(SetPartition.from_blocks(k, blocks))
-            return
-        for v in range(top + 2):
-            rgs.append(v)
-            extend(rgs, max(top, v))
-            rgs.pop()
-
-    extend([0], 0)
-    return tuple(result)
-
-
-def all_pairings(k: int) -> tuple:
-    return _pairings(WHITE * k, False, False)
+    return _category.__wrapped__(WHITE * k, False, False, False)
 
 
 @cache
-def _pairings(word: str, noncrossing: bool, colored: bool) -> tuple:
-    """The pairings of the word's points, built in restricted-growth order:
-    each point closes an open block, those in label order first, or opens
-    the next one.  Under noncrossing only the last block opened that is
-    still open may close; colored, only a block opened by the other color.
-    A block opens only while every open block can still find a closer."""
+def _category(word: str, noncrossing: bool, pairs: bool, colored: bool) -> tuple:
+    """The partitions of the word's points in one category, built point by
+    point in restricted-growth order: each point joins, in label order, a
+    block that can still take it, or it opens the next label.  Under
+    noncrossing, joining a block closes every block opened after it.  Under
+    pairs, a block takes exactly one point after its opener, colored, one
+    of the other color; so under noncrossing only the last open block may
+    close, and a block opens only while every open block can still find a
+    closer.  S is (False, False, False) and S+ (True, False, False)."""
     k = len(word)
-    if k % 2 or (colored and 2 * word.count(WHITE) != k):
+    if pairs and (k % 2 or (colored and 2 * word.count(WHITE) != k)):
         return ()
     out = []
-    blocks = []  # per label: [opener], then [opener, closer]
-    open_ = []  # the labels of the open blocks, in opening order
+    labels = []  # per point so far, the label of its block
 
-    def extend(p):
+    def extend(p, open_, top):  # open_: the labels that can still take a point, ascending
         if p == k:
-            out.append(_pairing(k, tuple(map(tuple, blocks))))
+            out.append(_shared(bytes(labels)))
             return
-        for i in range(len(open_) - 1 if noncrossing and open_ else 0, len(open_)):
+        for i in range(max(len(open_) - 1, 0) if pairs and noncrossing else 0, len(open_)):
             label = open_[i]
-            if colored and word[blocks[label][0]] == word[p]:
+            if colored and word[labels.index(label)] == word[p]:
                 continue
-            del open_[i]
-            blocks[label].append(p)
-            extend(p + 1)
-            blocks[label].pop()
-            open_.insert(i, label)
-        if len(open_) + 2 <= k - p:
-            open_.append(len(blocks))
-            blocks.append([p])
-            extend(p + 1)
-            blocks.pop()
-            open_.pop()
+            kept = open_[:i] if pairs else open_[: i + 1]
+            labels.append(label)
+            extend(p + 1, kept if noncrossing else kept + open_[i + 1 :], top)
+            labels.pop()
+        if not pairs or len(open_) + 2 <= k - p:
+            labels.append(top)
+            extend(p + 1, open_ + (top,), top + 1)
+            labels.pop()
 
-    extend(0)
+    extend(0, (), 0)
     return tuple(out)
 
 
 @cache
-def _pairing(k: int, blocks: tuple) -> SetPartition:
-    """One shared object per pairing, as all_partitions(k) shares its
-    members: the caches keyed by a partition then match it by identity."""
-    return SetPartition(k, blocks)
+def _shared(block_index: bytes) -> SetPartition:
+    """One shared object per string, in every category: the caches keyed by
+    a partition then match it by identity."""
+    return SetPartition(block_index)
 
 
 def catalan(n: int) -> int:
@@ -310,21 +295,19 @@ def category_size(spec: CategorySpec, word: str) -> int:
 
 
 def enumerate_category(spec: CategorySpec, word: str) -> list:
-    """The category's partitions for a colored word, in canonical order.
-
-    S: all partitions; S+: the noncrossing ones; the other four are built
-    as pairings (O), joining opposite colors (U), and noncrossing (O+, U+).
-    An odd-length word in a pairing family yields the empty list.
-    """
+    """The category's partitions for a colored word, in canonical order:
+    all partitions (S), the noncrossing ones (S+), and the pairings (O),
+    joining opposite colors (U), and noncrossing (O+, U+).  An odd-length
+    word in a pairing family yields the empty list."""
     check_word(word)
     family = spec.family
     if family == "S":
         return list(all_partitions(len(word)))
-    if family == "S+":
-        return [p for p in all_partitions(len(word)) if p.is_noncrossing()]
     colored = family[0] == "U"
-    # colors are invisible to O and O+: one cached list per length
-    return list(_pairings(word if colored else WHITE * len(word), family.endswith("+"), colored))
+    # colors are invisible to S+, O and O+: one cached list per length
+    return list(
+        _category(word if colored else WHITE * len(word), family.endswith("+"), family != "S+", colored)
+    )
 
 
 @cache
@@ -371,7 +354,7 @@ def kernel_ids(n: int, k: int) -> tuple:
     out = [b""] * (n**k)
     for part in reversed(all_partitions(k)):
         if part.block_count <= n:
-            name = bytes(part.block_index)
+            name = part.block_index
             for f in partition_support.__wrapped__(part, n):
                 out[f] = name
     return tuple(out)

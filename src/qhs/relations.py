@@ -127,9 +127,11 @@ class RelationSystem(Frozen):
         return self.spec, self.I, self.provenance, self.relations
 
     def to_json(self) -> dict:
-        # every T is printed dense: refuse the longest before building any
-        n, L = self.spec.N, max((len(r.left_word + r.right_word) for r in self.relations), default=0)
+        # every T is printed dense: refuse the longest, then their sum, before building any
+        n, lengths = self.spec.N, [len(r.left_word + r.right_word) for r in self.relations]
+        L = max(lengths, default=0)
         check_dense(n**L, f"a printed relation T over N^(l+k) = {n}^{L}")
+        check_dense(sum(n**t for t in lengths), f"a printed system of {len(lengths)} relation Ts")
         return {
             "spec": str(self.spec),
             "I": [i + 1 for i in self.I.sorted_members],

@@ -23,7 +23,6 @@ from qhs.oracle import (
 )
 from qhs.partitions import (
     CategorySpec,
-    all_pairings,
     all_partitions,
     colored_words,
     conjugate_word,
@@ -244,7 +243,9 @@ def test_criterion_10_properness():
 def test_criterion_11_combinatorial_counts_and_gram():
     for k in range(7):
         assert len(all_partitions(k)) == bell_recurrence(k)
-        assert len(all_pairings(k)) == pairing_count_recurrence(k)
+        assert len(enumerate_category(CategorySpec("O", 2), "o" * k)) == (
+            pairing_count_recurrence(k)
+        )
         assert len(enumerate_category(CategorySpec("S+", 2), "o" * k)) == (
             catalan_recurrence(k)
         )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -453,6 +454,40 @@ def test_dense_guard_fires_before_the_projection_is_built():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["value"] == "1/59280"
+
+
+def _capped_run(args, cap=1 << 30):
+    """python -m qhs args in a child whose address space, alone, is capped."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run(
+        [sys.executable, "-m", "qhs", *args],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=limit,
+        timeout=20,
+    )
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        # 7,069,488 and 72,725,940 printed T entries: each longest T is under
+        # the guard, their sum is not
+        ("--form hom --spec O(4) --I 1,2 --max-k 4 --max-l 4", 3),
+        ("--form med --spec O+(3) --I 1,2 --max-k 12", 3),
+        ("--form med --spec O+(3) --I 1,2 --max-k 8", 0),  # 95,670 entries
+    ],
+)
+def test_a_printed_system_is_refused_on_its_total_size_under_a_memory_cap(args, code):
+    proc = _capped_run(["relations", *args.split()])
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.startswith("resource-guard-exceeded: a printed system of ")
+        assert not proc.stdout
 
 
 def test_verify_failure_exit_code_is_one(capsys, monkeypatch):

@@ -1,7 +1,7 @@
-"""The pairing categories built by construction, and the moments shared by
-the words of one letter-order class.
+"""The categories built by construction, and the moments shared by the
+words of one letter-order class.
 
-O, O+, U and U+ are enumerated point by point, never by filtering
+S+, O, O+, U and U+ are enumerated point by point, never by filtering
 all_partitions(k); their lists must still equal the filtered ones.  A U or
 U+ point query reads the moment of its class representative (the sorted
 word for U, the least rotation for U+); it must equal the sum read off the
@@ -34,19 +34,22 @@ def _filtered(parts, family: str, word: str) -> list:
     """The category's members as the filters of all_partitions give them."""
     return [
         p for p in parts
-        if p.is_pairing()
+        if (family[0] == "S" or p.is_pairing())
         and (not family.endswith("+") or p.is_noncrossing())
         and (family[0] != "U" or all(word[a] != word[b] for a, b in p.blocks))
     ]
 
 
-def _check_enumerators(parts, words):
-    for word in words:
-        for family in PAIRING_FAMILIES:
-            spec = CategorySpec(family, 2)
-            expected = _filtered(parts, family, word)
-            assert enumerate_category(spec, word) == expected, (family, word)
-            assert category_size(spec, word) == len(expected), (family, word)
+def _check_enumerators(parts, words, families=PAIRING_FAMILIES):
+    for family in families:
+        spec = CategorySpec(family, 2)
+        expected = {}  # colors are invisible to S, S+, O and O+: one filter per length
+        for word in words:
+            key = word if family[0] == "U" else len(word)
+            if key not in expected:
+                expected[key] = _filtered(parts, family, word)
+            assert enumerate_category(spec, word) == expected[key], (family, word)
+            assert category_size(spec, word) == len(expected[key]), (family, word)
 
 
 def test_pairing_enumerators_equal_the_filters_up_to_8_letters():
@@ -55,10 +58,19 @@ def test_pairing_enumerators_equal_the_filters_up_to_8_letters():
         _check_enumerators(pairings, [w for w in colored_words(k) if len(w) == k])
 
 
+def test_s_and_s_plus_enumerators_equal_all_partitions_and_its_filter_up_to_8_letters():
+    # S+ is built by the noncrossing rule, never by filtering all_partitions(k)
+    for k in range(9):
+        words = [w for w in colored_words(k) if len(w) == k]
+        _check_enumerators(all_partitions(k), words, ("S", "S+"))
+
+
+@pytest.mark.usefixtures("cold_caches")
 def test_pairing_enumerators_equal_the_filters_on_sampled_long_words():
     rng = random.Random(29)
     for k in (9, 10):
-        # uncached: the Bell(k) list is the reference only
+        # uncached: the Bell(k) list is the reference only; its members are
+        # interned while the test runs, and cold_caches drops them after it
         pairings = [p for p in all_partitions.__wrapped__(k) if p.is_pairing()]
         # as many of each color as k allows, then any coloring
         balanced = ["".join(rng.sample("ob" * (k // 2) + "o" * (k % 2), k)) for _ in range(12)]
@@ -122,7 +134,7 @@ def test_long_pairing_words_are_refused_before_any_enumeration(
     def never(*args):
         raise AssertionError("the category was enumerated")
 
-    monkeypatch.setattr(partitions, "_pairings", never)
+    monkeypatch.setattr(partitions, "_category", never)
     what = f"the Gram matrix of {count} candidate partitions has "
     with pytest.raises(ResourceGuardError, match=what):
         fix_basis(CategorySpec.parse(spec), word)

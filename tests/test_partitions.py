@@ -174,6 +174,20 @@ def test_join_examples():
     assert a.join(a) == a
 
 
+def test_a_partition_is_held_as_its_restricted_growth_string():
+    part = SetPartition.from_blocks(4, [(3, 1), (0, 2)])
+    assert part.block_index == b"\x00\x01\x00\x01" and part.blocks == ((0, 2), (1, 3))
+    assert (part.point_count, part.block_count) == (4, 2)
+    assert part == parse_partition("13|24") and hash(part) == hash(part.block_index)
+    for bad in (b"\x01", b"\x00\x02", b"\x00\x01\x03"):
+        with pytest.raises(ValueError, match="not a restricted growth string"):
+            SetPartition(bad)
+    # overlapping, missing, negative and out-of-range points
+    for blocks in ([(0, 1), (1, 2)], [(0,), (2,)], [(0, 1), (-1,)], [(0, 1, 2, 3)]):
+        with pytest.raises(ValueError, match="do not partition"):
+            SetPartition.from_blocks(3, blocks)
+
+
 @pytest.mark.parametrize("k", range(6))
 def test_join_block_count_matches_join(k):
     parts = all_partitions(k)

@@ -21,7 +21,7 @@ def _one(n=1):
 
 
 def _partition():
-    return SetPartition(2, ((0,), (1,)))
+    return SetPartition(b"\x00\x01")
 
 
 def _relation():
@@ -32,7 +32,7 @@ def _relation():
 VALUES = [
     (ScaledScalar, lambda: ScaledScalar(Fraction(1, 2), 1, 2), ("q", "s", "m")),
     (CategorySpec, lambda: CategorySpec("S+", 3), ("family", "N")),
-    (SetPartition, _partition, ("point_count", "blocks")),
+    (SetPartition, _partition, ("block_index",)),
     (FixBasis, lambda: FixBasis((_partition(),), (0,)), ("members", "independent")),
     (IndexSet, lambda: IndexSet(3, frozenset({0, 2})), ("N", "members")),
     (
