@@ -17,7 +17,8 @@ import os
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from json.encoder import encode_basestring_ascii as _quote
 
 from .exact import (
     DomainError,
@@ -223,6 +224,11 @@ def _suite_counts(args) -> dict:
             spec = CategorySpec(family, 2)
             found = len(enumerate_category(spec, "o" * k))
             _compare(checks, f"{name}({k})", [((), category_size(spec, "o" * k), found)])
+    # the joins do not depend on N: one per pair, read for every N
+    joins = [
+        [pa.join_block_count(pb) for pa, pb in product(all_partitions(k), repeat=2)]
+        for k in range(args.bounds + 1)
+    ]
     for n in range(1, nmax + 1):
         for k in range(args.bounds + 1):
             parts = all_partitions(k)
@@ -231,8 +237,8 @@ def _suite_counts(args) -> dict:
                 for part in parts
             ]
             cases = (
-                (("p", pa.blocks, "q", pb.blocks), n ** pa.join_block_count(pb), (ma & mb).bit_count())
-                for pa, ma in zip(parts, masks) for pb, mb in zip(parts, masks)
+                (("p", pa.blocks, "q", pb.blocks), n**j, (ma & mb).bit_count())
+                for ((pa, ma), (pb, mb)), j in zip(product(zip(parts, masks), repeat=2), joins[k])
             )
             _compare(checks, f"gram-join(N={n},k={k})", cases)
     return _suite_report("counts", {"bounds": args.bounds, "N_max": nmax}, checks)
@@ -558,9 +564,56 @@ def _render_pretty(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(value) -> str:
+    """json.dumps(value, indent=2), byte for byte, for dicts with string
+    keys.  An indent sends json.dumps to its pure-Python encoder; here
+    strings go through the C quoting, a list of strings (a row of T) is one
+    join, and a dict object met again at the same depth (the shared rows of
+    a max-form kernel) is rendered once."""
+    done = {}
+
+    def text(v, pad):
+        if isinstance(v, str):
+            return _quote(v)
+        if v is None:
+            return "null"
+        if v is True:
+            return "true"
+        if v is False:
+            return "false"
+        if isinstance(v, int):
+            return int.__repr__(v)
+        if isinstance(v, float):
+            r = float.__repr__(v)
+            return _FLOAT_WORDS.get(r, r)
+        inner = pad + "  "
+        if isinstance(v, (list, tuple)):
+            if not v:
+                return "[]"
+            if isinstance(v[0], str):
+                try:
+                    return "[" + inner + ("," + inner).join(map(_quote, v)) + pad + "]"
+                except TypeError:  # not every item is a string
+                    pass
+            return "[" + inner + ("," + inner).join([text(x, inner) for x in v]) + pad + "]"
+        if not isinstance(v, dict):
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+        out = done.get((id(v), len(pad)))
+        if out is None:
+            items = [_quote(key) + ": " + text(x, inner) for key, x in v.items()]
+            out = "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+            done[id(v), len(pad)] = out
+        return out
+
+    return text(value, "\n")
+
+
 def render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json_text(payload) + "\n"
     if fmt == "csv":
         return _render_csv(payload)
     return _render_pretty(payload)

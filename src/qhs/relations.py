@@ -132,11 +132,16 @@ class RelationSystem(Frozen):
         L = max(lengths, default=0)
         check_dense(n**L, f"a printed relation T over N^(l+k) = {n}^{L}")
         check_dense(sum(n**t for t in lengths), f"a printed system of {len(lengths)} relation Ts")
+        # one dict per relation object: the max-form rows of a kernel share one
+        forms = {}
+        for rel in self.relations:
+            if id(rel) not in forms:
+                forms[id(rel)] = rel.to_json()
         return {
             "spec": str(self.spec),
             "I": [i + 1 for i in self.I.sorted_members],
             "provenance": self.provenance,
-            "relations": [rel.to_json() for rel in self.relations],
+            "relations": [forms[id(rel)] for rel in self.relations],
         }
 
 

@@ -137,19 +137,25 @@ def _gram_data(family: str, n: int, word: str) -> GramData:
     basis = _basis(family, n, word)
     parts = basis.selected
     d = len(parts)
-    # join is commutative, so the Gram matrix is symmetric
-    entries = [0] * (d * d)
-    for a, pi in enumerate(parts):
-        for b in range(a, d):
-            entries[a * d + b] = entries[b * d + a] = n ** pi.join_block_count(parts[b])
-    gram = ExactMatrix(d, d, entries)
-    numerators, den = common_denominator(invert(gram).entries if d else ())
-    rows = tuple(tuple(numerators[r * d : (r + 1) * d]) for r in range(d))
     hits = {}
     for pos, part in enumerate(parts):
         for c in coarsenings(part):
             hits.setdefault(c, []).append(pos)
-    return GramData(basis, gram, rows, den, {a: tuple(ts) for a, ts in hits.items()})
+    hits = {a: tuple(ts) for a, ts in hits.items()}
+    # N^|pi v sigma| counts the indices constant on the blocks of both; summed
+    # by kernel, each kernel a above both adds its perm(N, |a|) indices
+    gram_rows = [[0] * d for _ in range(d)]
+    for a, ts in hits.items():
+        weight = perm(n, max(a) + 1) if a else 1
+        if weight:
+            for t in ts:
+                row = gram_rows[t]
+                for u in ts:
+                    row[u] += weight
+    gram = ExactMatrix(d, d, [x for row in gram_rows for x in row])
+    numerators, den = common_denominator(invert(gram).entries if d else ())
+    rows = tuple(tuple(numerators[r * d : (r + 1) * d]) for r in range(d))
+    return GramData(basis, gram, rows, den, hits)
 
 
 def gram_weingarten(spec: CategorySpec, word: str) -> GramData:

@@ -6,9 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import qhs
-from qhs.cli import main
+from qhs.cli import json_text, main
 from qhs.exact import ExactMatrix, ScaledScalar, parse_fraction
 
 
@@ -16,6 +17,39 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_JSON_STRINGS = st.text() | st.sampled_from(['"', "\\", "\x00\n\t\x7f", "é", "\u2028", "\U0001f600"])
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_STRINGS
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-07, 1e16])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_JSON_STRINGS, inner, max_size=4)
+        | st.lists(st.lists(_JSON_STRINGS, max_size=4), max_size=3)
+    ),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES, _JSON_VALUES)
+def test_json_text_is_json_dumps_with_an_indent(value, content):
+    # one dict object at two depths, and twice at one of them, as the
+    # max-form rows share theirs; a T row may be empty
+    shared = {"T": [["1", "-1/2"], []], "content": content}
+    doc = {"value": value, "rows": [shared, shared, {"again": [shared]}], "top": shared}
+    for v in (value, doc, [doc, {}, [], ()]):
+        assert json_text(v) == json.dumps(v, indent=2)
+
+
+def test_json_text_refuses_what_it_cannot_write():
+    for v in ({1: "a"}, [{"a": {2, 3}}]):
+        with pytest.raises(TypeError):
+            json_text(v)
 
 
 def test_integrate_x_example(capsys):

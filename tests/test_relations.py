@@ -422,6 +422,18 @@ def test_relation_system_json_roundtrip():
     assert back.to_json() == data
 
 
+def test_max_form_json_holds_one_dict_per_relation():
+    # the rows of one kernel share one Relation, and so one dict
+    system = relations_max(S3, IndexSet.parse("1,2", 3), 3)
+    data = system.to_json()["relations"]
+    assert len(data) == len(system.relations)
+    distinct = {id(rel): rel for rel in system.relations}
+    assert len({id(entry) for entry in data}) == len(distinct) < len(data)
+    for rel, entry in zip(system.relations, data):
+        assert entry is data[system.relations.index(rel)]
+        assert entry == rel.to_json()
+
+
 def test_parse_rejects_coefficients_of_the_wrong_shape():
     data = relations_med(S3, IndexSet.parse("1,2", 3), 2).to_json()
     pos = next(p for p, rel in enumerate(data["relations"]) if rel["left_word"] == "oo")

@@ -82,6 +82,23 @@ def test_gram_matches_entrywise_inner_products():
                 assert data.gram.at(a, b) == (va.transpose() * vb).entries[0]
 
 
+def test_gram_built_from_hits_is_n_to_the_join_block_count():
+    # the Gram entries are summed from the kernel hits, sum over a above both
+    # of perm(N, |a|); the reference is the union-find join of each pair
+    cases = [
+        (family, n, word)
+        for family in FAMILIES
+        for n in range(1, 5)
+        for word in colored_words(5 if family in ("S", "S+") else 6)
+        if not (family in SELF_CONJUGATE_FAMILIES and "b" in word)
+    ]
+    for family, n, word in [*cases, ("O", 3, "o" * 8)]:
+        data = gram_weingarten(CategorySpec(family, n), word)
+        parts = data.basis.selected
+        expected = [n ** pa.join_block_count(pb) for pa in parts for pb in parts]
+        assert list(data.gram.entries) == expected, (family, n, word)
+
+
 def test_projection_s4_k1_uniform():
     P = projection_P(S4, "o")
     assert all(x == Fraction(1, 4) for x in P.entries)
