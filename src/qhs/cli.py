@@ -24,6 +24,7 @@ from .exact import (
     DomainError,
     ExactMatrix,
     ParseError,
+    ResourceGuardError,
     ScaledScalar,
     multi_indices,
 )
@@ -46,6 +47,9 @@ from .weingarten import (
     integrate_X,
     projection_P,
 )
+
+PAIR_GUARD = 1 << 22  # (row, col) pairs a brute-force moment comparison checks, summed over words
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -248,6 +252,15 @@ def _suite_weingarten_vs_bruteforce(args) -> dict:
     from .oracle import OracleGroup
 
     spec = _symmetric_spec(args, "weingarten-vs-bruteforce")
+    # one integrate_G call per (row, col) pair: 2^k words of N^2k pairs at length k
+    pairs = 0
+    for k in range(args.max_k + 1):
+        pairs += (2 * spec.N**2) ** k
+        if pairs > PAIR_GUARD:
+            raise ResourceGuardError(
+                f"the words up to length {k} have {pairs} (row, col) pairs, "
+                f"exceeding the guard PAIR_GUARD = {PAIR_GUARD}"
+            )
     group = OracleGroup.symmetric(spec.N)
     checks = []
     for word in colored_words(args.max_k):

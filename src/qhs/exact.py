@@ -526,6 +526,72 @@ def _inverse_holds(rows, matrix: ExactMatrix) -> bool:
     )
 
 
+def _forward(matrix: ExactMatrix) -> Echelon:
+    """The forward pass of `Echelon` over [matrix | identity], every pivot
+    left of column n; raises gram-singular with the rank."""
+    if matrix.rows != matrix.cols:
+        raise DomainError("cannot invert a non-square matrix")
+    n = matrix.rows
+    span = Echelon(matrix.row(r) + (0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n))
+    rk = bisect_left(span.pivots, n)
+    if rk < n:
+        raise SingularGramError(f"matrix of size {n} is singular", rk)
+    return span
+
+
+class Factor:
+    """One factor of a nonsingular matrix A, for exact solves A x = b.
+
+    Row t of the forward pass over [A | identity] is [u_t | l_t], a
+    combination of the rows of [A | identity], so u_t = l_t A, with its
+    pivot at column t: U = L A with U upper triangular.  A x = b is then
+    U x = L b, one product with L and one back substitution, in integers.
+    Only the triangles are held: u_t from its pivot on, as the pivot and
+    the rest reversed, and l_t up to its last nonzero entry, which is entry
+    t when A is positive definite (every Gram matrix of independent
+    vectors is).
+    """
+
+    __slots__ = ("pivots", "tails", "lower", "entries", "q")
+
+    def __init__(self, matrix: ExactMatrix):
+        n = matrix.rows
+        rows = _forward(matrix).rows
+        # A = entries / q over integers, for the check of each solve
+        self.entries, self.q = common_denominator(matrix.entries)
+        self.pivots = [row[t] for t, row in enumerate(rows)]
+        self.tails = [row[n - 1 : t : -1] for t, row in enumerate(rows)]
+        self.lower = [row[n : n + 1 + max(compress(count(), row[n:]))] for row in rows]
+
+    def solve(self, b) -> tuple:
+        """(x, D): the solution of A x = b for a vector b of ints, as a
+        tuple of integer numerators x over one positive denominator D, in
+        lowest terms.  Checked exactly before it is returned: A x == D b."""
+        x, den = self._back_substitute([sum(map(mul, row, b)) for row in self.lower])
+        n, entries, qd = len(x), self.entries, self.q * den
+        if any(sum(map(mul, entries[r * n : (r + 1) * n], x)) != qd * v for r, v in enumerate(b)):
+            raise AssertionError("weingarten solve failed exactness check")
+        return tuple(x), den
+
+    def _back_substitute(self, c: list) -> tuple:
+        """(x, D) with U x = D c, from the last row up.  Row t gives
+        x_t = s / (p D) with s = c_t D - sum_(j>t) u_t[j] x_j and p = u_t[t];
+        with g = gcd(s, p), D grows by p / g and every x_j found so far is
+        scaled to match."""
+        found = []  # x_(n-1), ..., x_(t+1), in the order of the reversed tails
+        den = 1
+        for p, tail, ct in zip(reversed(self.pivots), reversed(self.tails), reversed(c)):
+            s = ct * den - sum(map(mul, tail, found))
+            g = math.gcd(s, p)
+            if g != p:
+                scale = p // g
+                den *= scale
+                found = [v * scale for v in found]
+            found.append(s // g)
+        g = math.gcd(den, *found)
+        return [v // g for v in reversed(found)], den // g
+
+
 def invert(matrix: ExactMatrix) -> ExactMatrix:
     """Exact inverse from the reduced echelon form of [matrix | identity];
     raises gram-singular with the rank.
@@ -535,15 +601,8 @@ def invert(matrix: ExactMatrix) -> ExactMatrix:
     inverse is checked exactly in integers: W * matrix == I holds iff
     R * matrix == D (`_inverse_holds`).
     """
-    if matrix.rows != matrix.cols:
-        raise DomainError("cannot invert a non-square matrix")
     n = matrix.rows
-    span = Echelon(
-        matrix.row(r) + tuple(int(r == c) for c in range(n)) for r in range(n)
-    )
-    rk = bisect_left(span.pivots, n)
-    if rk < n:
-        raise SingularGramError(f"matrix of size {n} is singular", rk)
+    span = _forward(matrix)
     span.back_substitute()
     if not _inverse_holds(span.rows, matrix):
         raise AssertionError("weingarten inverse failed exactness check")

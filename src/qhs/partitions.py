@@ -10,7 +10,7 @@ every basis ordering downstream.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import combinations, product
+from itertools import product
 from math import comb, factorial, prod
 
 from .exact import DomainError, Echelon, ExactMatrix, Frozen, ParseError, ResourceGuardError
@@ -132,18 +132,9 @@ class SetPartition(Frozen):
             out[label].append(p)
         return tuple(map(tuple, out))
 
-    def is_pairing(self) -> bool:
-        return all(len(b) == 2 for b in self.blocks)
-
-    def is_noncrossing(self) -> bool:
-        bi = self.block_index
-        for a, b, c, d in combinations(range(self.point_count), 4):
-            if bi[a] == bi[c] and bi[b] == bi[d] and bi[a] != bi[b]:
-                return False
-        return True
-
-    def _join_roots(self, other: "SetPartition") -> list:
-        """Per point, its union-find root over the blocks of self joined by other's."""
+    def join_block_count(self, other: "SetPartition") -> int:
+        """The block count of the finest partition coarser than both: a
+        union-find over the blocks of self, joined by other's."""
         bi = self.block_index
         if len(other.block_index) != len(bi):
             raise DomainError("point count mismatch in join")
@@ -159,14 +150,7 @@ class SetPartition(Frozen):
             root = find(bi[block[0]])
             for p in block[1:]:
                 parent[find(bi[p])] = root
-        return [find(b) for b in bi]
-
-    def join_block_count(self, other: "SetPartition") -> int:
-        return len(set(self._join_roots(other)))
-
-    def join(self, other: "SetPartition") -> "SetPartition":
-        """Finest partition coarser than both (transitive closure of the union)."""
-        return SetPartition(kernel_position.__wrapped__(self._join_roots(other)))
+        return len({find(b) for b in bi})
 
     def __str__(self):
         return format_partition(self)

@@ -12,11 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from math import perm
-from operator import add, mul
+from operator import add
 
 from .exact import (
     DomainError,
     ExactMatrix,
+    Factor,
     Frozen,
     ParseError,
     ScaledScalar,
@@ -96,22 +97,41 @@ class IndexSet(Frozen):
 
 
 class GramData(Frozen):
-    """Selected basis with its Gram matrix and exact inverse (Weingarten).
-    The inverse is held once, in integers: its entry (t, u) is
-    weingarten_rows[t][u] / denominator over the one common denominator, so
-    sums over W run in integers; hits maps a kernel (its restricted growth
-    string, as bytes) to the positions of the selected partitions it coarsens."""
+    """Selected basis with its Gram matrix G and one factor of G, the cached
+    record of a word.  Moments read the Weingarten matrix W = G^-1 through
+    products: factor.solve(b) is W b, in integers over one denominator.
+    hits maps a kernel (its restricted growth string, as bytes) to the
+    positions of the selected partitions it coarsens.  The readers of every
+    column of W read it whole, as weingarten_rows[t][u] / denominator over
+    one common denominator.  The factor and W are each built on first read,
+    so a word pays only for what its readers read."""
 
-    def __init__(self, basis: FixBasis, gram: ExactMatrix, weingarten_rows: tuple,
-                 denominator: int, hits: dict):
+    def __init__(self, basis: FixBasis, gram: ExactMatrix, hits: dict):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "weingarten_rows", weingarten_rows)
-        object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "hits", hits)
 
     def _key(self):
-        return self.basis, self.gram, self.weingarten_rows, self.denominator, tuple(self.hits.items())
+        return self.basis, self.gram, tuple(self.hits.items())
+
+    @cached_property
+    def factor(self) -> Factor:
+        return Factor(self.gram)
+
+    @cached_property
+    def _inverse(self) -> tuple:
+        """(weingarten_rows, denominator), built on first read."""
+        d = self.gram.rows
+        numerators, den = common_denominator(invert(self.gram).entries if d else ())
+        return tuple(tuple(numerators[r * d : (r + 1) * d]) for r in range(d)), den
+
+    @property
+    def weingarten_rows(self) -> tuple:
+        return self._inverse[0]
+
+    @property
+    def denominator(self) -> int:
+        return self._inverse[1]
 
 
 def _norm_word(spec: CategorySpec, word: str) -> str:
@@ -153,13 +173,13 @@ def _gram_data(family: str, n: int, word: str) -> GramData:
                 for u in ts:
                     row[u] += weight
     gram = ExactMatrix(d, d, [x for row in gram_rows for x in row])
-    numerators, den = common_denominator(invert(gram).entries if d else ())
-    rows = tuple(tuple(numerators[r * d : (r + 1) * d]) for r in range(d))
-    return GramData(basis, gram, rows, den, hits)
+    return GramData(basis, gram, hits)
 
 
 def gram_weingarten(spec: CategorySpec, word: str) -> GramData:
-    """Gram matrix N**|join| on the selected basis and its exact inverse."""
+    """The word's Gram data: the Gram matrix N**|join| on the selected
+    basis and its kernel hits, with, each built on first read, one factor
+    for exact solves with its inverse W and W itself."""
     check_word(word)
     return _gram_data(spec.family, spec.N, _norm_word(spec, word))
 
@@ -213,9 +233,20 @@ def _kernel_moment(family: str, n: int, word: str, a: bytes, b: bytes) -> Fracti
     rep, order = _letter_class(family, word)
     if rep != word:
         return _kernel_moment(family, n, rep, _moved(a, order), _moved(b, order))
+    hits = _gram_data(family, n, word).hits
+    if a not in hits or b not in hits:  # no selected partition below a kernel: a zero moment
+        return Fraction(0)
+    x, den = _weingarten_column(family, n, word, b)
+    return Fraction(sum(x[t] for t in hits[a]), den)
+
+
+@cache
+def _weingarten_column(family: str, n: int, word: str, b: bytes) -> tuple:
+    """W 1_b, with 1_b the indicator of hits[b], as integer numerators over
+    one denominator: one solve per column kernel b of the word."""
     data = _gram_data(family, n, word)
-    wrows, rows, cols = data.weingarten_rows, data.hits.get(a, ()), data.hits.get(b, ())
-    return Fraction(sum(wrows[t][u] for t in rows for u in cols), data.denominator)
+    cols = set(data.hits[b])
+    return data.factor.solve([int(u in cols) for u in range(data.basis.dimension)])
 
 
 @cache
@@ -263,11 +294,11 @@ def K_vector(spec: CategorySpec, word: str, I: IndexSet) -> list:
 
 @cache
 def _k_dot_weingarten(family: str, n: int, word: str, m: int) -> tuple:
-    """kw[t] = sum_u K_q(u) * W[t, u], the rational part at scale m**(-k/2);
-    K_q(u) = m**|pi_u| depends on I only through m = |I|."""
+    """(kw, D): kw[t] / D = sum_u K_q(u) * W[t, u], the rational part at
+    scale m**(-k/2), one solve; K_q(u) = m**|pi_u| depends on I only
+    through m = |I|."""
     kq = [m**part.block_count for part in _basis(family, n, word).selected]
-    data = _gram_data(family, n, word)
-    return tuple(Fraction(sum(map(mul, wrow, kq)), data.denominator) for wrow in data.weingarten_rows)
+    return _gram_data(family, n, word).factor.solve(kq)
 
 
 def integrate_X(spec: CategorySpec, I: IndexSet, word: str, idx) -> ScaledScalar:
@@ -296,8 +327,11 @@ def _space_value(family: str, n: int, word: str, m: int, a: bytes) -> ScaledScal
 
 def _space_moment(family: str, n: int, word: str, m: int, a: bytes) -> Fraction:
     """The rational part of the space moment at any index of kernel a."""
-    kw = _k_dot_weingarten(family, n, word, m)
-    return sum((kw[t] for t in _gram_data(family, n, word).hits.get(a, ())), Fraction(0))
+    rows = _gram_data(family, n, word).hits.get(a)
+    if rows is None:  # no selected partition below the kernel: a zero moment
+        return Fraction(0)
+    kw, den = _k_dot_weingarten(family, n, word, m)
+    return Fraction(sum(kw[t] for t in rows), den)
 
 
 def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
@@ -312,8 +346,8 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
     perm(N, |b|) indices of [N]^k and perm(m, |b|) of I^k have.  So with
     z_u = sum over the kernels b with u in hits[b] of v_b, once for
     v_b = M_b perm(N, |b|) and once for v_b = perm(m, |b|), both sides of
-    row i are sum over t in hits[a] of (W z)_t: two products with W in
-    place of the kernel-pair table.
+    row i are sum over t in hits[a] of (W z)_t: two solves in place of the
+    kernel-pair table.
     """
     check_word(word)
     I.require_N(spec.N, "spec")
@@ -321,24 +355,27 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
     k = len(word)
     norm = _norm_word(spec, word)
     data = _gram_data(spec.family, n, norm)
-    wrows, hits = data.weingarten_rows, data.hits
+    hits, d = data.hits, data.basis.dimension
     # the kernels that occur, with their block counts, in the order of their first rows: a
     # kernel outside hits adds 0 to both sides, and equal-length names sort in all_partitions order
     kernels = [(a, size) for a in sorted(hits) if (size := len(set(a))) <= n]
-    # the v_b over one denominator zden, so both sides below are integers over den
+    # the v_b over one denominator zden, so that both z are integers
     weights, zden = common_denominator(
         [_space_moment(spec.family, n, norm, I.m, b) * perm(n, size) for b, size in kernels]
     )
-    den = data.denominator * zden
-    z_lhs = [0] * len(wrows)
-    z_rhs = [0] * len(wrows)
+    z_lhs = [0] * d
+    z_rhs = [0] * d
     for (b, size), weight in zip(kernels, weights):
         count = perm(I.m, size)
         for u in hits.get(b, ()):
             z_lhs[u] += weight
             z_rhs[u] += count
-    y_lhs = [sum(map(mul, wrow, z_lhs)) for wrow in wrows]
-    y_rhs = [sum(map(mul, wrow, z_rhs)) * zden for wrow in wrows]
+    # W z_lhs / zden = y_lhs / lhs_den once lhs_den takes zden in, and W z_rhs = y_rhs / rhs_den:
+    # over den, both sides of a row are integer sums at its kernel
+    y_lhs, lhs_den = data.factor.solve(z_lhs)
+    y_rhs, rhs_den = data.factor.solve(z_rhs)
+    lhs_den *= zden
+    den = lhs_den * rhs_den
     report = {
         "spec": str(spec),
         "I": str(I),
@@ -348,8 +385,8 @@ def ergodicity_check(spec: CategorySpec, I: IndexSet, word: str) -> dict:
     }
     # the first failing kernel holds the first failing row
     for a, _ in kernels:
-        lhs = sum(y_lhs[t] for t in hits.get(a, ()))
-        rhs = sum(y_rhs[t] for t in hits.get(a, ()))
+        lhs = sum(y_lhs[t] for t in hits.get(a, ())) * rhs_den
+        rhs = sum(y_rhs[t] for t in hits.get(a, ())) * lhs_den
         if lhs != rhs:
             report["passed"] = False
             report["counterexample"] = {

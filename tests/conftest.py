@@ -4,7 +4,7 @@ import pkgutil
 import pytest
 
 import qhs
-from qhs.exact import Echelon
+from qhs.exact import Echelon, Factor
 
 
 def _clear_module_caches():
@@ -52,3 +52,17 @@ def corrupted_elimination(monkeypatch):
         self.rows[0][-1] += 1
 
     monkeypatch.setattr(Echelon, "back_substitute", corrupted)
+
+
+@pytest.fixture
+def corrupted_solve(monkeypatch):
+    """Factor._back_substitute runs, then its first numerator is off by one,
+    as a bug in the back substitution would leave it."""
+    real = Factor._back_substitute
+
+    def corrupted(self, c):
+        x, den = real(self, c)
+        x[0] += 1
+        return x, den
+
+    monkeypatch.setattr(Factor, "_back_substitute", corrupted)

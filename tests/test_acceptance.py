@@ -264,5 +264,5 @@ def test_criterion_11_combinatorial_counts_and_gram():
             for a, pa in enumerate(parts):
                 for b, pb in enumerate(parts):
                     direct = (masks[a] & masks[b]).bit_count()
-                    assert direct == n ** pa.join(pb).block_count, (n, k, a, b)
+                    assert direct == n ** pa.join_block_count(pb), (n, k, a, b)
     print("criterion 11 enumeration counts and gram entries verified: PASS")

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -524,6 +525,32 @@ def test_a_printed_system_is_refused_on_its_total_size_under_a_memory_cap(args, 
         assert not proc.stdout
 
 
+@pytest.mark.parametrize(
+    "spec, max_k, code",
+    [
+        # 318,877,551 (row, col) pairs, one integrate_G call each: unguarded it
+        # ran past 90 s; the words up to length 4 already pass the guard
+        ("S(5)", 5, 3),
+        ("S(4)", 4, 0),  # README's request: 1,082,401 pairs
+    ],
+)
+def test_the_bruteforce_comparison_is_refused_on_its_pair_count_under_a_memory_cap(
+    spec, max_k, code
+):
+    start = time.monotonic()
+    proc = _capped_run(
+        ["verify", "--suite", "weingarten-vs-bruteforce", "--spec", spec, "--max-k", str(max_k)]
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.startswith("resource-guard-exceeded: the words up to length 4 have ")
+        assert "PAIR_GUARD" in proc.stderr and not proc.stdout
+        assert elapsed < 1.0, elapsed
+    else:
+        assert json.loads(proc.stdout)["passed"] is True
+
+
 def test_verify_failure_exit_code_is_one(capsys, monkeypatch):
     # a deliberately broken check must exit 1 while still emitting the report
     import qhs.cli as cli_mod
@@ -558,12 +585,22 @@ def test_frobenius_suite_counts_the_hom_side_independently(capsys, monkeypatch):
 
 
 def test_internal_error_exits_4_without_traceback(capsys, cold_caches, corrupted_elimination):
+    # the max-form rows read the whole inverse, so they reach its check
+    code, out, err = run_cli(
+        capsys, "relations", "--form", "max", "--spec", "S(3)", "--I", "1", "--max-k", "2"
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "internal-error: weingarten inverse failed exactness check\n"
+
+
+def test_a_failed_solve_check_exits_4(capsys, cold_caches, corrupted_solve):
     code, out, err = run_cli(
         capsys, "integrate-g", "--spec", "S(3)", "--word", "oo", "--row", "1,1", "--col", "1,1"
     )
     assert code == 4
     assert out == ""
-    assert err == "internal-error: weingarten inverse failed exactness check\n"
+    assert err == "internal-error: weingarten solve failed exactness check\n"
 
 
 def test_relations_suite_reports_the_first_witness(capsys, monkeypatch):

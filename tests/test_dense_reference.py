@@ -75,8 +75,8 @@ def _ref_ergodicity(spec, I, word, hits):
     k = len(word)
     size = n**k
     P = projection_P(spec, word)
-    kw = weingarten._k_dot_weingarten(spec.family, n, weingarten._norm_word(spec, word), I.m)
-    moments = [sum((kw[t] for t in hits[j]), Fraction(0)) for j in range(size)]
+    kw, den = weingarten._k_dot_weingarten(spec.family, n, weingarten._norm_word(spec, word), I.m)
+    moments = [sum((Fraction(kw[t], den) for t in hits[j]), Fraction(0)) for j in range(size)]
     i_flats = I.flat_indices(k)
     report = {"spec": str(spec), "I": str(I), "word": word, "passed": True, "counterexample": None}
     for i in range(size):
@@ -163,10 +163,11 @@ def _perturbed(real):
     space moment at every kernel that sees only one of the two."""
 
     def kw(*key):
-        out = list(real(*key))
-        out[0] -= 1
-        out[-1] += 1
-        return tuple(out)
+        numerators, den = real(*key)
+        out = list(numerators)
+        out[0] -= den
+        out[-1] += den
+        return tuple(out), den
 
     return kw
 

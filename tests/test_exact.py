@@ -10,6 +10,7 @@ from qhs.exact import (
     DomainError,
     Echelon,
     ExactMatrix,
+    Factor,
     ScaleBaseError,
     ScaledScalar,
     SingularGramError,
@@ -209,6 +210,48 @@ def test_invert_singular_reports_rank():
         invert(ExactMatrix.from_rows([[1, 1], [1, 1]]))
     assert err.value.rank == 1
     assert err.value.name == "gram-singular"
+
+
+def test_factor_singular_reports_rank():
+    for rows, rk in (([[1, 1], [1, 1]], 1), ([[0, 0], [0, 0]], 0), ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 2)):
+        with pytest.raises(SingularGramError) as err:
+            Factor(ExactMatrix.from_rows(rows))
+        assert err.value.rank == rk
+        assert err.value.name == "gram-singular"
+
+
+def test_factor_holds_the_triangles_of_a_gram_matrix():
+    gram = ExactMatrix.from_rows([[16, 4, 4], [4, 16, 4], [4, 4, 16]])
+    factor = Factor(gram)
+    assert len(factor.pivots) == 3 and [len(u) for u in factor.tails] == [2, 1, 0]
+    assert [len(l) for l in factor.lower] == [1, 2, 3]
+    assert factor.solve([1, 0, 0]) == ((5, -1, -1), 72)
+    assert factor.solve([0, 0, 0]) == ((0, 0, 0), 1)
+    assert Factor(ExactMatrix(0, 0, ())).solve([]) == ((), 1)
+
+
+def test_solve_catches_a_corrupted_back_substitution(corrupted_solve):
+    factor = Factor(ExactMatrix.from_rows([[16, 4, 4], [4, 16, 4], [4, 4, 16]]))
+    with pytest.raises(AssertionError, match="exactness check"):
+        factor.solve([1, 1, 0])
+
+
+@given(st.integers(1, 5), st.data())
+def test_solve_is_the_column_of_the_inverse(n, data):
+    # any nonsingular matrix, rational or not, so pivots need not come in row order
+    entries = data.draw(st.lists(_gram_entries, min_size=n * n, max_size=n * n))
+    matrix = ExactMatrix(n, n, entries)
+    try:
+        w = invert(matrix)
+    except SingularGramError:
+        with pytest.raises(SingularGramError):
+            Factor(matrix)
+        return
+    b = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=n, max_size=n))
+    x, den = Factor(matrix).solve(b)
+    assert den > 0 and math.gcd(den, *x) == 1
+    expected = [sum(map(mul, w.row(r), b)) for r in range(n)]
+    assert [Fraction(v, den) for v in x] == expected
 
 
 small_entries = st.integers(min_value=-4, max_value=4)

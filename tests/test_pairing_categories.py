@@ -26,6 +26,7 @@ from qhs.partitions import (
 )
 from qhs.relations import relations_med
 from qhs.weingarten import IndexSet, ergodicity_check, integrate_G, integrate_X
+from test_partitions import is_noncrossing, is_pairing
 
 PAIRING_FAMILIES = ("O", "O+", "U", "U+")
 
@@ -34,8 +35,8 @@ def _filtered(parts, family: str, word: str) -> list:
     """The category's members as the filters of all_partitions give them."""
     return [
         p for p in parts
-        if (family[0] == "S" or p.is_pairing())
-        and (not family.endswith("+") or p.is_noncrossing())
+        if (family[0] == "S" or is_pairing(p))
+        and (not family.endswith("+") or is_noncrossing(p))
         and (family[0] != "U" or all(word[a] != word[b] for a, b in p.blocks))
     ]
 
@@ -54,7 +55,7 @@ def _check_enumerators(parts, words, families=PAIRING_FAMILIES):
 
 def test_pairing_enumerators_equal_the_filters_up_to_8_letters():
     for k in range(9):
-        pairings = [p for p in all_partitions(k) if p.is_pairing()]
+        pairings = [p for p in all_partitions(k) if is_pairing(p)]
         _check_enumerators(pairings, [w for w in colored_words(k) if len(w) == k])
 
 
@@ -71,7 +72,7 @@ def test_pairing_enumerators_equal_the_filters_on_sampled_long_words():
     for k in (9, 10):
         # uncached: the Bell(k) list is the reference only; its members are
         # interned while the test runs, and cold_caches drops them after it
-        pairings = [p for p in all_partitions.__wrapped__(k) if p.is_pairing()]
+        pairings = [p for p in all_partitions.__wrapped__(k) if is_pairing(p)]
         # as many of each color as k allows, then any coloring
         balanced = ["".join(rng.sample("ob" * (k // 2) + "o" * (k % 2), k)) for _ in range(12)]
         words = balanced + ["".join(rng.choice("ob") for _ in range(k)) for _ in range(4)]

@@ -37,8 +37,8 @@ VALUES = [
     (IndexSet, lambda: IndexSet(3, frozenset({0, 2})), ("N", "members")),
     (
         GramData,
-        lambda: GramData(FixBasis((_partition(),), (0,)), _one(), ((1,),), 1, {b"\x00\x01": (0,)}),
-        ("basis", "gram", "weingarten_rows", "denominator", "hits"),
+        lambda: GramData(FixBasis((_partition(),), (0,)), _one(), {b"\x00\x01": (0,)}),
+        ("basis", "gram", "hits"),
     ),
     (OracleGroup, lambda: OracleGroup.symmetric(2), ("generators",)),
     (

@@ -5,12 +5,14 @@ import sys
 from fractions import Fraction
 from itertools import product
 from math import factorial, gcd, perm
+from operator import mul
 from time import perf_counter
 
 import pytest
 
 import qhs
-from qhs.exact import DomainError, ExactMatrix, ParseError, ScaledScalar
+from qhs import weingarten
+from qhs.exact import DomainError, ExactMatrix, ParseError, ScaledScalar, flat_index
 from qhs.oracle import OracleGroup, brute_integrate_G
 from qhs.partitions import (
     FAMILIES,
@@ -82,9 +84,9 @@ def test_gram_matches_entrywise_inner_products():
                 assert data.gram.at(a, b) == (va.transpose() * vb).entries[0]
 
 
-def test_gram_built_from_hits_is_n_to_the_join_block_count():
-    # the Gram entries are summed from the kernel hits, sum over a above both
-    # of perm(N, |a|); the reference is the union-find join of each pair
+def _gram_cases():
+    """All six families, N = 1..4, every word up to 6 letters (5 for S and
+    S+; white words for the self-conjugate families), and O(3) at 8 letters."""
     cases = [
         (family, n, word)
         for family in FAMILIES
@@ -92,11 +94,70 @@ def test_gram_built_from_hits_is_n_to_the_join_block_count():
         for word in colored_words(5 if family in ("S", "S+") else 6)
         if not (family in SELF_CONJUGATE_FAMILIES and "b" in word)
     ]
-    for family, n, word in [*cases, ("O", 3, "o" * 8)]:
+    return [*cases, ("O", 3, "o" * 8)]
+
+
+def test_gram_built_from_hits_is_n_to_the_join_block_count():
+    # the Gram entries are summed from the kernel hits, sum over a above both
+    # of perm(N, |a|); the reference is the union-find join of each pair
+    for family, n, word in _gram_cases():
         data = gram_weingarten(CategorySpec(family, n), word)
         parts = data.basis.selected
         expected = [n ** pa.join_block_count(pb) for pa in parts for pb in parts]
         assert list(data.gram.entries) == expected, (family, n, word)
+
+
+def test_solved_columns_equal_the_full_inverse():
+    # W 1_b, one solve per column kernel b, and W kq of each |I| = m, against
+    # the integer rows of the full inverse
+    for family, n, word in _gram_cases():
+        data = gram_weingarten(CategorySpec(family, n), word)
+        wrows, den = data.weingarten_rows, data.denominator
+        for b, cols in data.hits.items():
+            x, xden = weingarten._weingarten_column(family, n, word, b)
+            assert [v * den for v in x] == [sum(row[u] for u in cols) * xden for row in wrows]
+        for m in range(1, n + 1):
+            kq = [m**part.block_count for part in data.basis.selected]
+            kw, kden = weingarten._k_dot_weingarten(family, n, word, m)
+            assert [v * den for v in kw] == [sum(map(mul, row, kq)) * kden for row in wrows]
+
+
+SIX_WORDS = (
+    ("S", 3, "oooo"), ("S+", 3, "oooo"), ("O", 3, "oooo"),
+    ("O+", 2, "oooooo"), ("U", 2, "obob"), ("U+", 2, "oobb"),
+)
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_cold_moments_and_ergodicity_never_build_the_inverse(monkeypatch):
+    def refused(matrix):
+        raise AssertionError("the full inverse was built")
+
+    monkeypatch.setattr(weingarten, "invert", refused)
+    found = []
+    for family, n, word in SIX_WORDS:
+        spec, I = CategorySpec(family, n), IndexSet.of(n, {0})
+        row = tuple(p % n for p in range(len(word)))
+        found.append((
+            integrate_G(spec, word, row, row[::-1]),
+            integrate_X(spec, I, word, row),
+            ergodicity_check(spec, I, word),
+        ))
+        # nor do equality and hashing
+        data = gram_weingarten(spec, word)
+        twin = weingarten._gram_data.__wrapped__(family, n, word)
+        assert data == twin and hash(data) == hash(twin)
+        assert "_inverse" not in vars(data) and "_inverse" not in vars(twin)
+    monkeypatch.undo()
+    # the projection reads W whole, built by the inverse
+    for (family, n, word), (g, x, report) in zip(SIX_WORDS, found):
+        spec, I, k = CategorySpec(family, n), IndexSet.of(n, {0}), len(word)
+        row = tuple(p % n for p in range(k))
+        P = projection_P(spec, word)
+        i = flat_index(row, n)
+        assert g == P.at(i, flat_index(row[::-1], n)), (family, word)
+        assert x == ScaledScalar(sum(P.at(i, j) for j in I.flat_indices(k)), k, I.m), (family, word)
+        assert report["passed"] and report["counterexample"] is None, (family, word)
 
 
 def test_projection_s4_k1_uniform():
