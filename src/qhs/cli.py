@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii as _quote
+from math import factorial
 
 from .exact import (
     DomainError,
@@ -48,7 +49,7 @@ from .weingarten import (
     projection_P,
 )
 
-PAIR_GUARD = 1 << 22  # (row, col) pairs a brute-force moment comparison checks, summed over words
+PAIR_GUARD = 1 << 22  # terms a brute-force moment comparison reads, summed over its words
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,19 +249,25 @@ def _suite_counts(args) -> dict:
     return _suite_report("counts", {"bounds": args.bounds, "N_max": nmax}, checks)
 
 
+def _check_work(max_k: int, per_length, what: str = "(index, group element) terms") -> None:
+    """Refuse a brute-force comparison before its first moment call once its
+    work, per_length(k) summed over word lengths k <= max_k, passes PAIR_GUARD."""
+    total = 0
+    for k in range(max_k + 1):
+        total += per_length(k)
+        if total > PAIR_GUARD:
+            raise ResourceGuardError(
+                f"the words up to length {k} have {total} {what}, "
+                f"exceeding the guard PAIR_GUARD = {PAIR_GUARD}"
+            )
+
+
 def _suite_weingarten_vs_bruteforce(args) -> dict:
     from .oracle import OracleGroup
 
     spec = _symmetric_spec(args, "weingarten-vs-bruteforce")
     # one integrate_G call per (row, col) pair: 2^k words of N^2k pairs at length k
-    pairs = 0
-    for k in range(args.max_k + 1):
-        pairs += (2 * spec.N**2) ** k
-        if pairs > PAIR_GUARD:
-            raise ResourceGuardError(
-                f"the words up to length {k} have {pairs} (row, col) pairs, "
-                f"exceeding the guard PAIR_GUARD = {PAIR_GUARD}"
-            )
+    _check_work(args.max_k, lambda k: (2 * spec.N**2) ** k, "(row, col) pairs")
     group = OracleGroup.symmetric(spec.N)
     checks = []
     for word in colored_words(args.max_k):
@@ -280,6 +287,8 @@ def _suite_moments_vs_orbit(args) -> dict:
 
     spec = _symmetric_spec(args, "moments-vs-orbit")
     I = IndexSet.parse(_require(args, "I", "--I", "moments-vs-orbit"), spec.N)
+    # orbit_moment reads every element of S_N at each of the N^k indices of 2^k words
+    _check_work(args.max_k, lambda k: (2 * spec.N) ** k * factorial(spec.N))
     group = OracleGroup.symmetric(spec.N)
     checks = []
     for word in colored_words(args.max_k):
@@ -307,6 +316,9 @@ def _suite_dual_moments(args) -> dict:
             for size in range(1, n + 1)
             for members in combinations(range(n), size)
         ]
+    # dual_matrix_moment reads every group element at each index, for each index set
+    terms = len(index_sets) * len(dual.elements)
+    _check_work(args.max_k, lambda k: (2 * n) ** k * terms)
     checks = []
     for I in index_sets:
         moments = [

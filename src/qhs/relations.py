@@ -165,10 +165,11 @@ def relations_med(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSy
 def relations_max(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSystem:
     """One relation per row of the Haar projection per word, in row order.
     By the Weingarten formula the rows of kernel a are sum_u y_u xi_(pi_u)
-    / den, y the sum of W's integer rows hits[a]: one Relation of those
-    weights per kernel, shared by its rows, with rhs sum_u y_u m^|pi_u| /
-    den.  No projection is built, but the printed system holds N^k rows of
-    N^k entries, so a longer word is refused first."""
+    / den, with y / den the solved column W 1_a of the word's Gram data
+    (solves are the only way W is read): one Relation of those weights per
+    kernel, shared by its rows, with rhs sum_u y_u m^|pi_u| / den.  No
+    projection is built, but the printed system holds N^k rows of N^k
+    entries, so a longer word is refused first."""
     I.require_N(spec.N, "spec")
     n = spec.N
     rels = []
@@ -178,16 +179,15 @@ def relations_max(spec: CategorySpec, I: IndexSet, max_k: int = 4) -> RelationSy
         k = len(word)
         check_dense(n ** (2 * k), f"projection over N^2k = {n}^{2 * k}")
         data = gram_weingarten(spec, word)
-        parts, wrows = data.basis.selected, data.weingarten_rows
+        parts = data.basis.selected
         sizes = [I.m**part.block_count for part in parts]
         by_kernel = {}
         for kernel in kernel_ids(n, k):
             rel = by_kernel.get(kernel)
             if rel is None:
-                y = [sum(col) for col in zip(*(wrows[t] for t in data.hits.get(kernel, ())))]
-                rhs = ScaledScalar(Fraction(sum(map(mul, y, sizes)), data.denominator), k, I.m)
-                rel = Relation.of_weights(word, "", parts, y, data.denominator, n, rhs)
-                by_kernel[kernel] = rel
+                y, den = data.weingarten_column(kernel)
+                rhs = ScaledScalar(Fraction(sum(map(mul, y, sizes)), den), k, I.m)
+                rel = by_kernel[kernel] = Relation.of_weights(word, "", parts, y, den, n, rhs)
             rels.append(rel)
     return RelationSystem(spec, I, "max-form", tuple(rels))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from math import perm
-from operator import add
 
 from .exact import (
     DomainError,
@@ -23,7 +22,6 @@ from .exact import (
     ScaledScalar,
     check_index,
     common_denominator,
-    invert,
 )
 from .partitions import (
     CategorySpec,
@@ -98,18 +96,18 @@ class IndexSet(Frozen):
 
 class GramData(Frozen):
     """Selected basis with its Gram matrix G and one factor of G, the cached
-    record of a word.  Moments read the Weingarten matrix W = G^-1 through
-    products: factor.solve(b) is W b, in integers over one denominator.
-    hits maps a kernel (its restricted growth string, as bytes) to the
-    positions of the selected partitions it coarsens.  The readers of every
-    column of W read it whole, as weingarten_rows[t][u] / denominator over
-    one common denominator.  The factor and W are each built on first read,
-    so a word pays only for what its readers read."""
+    record of a word.  Every reader of the Weingarten matrix W = G^-1 reads
+    it through checked solves, factor.solve(b) = W b in integers over one
+    denominator; no field holds W whole.  hits maps a kernel (its
+    restricted growth string, as bytes) to the positions of the selected
+    partitions it coarsens.  The factor is built by the first solve, so a
+    word pays only for what its readers read."""
 
     def __init__(self, basis: FixBasis, gram: ExactMatrix, hits: dict):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "hits", hits)
+        object.__setattr__(self, "_columns", {})  # kernel -> its solved column
 
     def _key(self):
         return self.basis, self.gram, tuple(self.hits.items())
@@ -118,20 +116,18 @@ class GramData(Frozen):
     def factor(self) -> Factor:
         return Factor(self.gram)
 
-    @cached_property
-    def _inverse(self) -> tuple:
-        """(weingarten_rows, denominator), built on first read."""
-        d = self.gram.rows
-        numerators, den = common_denominator(invert(self.gram).entries if d else ())
-        return tuple(tuple(numerators[r * d : (r + 1) * d]) for r in range(d)), den
-
-    @property
-    def weingarten_rows(self) -> tuple:
-        return self._inverse[0]
-
-    @property
-    def denominator(self) -> int:
-        return self._inverse[1]
+    def weingarten_column(self, a: bytes) -> tuple:
+        """W 1_a, with 1_a the indicator of hits[a], as integer numerators
+        over one denominator: one solve per kernel a, cached here.  W is
+        symmetric, so this is also the sum of W's rows hits[a].  A kernel
+        outside hits reads zeros, with no solve."""
+        d = self.basis.dimension
+        if a not in self.hits:
+            return (0,) * d, 1
+        if a not in self._columns:
+            cols = set(self.hits[a])
+            self._columns[a] = self.factor.solve([int(u in cols) for u in range(d)])
+        return self._columns[a]
 
 
 def _norm_word(spec: CategorySpec, word: str) -> str:
@@ -178,8 +174,8 @@ def _gram_data(family: str, n: int, word: str) -> GramData:
 
 def gram_weingarten(spec: CategorySpec, word: str) -> GramData:
     """The word's Gram data: the Gram matrix N**|join| on the selected
-    basis and its kernel hits, with, each built on first read, one factor
-    for exact solves with its inverse W and W itself."""
+    basis and its kernel hits, with one factor for exact solves, built on
+    first read.  Those solves are the only way W is read."""
     check_word(word)
     return _gram_data(spec.family, spec.N, _norm_word(spec, word))
 
@@ -233,37 +229,27 @@ def _kernel_moment(family: str, n: int, word: str, a: bytes, b: bytes) -> Fracti
     rep, order = _letter_class(family, word)
     if rep != word:
         return _kernel_moment(family, n, rep, _moved(a, order), _moved(b, order))
-    hits = _gram_data(family, n, word).hits
-    if a not in hits or b not in hits:  # no selected partition below a kernel: a zero moment
-        return Fraction(0)
-    x, den = _weingarten_column(family, n, word, b)
-    return Fraction(sum(x[t] for t in hits[a]), den)
-
-
-@cache
-def _weingarten_column(family: str, n: int, word: str, b: bytes) -> tuple:
-    """W 1_b, with 1_b the indicator of hits[b], as integer numerators over
-    one denominator: one solve per column kernel b of the word."""
     data = _gram_data(family, n, word)
-    cols = set(data.hits[b])
-    return data.factor.solve([int(u in cols) for u in range(data.basis.dimension)])
+    if a not in data.hits:  # no selected partition below the row kernel: a zero moment
+        return Fraction(0)
+    x, den = data.weingarten_column(b)
+    return Fraction(sum(x[t] for t in data.hits[a]), den)
 
 
 @cache
 def _projection(family: str, n: int, word: str) -> ExactMatrix:
     """P[i, j] depends on i and j only through their kernels: one sum per
-    pair of kernels that occur in kernel_ids, read back through it."""
+    pair of kernels that occur in kernel_ids, read back through it.  Entry
+    (a, b) is the solved column W 1_a summed over hits[b]: one solve per
+    kernel, the only way W is read."""
     check_dense(n ** (2 * len(word)), f"projection over N^2k = {n}^{2 * len(word)}")
     kid = kernel_ids(n, len(word))
     data = _gram_data(family, n, word)
-    wrows, hits, den = data.weingarten_rows, data.hits, data.denominator
     kernels = set(kid)
     expanded = {}
     for a in kernels:
-        colsum = [0] * len(wrows)
-        for t in hits.get(a, ()):
-            colsum = list(map(add, colsum, wrows[t]))
-        row = {b: Fraction(sum(colsum[u] for u in hits.get(b, ())), den) for b in kernels}
+        x, den = data.weingarten_column(a)
+        row = {b: Fraction(sum(x[u] for u in data.hits.get(b, ())), den) for b in kernels}
         expanded[a] = [row[b] for b in kid]
     out = []
     for a in kid:

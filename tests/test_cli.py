@@ -551,6 +551,34 @@ def test_the_bruteforce_comparison_is_refused_on_its_pair_count_under_a_memory_c
         assert json.loads(proc.stdout)["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        # 16,287,120 and 8,987,760 terms by the words up to lengths 4 and 5:
+        # unguarded, each ran past 60 s
+        ("moments-vs-orbit --spec S(6) --I 1,2 --max-k 6", 3),
+        ("dual-moments --oracle dualZ2(4) --max-k 6", 3),
+        # the pinned requests: 1,554 and 10,878 terms
+        ("moments-vs-orbit --spec S(3) --I 1,2 --max-k 3", 0),
+        ("dual-moments --oracle dualS3(12,13,23) --max-k 3", 0),
+    ],
+)
+def test_the_orbit_and_dual_comparisons_are_refused_on_their_term_count_under_a_memory_cap(
+    args, code
+):
+    start = time.monotonic()
+    proc = _capped_run(["verify", "--suite", *args.split()])
+    elapsed = time.monotonic() - start
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.startswith("resource-guard-exceeded: the words up to length ")
+        assert "group element) terms" in proc.stderr and "PAIR_GUARD" in proc.stderr
+        assert not proc.stdout
+        assert elapsed < 1.0, elapsed
+    else:
+        assert json.loads(proc.stdout)["passed"] is True
+
+
 def test_verify_failure_exit_code_is_one(capsys, monkeypatch):
     # a deliberately broken check must exit 1 while still emitting the report
     import qhs.cli as cli_mod
@@ -584,14 +612,14 @@ def test_frobenius_suite_counts_the_hom_side_independently(capsys, monkeypatch):
         assert checks["hom-dims-match-fix-dims"] is False
 
 
-def test_internal_error_exits_4_without_traceback(capsys, cold_caches, corrupted_elimination):
-    # the max-form rows read the whole inverse, so they reach its check
+def test_internal_error_exits_4_without_traceback(capsys, cold_caches, corrupted_solve):
+    # the max-form rows read the solved columns, so they reach the solve check
     code, out, err = run_cli(
         capsys, "relations", "--form", "max", "--spec", "S(3)", "--I", "1", "--max-k", "2"
     )
     assert code == 4
     assert out == ""
-    assert err == "internal-error: weingarten inverse failed exactness check\n"
+    assert err == "internal-error: weingarten solve failed exactness check\n"
 
 
 def test_a_failed_solve_check_exits_4(capsys, cold_caches, corrupted_solve):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qhs import weingarten
-from qhs.exact import Echelon, ExactMatrix, ScaledScalar, flat_index
+from qhs.exact import Echelon, ExactMatrix, ScaledScalar, flat_index, invert
 from qhs.partitions import FAMILIES, CategorySpec, enumerate_category, fix_basis, partition_vector
 from qhs.weingarten import (
     IndexSet,
@@ -134,7 +134,8 @@ def test_kernel_path_matches_dense_reference(case):
     selected = [vectors[t] for t in keep]
     hits = _ref_hits(selected, size)
     wdata = gram_weingarten(spec, word)
-    wrows = [[Fraction(x, wdata.denominator) for x in row] for row in wdata.weingarten_rows]
+    w = invert(wdata.gram)
+    wrows = [w.row(t) for t in range(w.rows)]
     I = IndexSet.of(n, members)
     kq = [_ref_I_sum(vec, I, k) for vec in selected]
     assert K_vector(spec, word, I) == [ScaledScalar(Fraction(q), k, I.m) for q in kq]

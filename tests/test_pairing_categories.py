@@ -15,7 +15,7 @@ import pytest
 
 from qhs import partitions, weingarten
 from qhs.cli import main
-from qhs.exact import ResourceGuardError, ScaledScalar
+from qhs.exact import ResourceGuardError, ScaledScalar, invert
 from qhs.partitions import (
     CategorySpec,
     all_partitions,
@@ -171,11 +171,14 @@ def test_one_gram_per_letter_order_class(family, classes):
 
 
 def _own_sums(spec: CategorySpec, word: str, kernels: list) -> tuple:
-    """Per kernel a, the sum of the Weingarten rows of the selected
-    partitions below it, read straight off the word's own Gram data."""
+    """Per kernel a, the sum of the rows of the selected partitions below
+    it in the reference inverse of the word's own Gram matrix."""
     data = weingarten._gram_data(spec.family, spec.N, word)
-    wrows, hits = data.weingarten_rows, data.hits
-    sums = {a: [sum(col) for col in zip(*(wrows[t] for t in hits.get(a, ())))] for a in kernels}
+    w, hits = invert(data.gram), data.hits
+    sums = {
+        a: [sum((w.at(t, u) for t in hits.get(a, ())), Fraction(0)) for u in range(w.cols)]
+        for a in kernels
+    }
     return data, sums
 
 
@@ -190,11 +193,10 @@ def test_shared_moments_equal_each_words_own(family, n, max_len):
         for a in kernels:
             row = sums[a]
             for b in kernels:
-                own = Fraction(sum(row[u] for u in data.hits.get(b, ())) if row else 0,
-                               data.denominator)
+                own = sum((row[u] for u in data.hits.get(b, ())), Fraction(0))
                 assert integrate_G(spec, word, tuple(a), tuple(b)) == own, (word, a, b)
             for m in range(1, n + 1):
                 sizes = [m**part.block_count for part in data.basis.selected]
-                own = Fraction(sum(map(int.__mul__, row, sizes)), data.denominator)
+                own = sum(map(Fraction.__mul__, row, sizes), Fraction(0))
                 found = integrate_X(spec, IndexSet.of(n, range(m)), word, tuple(a))
                 assert found == ScaledScalar(own, k, m), (word, m, a)

@@ -37,6 +37,7 @@ def test_every_hook_runs_on_a_traced_request(monkeypatch, capsys, cold_caches):
     # a hook reads the result of its target; one that no longer fits raises
     # inside the request, which then exits 4
     import qhs.cli as cli
+    import qhs.exact
 
     tracer_module = _load_tracer(monkeypatch)
     tracer = tracer_module.Tracer()
@@ -54,6 +55,8 @@ def test_every_hook_runs_on_a_traced_request(monkeypatch, capsys, cold_caches):
     tracer.install()
     try:
         codes = [cli.main(list(argv)) for argv in requests]
+        # no request builds the full inverse, which stays the reference for solves
+        qhs.exact.invert(qhs.exact.ExactMatrix.from_rows([[2, 1], [1, 2]]))
     finally:
         tracer.uninstall()
     capsys.readouterr()

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -11,8 +13,8 @@ from time import perf_counter
 import pytest
 
 import qhs
-from qhs import weingarten
-from qhs.exact import DomainError, ExactMatrix, ParseError, ScaledScalar, flat_index
+from qhs import cli, weingarten
+from qhs.exact import DomainError, ExactMatrix, ParseError, ScaledScalar, flat_index, invert
 from qhs.oracle import OracleGroup, brute_integrate_G
 from qhs.partitions import (
     FAMILIES,
@@ -35,36 +37,30 @@ from qhs.weingarten import (
     integrate_X,
     projection_P,
 )
+from qhs.relations import relations_max
 
 S4 = CategorySpec("S", 4)
 O3 = CategorySpec("O", 3)
 I12 = IndexSet.parse("1,2", 4)
 
 
-def weingarten_matrix(data) -> ExactMatrix:
-    """The Weingarten matrix as Fractions, rebuilt from its integer rows."""
-    return ExactMatrix.from_rows(
-        [[Fraction(x, data.denominator) for x in row] for row in data.weingarten_rows]
-    )
-
-
 def test_gram_single_pairing():
     data = gram_weingarten(O3, "oo")
     assert data.gram == ExactMatrix.from_rows([[3]])
-    assert weingarten_matrix(data) == ExactMatrix.from_rows([[Fraction(1, 3)]])
+    assert invert(data.gram) == ExactMatrix.from_rows([[Fraction(1, 3)]])
 
 
 def test_gram_o4_three_pairings():
     data = gram_weingarten(CategorySpec("O", 4), "oooo")
     assert data.gram == ExactMatrix.from_rows([[16, 4, 4], [4, 16, 4], [4, 4, 16]])
-    assert (weingarten_matrix(data) * data.gram).is_identity()
-    assert (data.gram * weingarten_matrix(data)).is_identity()
+    assert (invert(data.gram) * data.gram).is_identity()
+    assert (data.gram * invert(data.gram)).is_identity()
 
 
 def test_gram_s4_k1():
     data = gram_weingarten(S4, "o")
     assert data.gram == ExactMatrix.from_rows([[4]])
-    assert weingarten_matrix(data) == ExactMatrix.from_rows([[Fraction(1, 4)]])
+    assert invert(data.gram) == ExactMatrix.from_rows([[Fraction(1, 4)]])
 
 
 def test_gram_matches_entrywise_inner_products():
@@ -109,17 +105,21 @@ def test_gram_built_from_hits_is_n_to_the_join_block_count():
 
 def test_solved_columns_equal_the_full_inverse():
     # W 1_b, one solve per column kernel b, and W kq of each |I| = m, against
-    # the integer rows of the full inverse
+    # the reference inverse of the Gram matrix
     for family, n, word in _gram_cases():
         data = gram_weingarten(CategorySpec(family, n), word)
-        wrows, den = data.weingarten_rows, data.denominator
+        w, d = invert(data.gram), data.gram.rows
         for b, cols in data.hits.items():
-            x, xden = weingarten._weingarten_column(family, n, word, b)
-            assert [v * den for v in x] == [sum(row[u] for u in cols) * xden for row in wrows]
+            x, xden = data.weingarten_column(b)
+            assert [Fraction(v, xden) for v in x] == [
+                sum((w.at(t, u) for u in cols), Fraction(0)) for t in range(d)
+            ]
         for m in range(1, n + 1):
             kq = [m**part.block_count for part in data.basis.selected]
             kw, kden = weingarten._k_dot_weingarten(family, n, word, m)
-            assert [v * den for v in kw] == [sum(map(mul, row, kq)) * kden for row in wrows]
+            assert [Fraction(v, kden) for v in kw] == [
+                sum(map(mul, w.row(t), kq), Fraction(0)) for t in range(d)
+            ]
 
 
 SIX_WORDS = (
@@ -128,12 +128,25 @@ SIX_WORDS = (
 )
 
 
-@pytest.mark.usefixtures("cold_caches")
-def test_cold_moments_and_ergodicity_never_build_the_inverse(monkeypatch):
+def _refuse_invert(monkeypatch):
+    """exact.invert raises at every binding in every qhs module."""
+
     def refused(matrix):
         raise AssertionError("the full inverse was built")
 
-    monkeypatch.setattr(weingarten, "invert", refused)
+    real = qhs.exact.invert
+    for info in pkgutil.iter_modules(qhs.__path__, "qhs."):
+        module = importlib.import_module(info.name)
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, refused)
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_cold_moments_and_ergodicity_never_build_the_inverse(monkeypatch, capsys):
+    # no qhs path builds W whole: moments, ergodicity, the projection and
+    # the max-form rows all read it through solves
+    _refuse_invert(monkeypatch)
     found = []
     for family, n, word in SIX_WORDS:
         spec, I = CategorySpec(family, n), IndexSet.of(n, {0})
@@ -142,18 +155,40 @@ def test_cold_moments_and_ergodicity_never_build_the_inverse(monkeypatch):
             integrate_G(spec, word, row, row[::-1]),
             integrate_X(spec, I, word, row),
             ergodicity_check(spec, I, word),
+            projection_P(spec, word),
+            relations_max(spec, I, len(word)),
         ))
         # nor do equality and hashing
         data = gram_weingarten(spec, word)
         twin = weingarten._gram_data.__wrapped__(family, n, word)
         assert data == twin and hash(data) == hash(twin)
-        assert "_inverse" not in vars(data) and "_inverse" not in vars(twin)
+    for argv in (
+        ("relations", "--form", "max", "--spec", "S(3)", "--I", "1,2", "--max-k", "3"),
+        ("verify", "--suite", "projection-laws", "--spec", "O+(2)", "--max-k", "4"),
+    ):
+        assert cli.main(list(argv)) == 0, argv
+    capsys.readouterr()
     monkeypatch.undo()
-    # the projection reads W whole, built by the inverse
-    for (family, n, word), (g, x, report) in zip(SIX_WORDS, found):
+    for (family, n, word), (g, x, report, P, system) in zip(SIX_WORDS, found):
         spec, I, k = CategorySpec(family, n), IndexSet.of(n, {0}), len(word)
+        # P and the max-form T, from the reference inverse
+        data = gram_weingarten(spec, word)
+        w, d = invert(data.gram), data.gram.rows
+        kid = kernel_ids(n, k)
+        assert P == ExactMatrix(len(kid), len(kid), [
+            sum((w.at(t, u) for t in data.hits.get(a, ()) for u in data.hits.get(b, ())),
+                Fraction(0))
+            for a in kid for b in kid
+        ]), (family, word)
+        rows = [rel for rel in system.relations if rel.left_word == word]
+        assert [rel.coefficients for rel in rows] == [
+            ExactMatrix(len(kid), 1, P.row(i)) for i in range(len(kid))
+        ], (family, word)
+        sizes = [I.m**part.block_count for part in data.basis.selected]
+        for a, rel in zip(kid, rows):
+            y = [sum((w.at(t, u) for t in data.hits.get(a, ())), Fraction(0)) for u in range(d)]
+            assert rel.rhs == ScaledScalar(sum(map(mul, y, sizes), Fraction(0)), k, I.m)
         row = tuple(p % n for p in range(k))
-        P = projection_P(spec, word)
         i = flat_index(row, n)
         assert g == P.at(i, flat_index(row[::-1], n)), (family, word)
         assert x == ScaledScalar(sum(P.at(i, j) for j in I.flat_indices(k)), k, I.m), (family, word)
@@ -431,15 +466,18 @@ def test_point_queries_match_the_mobius_form_at_s40():
     ],
 )
 def test_weingarten_rows_are_integers_over_one_denominator(family, n, word):
+    # W is symmetric, so the solved column W 1_a is the sum of W's rows
+    # hits[a]: ints over one denominator, in lowest terms, and over it an
+    # exact solution of G x = 1_a
     data = gram_weingarten(CategorySpec(family, n), word)
-    den = data.denominator
-    assert len(data.weingarten_rows) == data.gram.rows > 0
-    for wrow in data.weingarten_rows:
-        assert all(type(x) is int for x in wrow)
-    # over the denominator, the rows are the exact inverse of the Gram matrix
-    assert (weingarten_matrix(data) * data.gram).is_identity()
-    # the least common denominator: no factor of it divides every numerator
-    assert gcd(den, *(x for wrow in data.weingarten_rows for x in wrow)) == 1
+    d = data.gram.rows
+    assert d > 0
+    for a, ts in data.hits.items():
+        x, den = data.weingarten_column(a)
+        assert len(x) == d and den > 0 and all(type(v) is int for v in x)
+        assert gcd(den, *x) == 1
+        found = data.gram * ExactMatrix(d, 1, [Fraction(v, den) for v in x])
+        assert found == ExactMatrix(d, 1, [int(u in ts) for u in range(d)])
 
 
 def test_warm_integrate_x_hits_return_one_finished_value(cold_caches, monkeypatch):
