@@ -1,25 +1,30 @@
 """Command-line surface: exact integration, relation systems, verify suites.
 
 Exit codes: 0 success, 1 a verify suite found a failing asserted check,
-2 malformed invocation, 3 domain error (its name goes to stderr), 4 internal
-error such as a failed exactness self-check (``internal-error: <message>``
-on stderr, or the exception's type when it has no message; no traceback).
+2 malformed invocation (also an --output or stdout that cannot be written,
+and a verify flag the suite does not read), 3 domain error (its name goes
+to stderr), 4 internal error such as a failed exactness self-check
+(``internal-error: <message>`` on stderr, or the exception's type when it
+has no message; no traceback).
 Output is deterministic: identical invocations produce byte-identical output.
 The oracle, opspaces, relations and frobenius modules are imported inside the
-commands that use them, so integrate-x and integrate-g start without them.
+commands that use them, so integrate-x and integrate-g start without them,
+and neither json nor random is imported at start-up.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import random
 import sys
 from fractions import Fraction
 from itertools import combinations, product
-from json.encoder import encode_basestring_ascii as _quote
 from math import factorial
+
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without json's C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 from .exact import (
     DomainError,
@@ -94,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, default=None, dest="max_k")
     p.add_argument("--max-l", type=int, default=None, dest="max_l")
     p.add_argument("--bounds", type=int, default=None)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int)
     common(p)
     return parser
 
@@ -415,6 +420,8 @@ def _suite_relations(args) -> dict:
 
 
 def _suite_frobenius(args) -> dict:
+    import random
+
     from .frobenius import frobenius_to_fix, frobenius_to_hom
     from .opspaces import grid_cells
     from .oracle import fixed_space, hom_dimension, parse_oracle
@@ -500,19 +507,20 @@ def _suite_report(suite: str, params: dict, checks: list) -> dict:
     }
 
 
-# suite name -> (runner, defaults of the bounds it reads)
+# suite name -> (runner, the flags it reads with their defaults)
 _SUITE_RUNNERS = {
     "counts": (_suite_counts, {"bounds": 6}),
-    "weingarten-vs-bruteforce": (_suite_weingarten_vs_bruteforce, {"max_k": 4}),
-    "moments-vs-orbit": (_suite_moments_vs_orbit, {"max_k": 4}),
-    "dual-moments": (_suite_dual_moments, {"max_k": 4}),
-    "projection-laws": (_suite_projection_laws, {"max_k": 3}),
-    "ergodicity": (_suite_ergodicity, {"max_k": 3}),
-    "relations": (_suite_relations, {"max_k": 3, "max_l": 2}),
-    "frobenius": (_suite_frobenius, {"bounds": 4}),
-    "saturation": (_suite_saturation, {}),
-    "properness": (_suite_properness, {}),
+    "weingarten-vs-bruteforce": (_suite_weingarten_vs_bruteforce, {"spec": None, "max_k": 4}),
+    "moments-vs-orbit": (_suite_moments_vs_orbit, {"spec": None, "I": None, "max_k": 4}),
+    "dual-moments": (_suite_dual_moments, {"oracle": None, "I": None, "max_k": 4}),
+    "projection-laws": (_suite_projection_laws, {"spec": None, "max_k": 3}),
+    "ergodicity": (_suite_ergodicity, {"spec": None, "I": None, "max_k": 3}),
+    "relations": (_suite_relations, {"spec": None, "I": None, "max_k": 3, "max_l": 2}),
+    "frobenius": (_suite_frobenius, {"oracle": None, "bounds": 4, "samples": 100}),
+    "saturation": (_suite_saturation, {"oracle": None, "I": None, "bounds": None}),
+    "properness": (_suite_properness, {"oracle": None, "I": None}),
 }
+_SUITE_FLAGS = ("spec", "oracle", "I", "max_k", "max_l", "bounds", "samples")
 
 
 def cmd_verify(args) -> dict:
@@ -520,13 +528,17 @@ def cmd_verify(args) -> dict:
         raise ParseError(
             f"unknown suite {args.suite!r}; choose from {', '.join(_SUITE_RUNNERS)}"
         )
-    runner, defaults = _SUITE_RUNNERS[args.suite]
-    for flag in ("max_k", "max_l", "bounds", "samples"):
+    runner, reads = _SUITE_RUNNERS[args.suite]
+    for flag in _SUITE_FLAGS:
         value = getattr(args, flag)
-        if value is None:
-            setattr(args, flag, defaults.get(flag))
-        elif value < 0:
-            raise ParseError(f"--{flag.replace('_', '-')} must be nonnegative, got {value}")
+        name = "--" + flag.replace("_", "-")
+        if flag not in reads:
+            if value is not None:
+                raise ParseError(f"suite {args.suite!r} does not read {name}")
+        elif value is None:
+            setattr(args, flag, reads[flag])
+        elif isinstance(value, int) and value < 0:
+            raise ParseError(f"{name} must be nonnegative, got {value}")
     return runner(args)
 
 
@@ -658,6 +670,22 @@ def _write_atomically(path: str, text: str) -> None:
         raise
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush text to stdout.  On a failed write the stdout
+    descriptor is pointed at os.devnull before the error goes on, so the
+    interpreter's final flush of what stdout still holds cannot fail again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -678,14 +706,15 @@ def main(argv=None) -> int:
         # a failed self-check or a bug, never a verdict on the input
         print(f"internal-error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
-    if args.output:
-        try:
+    try:
+        if args.output:
             _write_atomically(args.output, text)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            _write_stdout(text)
+    except OSError as exc:
+        where = args.output or "stdout"
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     if "passed" in payload and not payload["passed"]:
         return 1
     return 0

@@ -9,7 +9,6 @@ and every quantity stays rational.  Everything is exhaustive and exact.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from collections import Counter
@@ -367,6 +366,8 @@ def build_group(text: str) -> OracleGroup:
         return OracleGroup.hyperoctahedral(int(match.group(1)))
     match = re.fullmatch(r"gens\((.+)\)", text)
     if match:
+        import json
+
         path = match.group(1).strip()
         try:
             with open(path, encoding="utf-8") as handle:

@@ -25,7 +25,6 @@ from .exact import (
     common_denominator,
 )
 from .frobenius import frobenius_map, frobenius_to_hom
-from .oracle import OracleRealization, fixes_partitions
 from .partitions import (
     BLACK,
     WHITE,
@@ -244,6 +243,10 @@ def _fixes_category(source, spec: CategorySpec, word: str) -> bool:
     classical oracle of monomial generators, where a generator moves each
     support onto itself with a sign that factorises over the blocks, so the
     verdict is exact; by the supports otherwise (`oracle.fixes_partitions`)."""
+    # only verifying reads the oracle module (oracle.OracleRealization is
+    # named in annotations alone), so building a system does not load it
+    from .oracle import fixes_partitions
+
     return fixes_partitions(source, word, selected_partitions(spec, word))
 
 

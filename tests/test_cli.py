@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -301,14 +302,21 @@ def test_every_verify_suite_keeps_its_bytes(capsys, argv, prefix):
     assert hashlib.sha256(out.encode()).hexdigest()[:12] == prefix
 
 
-def _loaded_after(statement: str) -> set:
-    """The qhs modules a fresh interpreter holds after running statement."""
-    code = f"import sys\n{statement}\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'qhs'))"
+@functools.cache
+def _loaded_after(statement: str) -> frozenset:
+    """The qhs, json and random modules a fresh interpreter holds after
+    running statement, less those a bare interpreter already holds (a
+    site-packages .pth file may preload random)."""
+    code = (
+        f"import sys\n{statement}\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('qhs', 'json', 'random')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=30
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    loaded = frozenset(proc.stdout.split())
+    return loaded - _loaded_after("") if statement else loaded
 
 
 def test_modules_import_only_what_they_use():
@@ -319,16 +327,23 @@ def test_modules_import_only_what_they_use():
     }
     assert not _loaded_after("import qhs.oracle") & {"qhs.opspaces", "qhs.relations", "qhs.cli"}
     # cli.py imports oracle, opspaces, relations and frobenius per command,
-    # so integrating loads nothing past weingarten
+    # and json and random nowhere it starts, so integrating loads nothing
+    # past weingarten
     integrating = {"qhs", "qhs.cli", "qhs.exact", "qhs.partitions", "qhs.weingarten"}
     assert _loaded_after("import qhs.cli") == integrating
-    requests = (
+    quiet = "import io\nsys.stdout = io.StringIO()\n"
+
+    def after(*requests):
+        run = "".join(f"assert qhs.cli.main({argv!r}) == 0\n" for argv in requests)
+        return _loaded_after(f"import qhs.cli\n{quiet}{run}sys.stdout = sys.__stdout__")
+
+    assert after(
         ["integrate-g", "--spec", "S(3)", "--word", "ob", "--row", "1,2", "--col", "1,2"],
         ["integrate-x", "--spec", "O+(3)", "--I", "1,2", "--word", "oo", "--idx", "1,2"],
-    )
-    run = "".join(f"assert qhs.cli.main({argv!r}) == 0\n" for argv in requests)
-    quiet = "import io\nsys.stdout = io.StringIO()\n"
-    assert _loaded_after(f"import qhs.cli\n{quiet}{run}sys.stdout = sys.__stdout__") == integrating
+    ) == integrating
+    # building and printing a system verifies nothing, so no oracle loads
+    relations = ["relations", "--form", "max", "--spec", "U(3)", "--I", "3", "--max-k", "2"]
+    assert after(relations) == integrating | {"qhs.frobenius", "qhs.relations"}
     # no value type is a dataclass, so no module loads dataclasses
     names = ("cli", "exact", "frobenius", "opspaces", "oracle", "partitions", "relations", "weingarten")
     every = {f"qhs.{name}" for name in names}
@@ -338,11 +353,37 @@ def test_modules_import_only_what_they_use():
 
 def test_relations_module_loads_no_operator_spaces():
     # relation systems hold partitions, so neither building nor verifying
-    # them reads opspaces; the relations command loads only these
+    # them reads opspaces, and only verifying reads the oracles
     assert _loaded_after("import qhs.relations") == {
-        "qhs", "qhs.exact", "qhs.frobenius", "qhs.oracle", "qhs.partitions", "qhs.relations",
-        "qhs.weingarten",
+        "qhs", "qhs.exact", "qhs.frobenius", "qhs.partitions", "qhs.relations", "qhs.weingarten",
     }
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # buffered, a moment fails at the flush and a system already at the write
+        ["integrate-g", "--spec", "S(4)", "--word", "o", "--row", "1", "--col", "1"],
+        ["relations", "--form", "max", "--spec", "U(3)", "--I", "3", "--max-k", "3"],
+    ],
+    ids=["integrate-g", "relations"],
+)
+def test_unwritable_stdout_exits_2(argv, unbuffered):
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qhs", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    # one line: no traceback, and no "Exception ignored" from the final flush
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write stdout: No space left on device\n"
+    )
 
 
 def test_output_file_written_atomically(tmp_path, capsys, monkeypatch):
@@ -412,6 +453,27 @@ def test_gens_file_of_an_empty_matrix_exits_2(tmp_path, capsys):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "suite_args, flag",
+    [
+        (("counts",), ("--spec", "S(3)")),
+        (("weingarten-vs-bruteforce", "--spec", "S(3)"), ("--I", "1")),
+        (("moments-vs-orbit", "--spec", "S(3)", "--I", "1"), ("--oracle", "SN(3)")),
+        (("dual-moments", "--oracle", "dualZ2(2)"), ("--bounds", "2")),
+        (("projection-laws", "--spec", "S(3)"), ("--samples", "1")),
+        (("ergodicity", "--spec", "S(3)", "--I", "1"), ("--max-l", "1")),
+        (("relations", "--spec", "S(3)", "--I", "1"), ("--oracle", "HN(3)")),
+        (("frobenius", "--bounds", "1"), ("--max-k", "2")),
+        (("saturation", "--oracle", "SN(3)", "--I", "1"), ("--spec", "S(3)")),
+        (("properness", "--oracle", "dualZ2(3)", "--I", "1"), ("--max-k", "2")),
+    ],
+)
+def test_a_verify_suite_refuses_a_flag_it_does_not_read(capsys, suite_args, flag):
+    code, out, err = run_cli(capsys, "verify", "--suite", *suite_args, *flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: suite {suite_args[0]!r} does not read {flag[0]}\n"
 
 
 @pytest.mark.parametrize(
